@@ -108,6 +108,12 @@ def _build_spec(body, density):
     raise ConfigError(f"cli: unknown or missing body kind {kind!r}")
 
 
+def _require_finite(**values):
+    for name, v in values.items():
+        if not np.isfinite(v):
+            raise ConfigError(f"cli.parse_config: {name} must be finite, got {v}")
+
+
 def parse_config(raw):
     """Validate a raw config dict into a RunConfig; raises ConfigError."""
     if not isinstance(raw, dict):
@@ -142,6 +148,7 @@ def parse_config(raw):
             raise ConfigError(f"cli.parse_config: fluid.dimensional missing {exc}")
         ell, re, mu = scales["ell"], scales["re"], 1.0
         dimensional = scales
+    _require_finite(ell=ell, re=re, mu=mu)
     if ell <= 0:
         raise ConfigError("cli.parse_config: ell must be positive")
     if re < 0:
@@ -149,6 +156,7 @@ def parse_config(raw):
 
     masses = raw.get("masses", {})
     m_c = float(masses.get("m_c", 0.0))
+    _require_finite(m_c=m_c)
     if m_c < 0:
         raise ConfigError("cli.parse_config: m_c must be >= 0")
     density = None
@@ -157,6 +165,7 @@ def parse_config(raw):
         density = _density_from_config(masses["rho_line"])
     elif "m" in masses:
         m = float(masses["m"])
+        _require_finite(m=m)
         if m <= 0:
             raise ConfigError("cli.parse_config: m must be positive")
     else:
@@ -175,6 +184,8 @@ def parse_config(raw):
     if "dynamics" in raw:
         db = raw["dynamics"]
         g_dir = np.asarray(db.get("g_direction", [0.0, 0.0, 1.0]), dtype=float)
+        if g_dir.shape != (3,) or not np.all(np.isfinite(g_dir)):
+            raise ConfigError("cli.parse_config: g_direction must be 3 finite numbers")
         if np.linalg.norm(g_dir) == 0:
             raise ConfigError("cli.parse_config: g_direction must be nonzero")
         try:

@@ -12,6 +12,12 @@ Reynolds number as a prefactor:
     dG/dt = Re (G x omega),  dQ/dt = Re Q [omega x],  dc/dt = Re Q xi.
 
 At Re = 0 only (xi, omega) evolve; G, Q, c are frozen.
+
+The constants of the closure (resistance blocks, J and its restricted
+inverse, the masses, r and Re) are gathered once per integration into a
+private operator. Each right-hand side evaluation then does only the 3-vector
+arithmetic above, with the cross products written out on Python floats:
+numpy's per-call overhead on 3-vectors costs far more than the arithmetic.
 """
 
 from dataclasses import dataclass
@@ -20,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import InstabilityError, MassModelError
-from .freefall import cross_matrix
 
 _BLOWUP_NORM = 1e12
 
@@ -60,6 +65,9 @@ class DynamicsParams:
     stride: int = 1
 
     def __post_init__(self):
+        for name in ("re", "dt", "t_end", "steady_tol"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"dynamics.DynamicsParams: {name} must be finite")
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dynamics.DynamicsParams: dt and t_end must be positive")
         if self.re < 0:
@@ -90,21 +98,67 @@ def _inertia_pinv(mass_props, resistance, rtol=1e-12):
     return (evecs * inv) @ evecs.T
 
 
-def rhs(state, resistance, mass_props, re, _j_pinv=None):
-    """Time derivative of the packed state under the quasi-steady closure."""
-    xi, omega, G, Q = state.xi, state.omega, state.G, state.Q
-    f = -(resistance.k_tt @ xi + resistance.k_tr @ omega)
-    t = -(resistance.k_rt @ xi + resistance.k_rr @ omega)
-    J = mass_props.inertia
-    J_pinv = _inertia_pinv(mass_props, resistance) if _j_pinv is None else _j_pinv
+class _Operator:
+    """Constants of the quasi-steady closure as Python floats.
 
-    dxi = (mass_props.m_e * G + f - re * mass_props.m * np.cross(omega, xi)) / mass_props.m
-    domega = J_pinv @ (-mass_props.m_c * np.cross(mass_props.r, G) + t
-                       - re * np.cross(omega, J @ omega))
-    dG = re * np.cross(G, omega)
-    dQ = re * Q @ cross_matrix(omega)
-    dc = re * Q @ xi
-    return np.concatenate([dxi, domega, dG, dQ.ravel(), dc])
+    Raises MassModelError when J is singular in a torque-carrying direction.
+    """
+
+    __slots__ = ("grand", "J", "J_pinv", "m", "m_e", "m_c", "r", "re")
+
+    def __init__(self, resistance, mass_props, re):
+        self.grand = np.block([[resistance.k_tt, resistance.k_tr],
+                               [resistance.k_rt, resistance.k_rr]]).tolist()
+        self.J = np.asarray(mass_props.inertia, dtype=float).tolist()
+        self.J_pinv = _inertia_pinv(mass_props, resistance).tolist()
+        self.m = float(mass_props.m)
+        self.m_e = float(mass_props.m_e)
+        self.m_c = float(mass_props.m_c)
+        self.r = np.asarray(mass_props.r, dtype=float).tolist()
+        self.re = float(re)
+
+
+def rhs(state, resistance, mass_props, re, _op=None):
+    """Time derivative of the packed state under the quasi-steady closure.
+
+    The cross products are written out on Python floats. ``_op`` is the
+    operator ``integrate`` builds once per integration from the same
+    resistance, mass properties and Re; without it one is built per call.
+    """
+    op = _Operator(resistance, mass_props, re) if _op is None else _op
+    re, m = op.re, op.m
+    x1, x2, x3 = state.xi.tolist()
+    w1, w2, w3 = state.omega.tolist()
+    g1, g2, g3 = state.G.tolist()
+    # hydrodynamic loads: (f, t) = -grand (xi, omega)
+    f1, f2, f3, t1, t2, t3 = [-(a1 * x1 + a2 * x2 + a3 * x3 + a4 * w1 + a5 * w2 + a6 * w3)
+                              for a1, a2, a3, a4, a5, a6 in op.grand]
+
+    # m dxi/dt = m_e G + f - Re m (omega x xi)
+    re_m = re * m
+    dxi1 = (op.m_e * g1 + f1 - re_m * (w2 * x3 - w3 * x2)) / m
+    dxi2 = (op.m_e * g2 + f2 - re_m * (w3 * x1 - w1 * x3)) / m
+    dxi3 = (op.m_e * g3 + f3 - re_m * (w1 * x2 - w2 * x1)) / m
+
+    # J domega/dt = -m_c (r x G) + t - Re (omega x J omega)
+    r1, r2, r3 = op.r
+    m_c = op.m_c
+    j1, j2, j3 = [a1 * w1 + a2 * w2 + a3 * w3 for a1, a2, a3 in op.J]
+    u1 = -m_c * (r2 * g3 - r3 * g2) + t1 - re * (w2 * j3 - w3 * j2)
+    u2 = -m_c * (r3 * g1 - r1 * g3) + t2 - re * (w3 * j1 - w1 * j3)
+    u3 = -m_c * (r1 * g2 - r2 * g1) + t3 - re * (w1 * j2 - w2 * j1)
+    out = [dxi1, dxi2, dxi3]
+    out += [a1 * u1 + a2 * u2 + a3 * u3 for a1, a2, a3 in op.J_pinv]
+
+    # dG/dt = Re (G x omega)
+    out += (re * (g2 * w3 - g3 * w2), re * (g3 * w1 - g1 * w3), re * (g1 * w2 - g2 * w1))
+    # dQ/dt = Re Q [omega x]: row i of Q [omega x] is q_i x omega
+    Q = state.Q.tolist()
+    for q1, q2, q3 in Q:
+        out += (re * (q2 * w3 - q3 * w2), re * (q3 * w1 - q1 * w3), re * (q1 * w2 - q2 * w1))
+    # dc/dt = Re Q xi
+    out += [re * (q1 * x1 + q2 * x2 + q3 * x3) for q1, q2, q3 in Q]
+    return np.array(out)
 
 
 def _project(y):
@@ -206,11 +260,10 @@ def integrate(state0, resistance, mass_props, params, steady_states=None):
             return Trajectory(states=out, halted_steady=True,
                               steady_index=steady_index)
 
-    j_pinv = _inertia_pinv(mass_props, resistance)
+    op = _Operator(resistance, mass_props, re)
 
     def f(ti, yi):
-        return rhs(FallState.unpack(ti, yi), resistance, mass_props, re,
-                   _j_pinv=j_pinv)
+        return rhs(FallState.unpack(ti, yi), resistance, mass_props, re, _op=op)
 
     for step in range(1, n_steps + 1):
         h = params.dt
@@ -220,11 +273,12 @@ def integrate(state0, resistance, mass_props, params, steady_states=None):
         k4 = f(t + h, y + h * k3)
         y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
-        y = _project(y)
-        if np.linalg.norm(y) > _BLOWUP_NORM:
+        # "not <=" also catches NaN and Inf, which the SVD below cannot take
+        if not np.linalg.norm(y) <= _BLOWUP_NORM:
             raise InstabilityError(
-                f"dynamics.integrate: state norm exceeded {_BLOWUP_NORM:.0e} "
-                f"at step {step}", step=step)
+                f"dynamics.integrate: state norm not finite or above "
+                f"{_BLOWUP_NORM:.0e} at step {step}", step=step)
+        y = _project(y)
         if step % params.stride == 0 or step == n_steps:
             s = FallState.unpack(t, y)
             out.append(s)

@@ -236,3 +236,34 @@ def test_polyline_csv_body(tmp_path):
     assert cli.main(["steady", "--config", str(path), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert len(report["steady_states"]) >= 1
+
+
+def test_nan_re_fall_run_exits_2(tmp_path, capsys):
+    cfg = base_config()
+    cfg["fluid"] = {"nondimensional": {"ell": 0.1, "re": float("nan")}}
+    cfg["dynamics"] = {"dt": 0.01, "t_end": 0.2, "g_direction": [0, 0, 1]}
+    path = write_config(tmp_path, cfg)   # json writes the literal NaN
+    out = tmp_path / "out"
+    assert cli.main(["fall", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("fluid", "ell", float("inf")),
+    ("fluid", "mu", float("nan")),
+    ("masses", "m", float("inf")),
+    ("masses", "m_c", float("nan")),
+    ("dynamics", "dt", float("nan")),
+    ("dynamics", "t_end", float("inf")),
+    ("dynamics", "steady_tol", float("nan")),
+    ("dynamics", "g_direction", [0.0, float("nan"), 1.0]),
+])
+def test_parse_config_rejects_non_finite(block, key, value):
+    cfg = base_config()
+    cfg["dynamics"] = {"dt": 0.01, "t_end": 0.2}
+    target = cfg["fluid"]["nondimensional"] if block == "fluid" else cfg[block]
+    target[key] = value
+    with pytest.raises(ConfigError):
+        cli.parse_config(cfg)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from slenderfall import (DynamicsParams, FallState, MassProperties,
                          detect_steady, integrate, rhs, steady_states)
@@ -162,3 +163,89 @@ def test_params_validation():
         DynamicsParams(re=-0.1, dt=0.1, t_end=1.0)
     with pytest.raises(ValueError):
         DynamicsParams(re=0.0, dt=0.1, t_end=1.0, stride=0)
+
+
+def test_non_finite_state_raises_instability(ring_R, ring_mp):
+    params = DynamicsParams(re=0.1, dt=0.01, t_end=1.0)
+    for bad in (np.nan, np.inf):
+        s0 = FallState(t=0.0, xi=np.array([bad, 0.0, 0.0]), omega=np.zeros(3),
+                       G=np.array([0.0, 0.0, 1.0]), Q=np.eye(3), c=np.zeros(3))
+        with pytest.raises(InstabilityError) as exc:
+            integrate(s0, ring_R, ring_mp, params)
+        assert exc.value.step == 1
+
+
+def test_params_reject_non_finite():
+    for kwargs in ({"re": np.nan}, {"dt": np.nan}, {"t_end": np.inf},
+                   {"steady_tol": np.nan}):
+        with pytest.raises(ValueError):
+            DynamicsParams(**{"re": 0.0, "dt": 0.1, "t_end": 1.0, **kwargs})
+
+
+def _random_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+def test_rhs_matches_cross_product_formula(helix_R, helix_mp):
+    # the closed-form right-hand side, written with np.cross
+    R, mp, re = helix_R, helix_mp, 0.5
+    J = mp.inertia
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        G = rng.normal(size=3)
+        G /= np.linalg.norm(G)
+        xi, omega, Q = rng.normal(size=3), rng.normal(size=3), _random_rotation(rng)
+        s = FallState(t=0.0, xi=xi, omega=omega, G=G, Q=Q, c=rng.normal(size=3))
+        f = -(R.k_tt @ xi + R.k_tr @ omega)
+        t = -(R.k_rt @ xi + R.k_rr @ omega)
+        expected = np.concatenate([
+            (mp.m_e * G + f - re * mp.m * np.cross(omega, xi)) / mp.m,
+            np.linalg.solve(J, -mp.m_c * np.cross(mp.r, G) + t
+                            - re * np.cross(omega, J @ omega)),
+            re * np.cross(G, omega),
+            (re * np.cross(Q, omega)).ravel(),      # rows of Q [omega x]
+            re * Q @ xi,
+        ])
+        d = rhs(s, R, mp, re)
+        assert d.shape == (21,)
+        np.testing.assert_allclose(d, expected, rtol=1e-13,
+                                   atol=1e-13 * np.abs(expected).max())
+
+
+def test_re_zero_matches_matrix_exponential(helix_R, helix_mp):
+    # At Re = 0, z = (xi, omega) obeys z' = b - A z with constant A and b.
+    R, mp = helix_R, helix_mp
+    rng = np.random.default_rng(5)
+    s0 = FallState(t=0.0, xi=rng.normal(size=3), omega=rng.normal(size=3),
+                   G=np.array([0.3, 0.2, 1.0]) / np.linalg.norm([0.3, 0.2, 1.0]),
+                   Q=np.eye(3), c=np.zeros(3))
+    J_inv = np.linalg.inv(mp.inertia)
+    A = np.block([[np.eye(3) / mp.m, np.zeros((3, 3))],
+                  [np.zeros((3, 3)), J_inv]]) @ R.grand
+    b = np.concatenate([mp.m_e / mp.m * s0.G,
+                        -mp.m_c * J_inv @ np.cross(mp.r, s0.G)])
+    aug = np.zeros((7, 7))
+    aug[:6, :6], aug[:6, 6] = -A, b
+    traj = integrate(s0, R, mp, DynamicsParams(re=0.0, dt=0.01, t_end=5.0,
+                                               stride=10 ** 6))
+    t = traj.final.t
+    exact = (expm(t * aug) @ np.concatenate([s0.xi, s0.omega, [1.0]]))[:6]
+    got = np.concatenate([traj.final.xi, traj.final.omega])
+    assert abs(t - 5.0) <= 1e-12
+    assert np.max(np.abs(got - exact)) <= 1e-10
+
+
+def test_step_halving_fourth_order_full_state(helix_R, helix_mp):
+    # Re > 0: xi, omega, G, Q and c all evolve; each converges at 4th order
+    s0 = FallState.from_rest([0.3, 0.2, 1.0])
+
+    def endpoint(dt):
+        params = DynamicsParams(re=0.5, dt=dt, t_end=1.0, stride=10 ** 6)
+        return integrate(s0, helix_R, helix_mp, params).final.pack()
+
+    y1, y2, y3 = endpoint(0.04), endpoint(0.02), endpoint(0.01)
+    assert np.linalg.norm(y3[9:18] - np.eye(3).ravel()) > 1e-3   # Q moved
+    assert np.linalg.norm(y3[18:21]) > 1e-3                      # c moved
+    assert 12.0 <= np.linalg.norm(y1 - y2) / np.linalg.norm(y2 - y3) <= 20.0
