@@ -116,6 +116,13 @@ def _require_finite(**values):
 
 def parse_config(raw):
     """Validate a raw config dict into a RunConfig; raises ConfigError."""
+    try:
+        return _parse_config(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cli.parse_config: bad value: {exc}")
+
+
+def _parse_config(raw):
     if not isinstance(raw, dict):
         raise ConfigError("cli.parse_config: config must be a JSON object")
     try:
@@ -151,6 +158,8 @@ def parse_config(raw):
     _require_finite(ell=ell, re=re, mu=mu)
     if ell <= 0:
         raise ConfigError("cli.parse_config: ell must be positive")
+    if mu <= 0:
+        raise ConfigError("cli.parse_config: mu must be positive")
     if re < 0:
         raise ConfigError("cli.parse_config: Re must be >= 0")
 
@@ -178,6 +187,10 @@ def parse_config(raw):
     disc = raw.get("discretization", {})
     panels = int(disc.get("panels", 32))
     order = int(disc.get("order", 4))
+    if panels < 1:
+        raise ConfigError("cli.parse_config: panels must be >= 1")
+    if not 2 <= order <= 16:
+        raise ConfigError("cli.parse_config: order must be in 2..16")
 
     dyn = None
     g_dir = np.array([0.0, 0.0, 1.0])
@@ -346,8 +359,10 @@ def run(cfg, mode, out_dir="."):
                     "lambda", "grand_diff", "diff_ratio"])
     else:
         body, mp, params = _prepare(cfg)
-        report["diagnostics"] = _diagnostics_dict(validate_geometry(body, cfg.ell))
+        # resistance_set first: it refuses a system too large for memory
+        # before validate_geometry's O(N^2) distance table is allocated
         R = resistance_set(body, params)
+        report["diagnostics"] = _diagnostics_dict(validate_geometry(body, cfg.ell))
         report["resistance"] = R.to_dict()
         report["mass_properties"] = {
             "m": mp.m, "m_c": mp.m_c, "m_e": mp.m_e,
@@ -407,6 +422,9 @@ def main(argv=None):
         return 4
     except SlenderFallError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"solver error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

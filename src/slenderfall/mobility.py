@@ -3,57 +3,95 @@
 The flow generated by a rigid motion of the body is represented as a single
 layer of point forces along the curve, u(x) = sum_q w_q G(x - x_q) phi_q,
 collocated at the quadrature nodes (Nystrom). The kernel is bounded on the
-diagonal, so no singular quadrature is needed. Solving the collocation
-system for the six unit rigid motions yields the resistance blocks with
+diagonal, so no singular quadrature is needed. With the nodal point forces
+psi_q = w_q phi_q the collocation system is
+
+    G psi = u,    psi = W phi,
+
+where G is the symmetric 3N x 3N Green matrix, block (p,q) = G(x_p - x_q).
+The hyperviscous symbol is positive, so G is positive definite and is
+factored once by Cholesky, G = L L^T. The quadrature weights cancel from the
+resistance: with U the 3N x 6 matrix of the six unit rigid motions, the grand
+resistance matrix is A6 = U^T G^-1 U = Y^T Y with Y = L^-1 U, and
 
     f = -(K_tt xi + K_tr omega),   t = -(K_rt xi + K_rr omega),
 
 torque and rotation referenced to the center of mass.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import AssemblyError, ConvergenceError, SingularEvaluationError, SolverError
+from .errors import (AssemblyError, ConfigError, ConvergenceError,
+                     SingularEvaluationError, SolverError)
 from .kernel import kernel_scalars
 
 _ZERO_DATA_TOL = 1e-12
+# N x N float64 arrays alive next to the (3N)^2 matrix at the peak of assembly
+_N2_TEMPORARIES = 6
+
+
+def _check_fits(n):
+    """Refuse an assembly whose peak memory exceeds the physical RAM."""
+    need = 8 * (9 + _N2_TEMPORARIES) * n * n
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > ram:
+        raise ConfigError(f"mobility.assemble_system: N = {n} nodes need about "
+                          f"{need / 2**30:.1f} GiB for the dense system, more than "
+                          f"the {ram / 2**30:.1f} GiB of physical memory")
 
 
 def assemble_system(body, params):
-    """Dense 3N x 3N Nystrom matrix, block (p,q) = w_q G(x_p - x_q)."""
-    x, w = body.nodes, body.weights
+    """Symmetric 3N x 3N Green matrix, block (p,q) = G(x_p - x_q), no weights.
+
+    Component (a,b) of every block is A(r) delta_ab + B(r) d_a d_b / r^2 with
+    d = x_p - x_q; each is written once through the (N,3,N,3) view of the
+    matrix and mirrored to (b,a). The diagonal blocks are A(0) I.
+    """
+    x = body.nodes
     n = body.n_nodes
-    d = x[:, None, :] - x[None, :, :]
-    r = np.linalg.norm(d, axis=2)
-    if n > 1:
-        off = r + np.diag(np.full(n, np.inf))
-        if off.min() == 0.0:
-            raise AssemblyError("mobility.assemble_system: duplicate nodes make "
-                                "the collocation system singular")
-    A, B = kernel_scalars(r.ravel(), params)
-    A = A.reshape(n, n)
-    B = B.reshape(n, n)
-    rsafe = np.where(r == 0.0, 1.0, r)
-    xh = d / rsafe[:, :, None]
-    G = A[:, :, None, None] * np.eye(3) + B[:, :, None, None] * (
-        xh[:, :, :, None] * xh[:, :, None, :])
-    M = (G * w[None, :, None, None]).transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
-    return M
+    _check_fits(n)
+    d = [x[:, None, a] - x[None, :, a] for a in range(3)]
+    r2 = d[0] ** 2 + d[1] ** 2 + d[2] ** 2
+    r = np.sqrt(r2)
+    np.fill_diagonal(r2, np.inf)  # B(0) = 0, so the diagonal of B / r^2 is 0
+    if r2.min() == 0.0:
+        raise AssemblyError("mobility.assemble_system: duplicate nodes make "
+                            "the collocation system singular")
+    A, B = kernel_scalars(r, params)
+    B /= r2
+    del r, r2
+    G = np.empty((3 * n, 3 * n))
+    G4 = G.reshape(n, 3, n, 3)
+    gab = np.empty_like(B)
+    for a in range(3):
+        for b in range(a, 3):
+            np.multiply(B, d[a], out=gab)
+            gab *= d[b]
+            if a == b:
+                gab += A
+            G4[:, a, :, b] = gab
+            if a != b:
+                G4[:, b, :, a] = gab
+    return G
 
 
-def _factorize(M):
+def _factorize(G):
+    """Cholesky factor (c, lower) of the Green matrix, computed in place.
+
+    G is symmetric, so G.T is the same matrix in Fortran order, which LAPACK
+    factors without a copy. G is overwritten.
+    """
     try:
-        lu = sla.lu_factor(M)
+        factor = sla.cho_factor(G.T, lower=True, overwrite_a=True, check_finite=False)
     except sla.LinAlgError as exc:
-        raise SolverError(f"mobility: factorization failed: {exc}",
-                          condition_estimate=np.inf)
-    if not np.all(np.isfinite(lu[0])):
-        raise SolverError("mobility: factorization produced non-finite factors",
-                          condition_estimate=float(np.linalg.cond(M)))
-    return lu
+        raise SolverError(f"mobility: Green matrix is not positive definite: {exc}")
+    if not np.all(np.isfinite(np.diagonal(factor[0]))):
+        raise SolverError("mobility: Cholesky factor has non-finite entries")
+    return factor
 
 
 def rigid_data(body, xi, omega):
@@ -65,18 +103,20 @@ def rigid_data(body, xi, omega):
 def solve_rigid_problem(body, params, xi, omega, system=None):
     """Line force density and total force/torque for a prescribed rigid motion.
 
-    Returns (phi, f, t) with phi of shape (N,3). Rigid data that vanishes on
-    the whole body (e.g. rotation of a straight rod about its own axis) is
-    mapped to phi = 0 exactly rather than amplifying roundoff.
+    Returns (phi, f, t) with phi of shape (N,3), phi = G^-1 u / w. ``system``
+    is a Green matrix from ``assemble_system`` to reuse; it is not modified.
+    Rigid data that vanishes on the whole body (e.g. rotation of a straight
+    rod about its own axis) is mapped to phi = 0 exactly rather than
+    amplifying roundoff.
     """
     u = rigid_data(body, xi, omega)
     scale = max(np.linalg.norm(xi), np.linalg.norm(omega) * (1 + body.length), 1.0)
     if np.linalg.norm(u) < _ZERO_DATA_TOL * scale:
         phi = np.zeros((body.n_nodes, 3))
         return phi, np.zeros(3), np.zeros(3)
-    M = assemble_system(body, params) if system is None else system
-    lu = _factorize(M)
-    phi = sla.lu_solve(lu, u).reshape(body.n_nodes, 3)
+    G = assemble_system(body, params) if system is None else np.array(system)
+    psi = sla.cho_solve(_factorize(G), u, check_finite=False)
+    phi = psi.reshape(body.n_nodes, 3) / body.weights[:, None]
     f, t = force_torque(body, phi)
     return phi, f, t
 
@@ -124,30 +164,32 @@ class ResistanceSet:
 
 
 def resistance_set(body, params, asymmetry_tol=1e-6):
-    """Assemble the grand resistance matrix from six unit rigid solves.
+    """The grand resistance matrix A6 = U^T G^-1 U from one Cholesky factor.
 
-    One factorization, six right-hand sides (unit translations and unit
-    rotations). The grand matrix is checked for reciprocity and then
-    symmetrized by averaging; asymmetry above the tolerance indicates a
-    discretization problem and raises instead of being masked.
+    U holds the six unit rigid motions (three translations, three rotations
+    about the center of mass) as columns of nodal velocities; with G = L L^T,
+    Y = L^-1 U and A6 = Y^T Y. Column j of A6 is the force and torque of the
+    nodal point forces G^-1 U_j, the weights having cancelled. The axial
+    rotation of a straight body generates no boundary data and gives an
+    exact zero row and column. The reciprocity gate below compares A6 with
+    its transpose; as Y^T Y is symmetric by construction, it can no longer
+    fail.
     """
-    M = assemble_system(body, params)
-    lu = _factorize(M)
-    x, w = body.nodes, body.weights
+    G = assemble_system(body, params)
+    factor = _factorize(G)
     n = body.n_nodes
     eye = np.eye(3)
 
-    A6 = np.zeros((6, 6))
+    U = np.zeros((3 * n, 6))
     for j in range(6):
         if j < 3:
-            u = rigid_data(body, eye[j], np.zeros(3))
+            U[:, j] = rigid_data(body, eye[j], np.zeros(3))
         else:
             u = rigid_data(body, np.zeros(3), eye[j - 3])
-            if np.linalg.norm(u) < _ZERO_DATA_TOL * (1 + body.length):
-                continue  # straight-body axial rotation: zero column
-        phi = sla.lu_solve(lu, u).reshape(n, 3)
-        A6[:3, j] = (w[:, None] * phi).sum(axis=0)
-        A6[3:, j] = (w[:, None] * np.cross(x, phi)).sum(axis=0)
+            if np.linalg.norm(u) >= _ZERO_DATA_TOL * (1 + body.length):
+                U[:, j] = u  # else straight-body axial rotation: zero column
+    Y = sla.solve_triangular(factor[0], U, lower=factor[1], check_finite=False)
+    A6 = Y.T @ Y
 
     norm = np.linalg.norm(A6)
     asym = float(np.linalg.norm(A6 - A6.T) / norm) if norm > 0 else 0.0

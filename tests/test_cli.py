@@ -267,3 +267,44 @@ def test_parse_config_rejects_non_finite(block, key, value):
     target[key] = value
     with pytest.raises(ConfigError):
         cli.parse_config(cfg)
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("fluid", "ell", "abc"),
+    ("discretization", "panels", "x"),
+])
+def test_non_numeric_config_value_exits_2(tmp_path, capsys, block, key, value):
+    cfg = base_config()
+    (cfg["fluid"]["nondimensional"] if block == "fluid" else cfg[block])[key] = value
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main(["steady", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("fluid", "mu", -1.0),
+    ("fluid", "mu", 0.0),
+    ("discretization", "panels", 0),
+    ("discretization", "order", 1),
+    ("discretization", "order", 17),
+])
+def test_out_of_domain_config_value_exits_2(tmp_path, capsys, block, key, value):
+    cfg = base_config()
+    (cfg["fluid"]["nondimensional"] if block == "fluid" else cfg[block])[key] = value
+    with pytest.raises(ConfigError):
+        cli.parse_config(cfg)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["steady", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_memory_error_exits_3(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("cannot allocate the dense system")
+
+    monkeypatch.setattr(cli, "resistance_set", exhausted)
+    path = write_config(tmp_path, base_config())
+    assert cli.main(["steady", "--config", str(path), "--out", str(tmp_path)]) == 3
+    assert "out of memory" in capsys.readouterr().err

@@ -1,12 +1,19 @@
 """Mobility module: collocation system, rigid solves, resistance matrices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from slenderfall import (DiscreteBody, KernelParams, assemble_system, discretize,
                          energy_dissipation, evaluate_flow, force_torque,
-                         resistance_set, solve_rigid_problem)
-from slenderfall.errors import AssemblyError, SingularEvaluationError
+                         kernel_scalars, resistance_set, solve_rigid_problem)
+from slenderfall.errors import (AssemblyError, ConfigError, SingularEvaluationError,
+                                SolverError)
+from slenderfall.mobility import _factorize
+
+from conftest import random_polyline_spec
 
 
 def single_node_body(weight=0.25):
@@ -19,7 +26,7 @@ def test_single_node_system():
     p = KernelParams(ell=0.5, mu=2.0)
     w = 0.25
     M = assemble_system(single_node_body(w), p)
-    assert np.allclose(M, w * np.eye(3) / (6 * np.pi * p.mu * p.ell), rtol=1e-12)
+    assert np.allclose(M, np.eye(3) / (6 * np.pi * p.mu * p.ell), rtol=1e-12)
 
 
 def test_equal_weight_symmetry(params):
@@ -151,3 +158,78 @@ def test_resistance_metadata(ring_body, ring_R, params):
     assert ring_R.shape_hash == ring_body.shape_hash()
     d = ring_R.to_dict()
     assert np.allclose(np.array(d["k_tt"]), ring_R.k_tt)
+
+
+def weighted_lu_grand(body, params):
+    """Grand matrix from an LU of the weighted Nystrom matrix M = G W."""
+    x, w = body.nodes, body.weights
+    n = body.n_nodes
+    d = x[:, None, :] - x[None, :, :]
+    r = np.linalg.norm(d, axis=2)
+    A, B = kernel_scalars(r, params)
+    xh = d / np.where(r == 0.0, 1.0, r)[:, :, None]
+    G = A[:, :, None, None] * np.eye(3) + B[:, :, None, None] * (
+        xh[:, :, :, None] * xh[:, :, None, :])
+    M = (G * w[None, :, None, None]).transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+    lu = sla.lu_factor(M)
+    A6 = np.zeros((6, 6))
+    for j in range(6):
+        xi, omega = np.zeros(3), np.zeros(3)
+        (xi if j < 3 else omega)[j % 3] = 1.0
+        u = (xi[None, :] + np.cross(omega, x)).ravel()
+        if np.linalg.norm(u) == 0.0:
+            continue
+        phi = sla.lu_solve(lu, u).reshape(n, 3)
+        A6[:3, j] = (w[:, None] * phi).sum(axis=0)
+        A6[3:, j] = (w[:, None] * np.cross(x, phi)).sum(axis=0)
+    return 0.5 * (A6 + A6.T)
+
+
+@pytest.mark.parametrize("body_name", ["rod_body", "ring_body", "helix_body", "polyline"])
+def test_grand_matrix_matches_weighted_lu(body_name, request, params):
+    if body_name == "polyline":
+        spec = random_polyline_spec(np.random.default_rng(7), n_vertices=5)
+        body = discretize(spec, panels=16, order=4)
+    else:
+        body = request.getfixturevalue(body_name)
+    ref = weighted_lu_grand(body, params)
+    grand = resistance_set(body, params).grand
+    assert np.linalg.norm(grand - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_factorize_rejects_indefinite():
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    G = Q @ np.diag([3.0, 2.0, 1.0, 0.5, -0.5, 1.5]) @ Q.T
+    with pytest.raises(SolverError):
+        _factorize(0.5 * (G + G.T))
+
+
+def test_rotation_covariance(helix_spec, helix_body, helix_R, params):
+    rng = np.random.default_rng(11)
+    R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    R *= np.sign(np.linalg.det(R))
+    b = helix_body
+    rotated = DiscreteBody(nodes=b.nodes @ R.T, weights=b.weights,
+                           arclength=b.arclength, density=b.density,
+                           panels=b.panels, order=b.order, length=b.length)
+    Rr = resistance_set(rotated, params)
+    for name in ("k_tt", "k_tr", "k_rt", "k_rr"):
+        K, Kr = getattr(helix_R, name), getattr(Rr, name)
+        expected = R @ K @ R.T
+        assert np.linalg.norm(Kr - expected) <= 1e-12 * np.linalg.norm(K), name
+
+
+def test_assembly_beyond_memory_refused(params):
+    n = 600_000
+    body = DiscreteBody(nodes=np.zeros((n, 3)), weights=np.ones(n),
+                        arclength=np.arange(n, dtype=float), density=np.ones(n),
+                        panels=n // 2, order=2, length=float(n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError):
+            assemble_system(body, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # refused before any N x N array was allocated
