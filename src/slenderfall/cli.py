@@ -12,7 +12,7 @@ failure.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import DynamicsParams, FallState, detect_steady, integrate
-from .errors import ConfigError, ConvergenceError, SlenderFallError
+from .errors import ConfigError, ConvergenceError, GeometryError, SlenderFallError
 from .freefall import steady_states
 from .geometry import (CurveSpec, discretize, load_polyline_csv, mass_properties,
                        validate_geometry)
@@ -223,18 +223,20 @@ def _parse_config(raw):
 
 
 def _prepare(cfg, panels=None):
-    """Discretize, resolve the density scale, return body + masses + params."""
-    spec = cfg.spec
-    body = discretize(spec, panels or cfg.panels, cfg.order)
-    if spec.density is None and cfg.m is not None:
-        # uniform density scaled to the requested total mass
-        value = cfg.m / body.length
-        spec = CurveSpec(kind=spec.kind, length=spec.length, radius=spec.radius,
-                         pitch=spec.pitch, turns=spec.turns,
-                         vertices=spec.vertices, closed=spec.closed,
-                         density=lambda s: np.full_like(np.asarray(s, float), value))
-        body = discretize(spec, panels or cfg.panels, cfg.order)
-    mp = mass_properties(spec, body, m_c=cfg.m_c)
+    """Discretize, resolve the density scale, return body + masses + params.
+
+    A total-mass config gets the uniform density m / length on the nodes of
+    the one discretization; a uniform density does not move the center of
+    mass, so the nodes stay centered.
+    """
+    try:
+        body = discretize(cfg.spec, panels or cfg.panels, cfg.order)
+    except GeometryError as exc:
+        raise ConfigError(f"cli: {exc}")
+    if cfg.spec.density is None and cfg.m is not None:
+        body = replace(
+            body, density=np.full_like(body.weights, cfg.m / body.length))
+    mp = mass_properties(cfg.spec, body, m_c=cfg.m_c)
     params = KernelParams(ell=cfg.ell, mu=cfg.mu)
     return body, mp, params
 
@@ -360,7 +362,7 @@ def run(cfg, mode, out_dir="."):
     else:
         body, mp, params = _prepare(cfg)
         # resistance_set first: it refuses a system too large for memory
-        # before validate_geometry's O(N^2) distance table is allocated
+        # before validate_geometry's N x N distance table is allocated
         R = resistance_set(body, params)
         report["diagnostics"] = _diagnostics_dict(validate_geometry(body, cfg.ell))
         report["resistance"] = R.to_dict()

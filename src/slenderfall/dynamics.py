@@ -107,8 +107,7 @@ class _Operator:
     __slots__ = ("grand", "J", "J_pinv", "m", "m_e", "m_c", "r", "re")
 
     def __init__(self, resistance, mass_props, re):
-        self.grand = np.block([[resistance.k_tt, resistance.k_tr],
-                               [resistance.k_rt, resistance.k_rr]]).tolist()
+        self.grand = resistance.grand.tolist()
         self.J = np.asarray(mass_props.inertia, dtype=float).tolist()
         self.J_pinv = _inertia_pinv(mass_props, resistance).tolist()
         self.m = float(mass_props.m)

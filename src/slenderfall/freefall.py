@@ -13,7 +13,7 @@ straight bodies whose axial rotation generates no boundary data; that null
 direction is detected and removed by a restricted pseudo-inverse.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -235,12 +235,7 @@ def steady_states(resistance, mass_props, residual_rtol=1e-8):
             raise InternalConsistencyError(
                 f"freefall.steady_states: momentum residual {mom:.3e} exceeds "
                 f"{residual_rtol:.1e} * scale ({scale:.3e})")
-        states.append(SteadyState(lam=state.lam, g=state.g, xi=state.xi,
-                                  omega=state.omega, multiplicity=mult,
-                                  degenerate=op.degenerate,
-                                  eigen_residual=eig_res,
-                                  momentum_residual=mom,
-                                  eigenbasis=state.eigenbasis))
+        states.append(replace(state, momentum_residual=mom))
     return states
 
 

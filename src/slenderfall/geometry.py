@@ -37,6 +37,8 @@ class CurveSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise GeometryError(f"geometry.CurveSpec: unknown kind {self.kind!r}")
+        if not np.all(np.isfinite([self.length, self.radius, self.pitch, self.turns])):
+            raise GeometryError("geometry.CurveSpec: dimensions must be finite")
         if self.kind == "rod" and self.length <= 0:
             raise GeometryError("geometry.CurveSpec: rod length must be positive")
         if self.kind == "ring" and self.radius <= 0:
@@ -50,6 +52,8 @@ class CurveSpec:
             if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 2:
                 raise GeometryError("geometry.CurveSpec: polyline needs a (V,3) "
                                     "vertex array with V >= 2")
+            if not np.all(np.isfinite(v)):
+                raise GeometryError("geometry.CurveSpec: polyline vertices must be finite")
             object.__setattr__(self, "vertices", v)
             seg = np.diff(v, axis=0)
             if np.any(np.linalg.norm(seg, axis=1) == 0):
@@ -109,6 +113,7 @@ class DiscreteBody:
     panels: int
     order: int
     length: float            # total discrete arc length, sum of weights
+    closed: bool = False     # the curve is a loop (ring, closed polyline)
 
     @property
     def n_nodes(self):
@@ -190,26 +195,26 @@ def discretize(spec, panels, order):
     s0 = 0.0
     for (curve, L), npan in zip(segs, counts):
         edges = np.linspace(0.0, 1.0, npan + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            t = mid + half * xg
-            nodes.append(curve(t))
-            weights.append(half * wg * L)
-            arcs.append(s0 + t * L)       # constant speed on every segment
+        lo, hi = edges[:-1, None], edges[1:, None]      # one row per panel
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        t = (mid + half * xg).ravel()
+        nodes.append(curve(t))
+        weights.append((half * wg * L).ravel())
+        arcs.append(s0 + t * L)       # constant speed on every segment
         s0 += L
     x = np.vstack(nodes)
     w = np.concatenate(weights)
     s = np.concatenate(arcs)
 
     rho = np.ones_like(s) if spec.density is None else np.asarray(spec.density(s), float)
-    if np.any(rho <= 0):
+    if not np.all(rho > 0):
         raise GeometryError("geometry.discretize: density profile must be positive")
 
     mass_w = w * rho
     x = x - (mass_w[:, None] * x).sum(axis=0) / mass_w.sum()
     return DiscreteBody(nodes=x, weights=w, arclength=s, density=rho,
                         panels=int(np.sum(counts)), order=order,
-                        length=float(w.sum()))
+                        length=float(w.sum()), closed=spec.is_closed)
 
 
 def mass_properties(spec, body, m_c=0.0):
@@ -244,27 +249,16 @@ class GeometryDiagnostics:
 def validate_geometry(body, ell):
     """Diagnostic report on a discretization relative to the thickness ell."""
     x = body.nodes
-    n = body.n_nodes
-    if n > 1:
-        d = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
-        d[np.diag_indices(n)] = np.inf
-        min_sep = float(d.min())
-    else:
-        min_sep = np.inf
+    d2 = sum((x[:, None, a] - x[None, :, a]) ** 2 for a in range(3))
+    np.fill_diagonal(d2, np.inf)
+    min_sep = float(np.sqrt(d2.min()))
 
     # straightness: residual from the principal axis through the centroid
     xc = x - x.mean(axis=0)
-    if n > 1:
-        _, _, vt = np.linalg.svd(xc, full_matrices=False)
-        axis = vt[0]
-        resid = np.linalg.norm(xc - np.outer(xc @ axis, axis), axis=1)
-        straightness = float(resid.max() / body.length)
-    else:
-        straightness = 0.0
-
-    # closedness heuristic: first and last nodes nearer than the mean spacing
-    spacing = body.length / max(n - 1, 1)
-    closed = bool(np.linalg.norm(x[0] - x[-1]) < 2.0 * spacing) if n > 2 else False
+    _, _, vt = np.linalg.svd(xc, full_matrices=False)
+    axis = vt[0]
+    resid = np.linalg.norm(xc - np.outer(xc @ axis, axis), axis=1)
+    straightness = float(resid.max() / body.length)
 
     warnings = []
     duplicate = min_sep == 0.0
@@ -275,7 +269,7 @@ def validate_geometry(body, ell):
                         f"ell/10 = {ell / 10.0:.3e}; quadrature accuracy degrades")
     return GeometryDiagnostics(min_separation=min_sep,
                                separation_over_thickness=min_sep / ell,
-                               straightness=straightness, closed=closed,
+                               straightness=straightness, closed=body.closed,
                                duplicate_nodes=duplicate, warnings=tuple(warnings))
 
 

@@ -100,22 +100,21 @@ def rigid_data(body, xi, omega):
             + np.cross(np.asarray(omega, float), body.nodes)).ravel()
 
 
-def solve_rigid_problem(body, params, xi, omega, system=None):
+def solve_rigid_problem(body, params, xi, omega):
     """Line force density and total force/torque for a prescribed rigid motion.
 
-    Returns (phi, f, t) with phi of shape (N,3), phi = G^-1 u / w. ``system``
-    is a Green matrix from ``assemble_system`` to reuse; it is not modified.
-    Rigid data that vanishes on the whole body (e.g. rotation of a straight
-    rod about its own axis) is mapped to phi = 0 exactly rather than
-    amplifying roundoff.
+    Returns (phi, f, t) with phi of shape (N,3), phi = G^-1 u / w. Rigid
+    data that vanishes on the whole body (e.g. rotation of a straight rod
+    about its own axis) is mapped to phi = 0 exactly rather than amplifying
+    roundoff.
     """
     u = rigid_data(body, xi, omega)
     scale = max(np.linalg.norm(xi), np.linalg.norm(omega) * (1 + body.length), 1.0)
     if np.linalg.norm(u) < _ZERO_DATA_TOL * scale:
         phi = np.zeros((body.n_nodes, 3))
         return phi, np.zeros(3), np.zeros(3)
-    G = assemble_system(body, params) if system is None else np.array(system)
-    psi = sla.cho_solve(_factorize(G), u, check_finite=False)
+    psi = sla.cho_solve(_factorize(assemble_system(body, params)), u,
+                        check_finite=False)
     phi = psi.reshape(body.n_nodes, 3) / body.weights[:, None]
     f, t = force_torque(body, phi)
     return phi, f, t

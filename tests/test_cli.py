@@ -56,6 +56,9 @@ def test_parse_config_valid():
     assert cfg.ell == 0.1 and cfg.re == 0.0 and cfg.mu == 1.0
     assert cfg.m == 1.0 and cfg.panels == 12 and cfg.order == 4
     assert cfg.spec.kind == "ring"
+    body, mp, _ = cli._prepare(cfg)
+    assert np.all(body.density == cfg.m / body.length)
+    assert abs(mp.m - cfg.m) <= 1e-14 * cfg.m
 
 
 def test_parse_config_missing_body():
@@ -298,6 +301,37 @@ def test_out_of_domain_config_value_exits_2(tmp_path, capsys, block, key, value)
     path = write_config(tmp_path, cfg)
     assert cli.main(["steady", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_total_mass_steady_run_discretizes_once(tmp_path, monkeypatch):
+    calls = []
+    real_discretize = cli.discretize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_discretize(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "discretize", counting)
+    path = write_config(tmp_path, base_config())
+    assert cli.main(["steady", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("body, masses", [
+    ({"kind": "polyline", "vertices": [[0, 0, 0], [1, 0, 0], [1, float("nan"), 0]]},
+     {"m": 1.0}),
+    ({"kind": "rod", "length": float("inf")}, {"m": 1.0}),
+    ({"kind": "rod", "length": 2.0},
+     {"rho_line": {"type": "linear", "a": float("nan")}}),
+    ({"kind": "rod", "length": 2.0},
+     {"rho_line": {"type": "linear", "a": 1.0, "b": -1.0}}),
+], ids=["nan-vertex", "infinite-length", "nan-density", "negative-density"])
+def test_bad_body_or_density_exits_2(tmp_path, capsys, body, masses):
+    path = write_config(tmp_path, base_config(body=body, masses=masses))
+    out = tmp_path / "out"
+    assert cli.main(["steady", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_memory_error_exits_3(tmp_path, monkeypatch, capsys):

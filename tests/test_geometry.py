@@ -88,6 +88,18 @@ def test_validate_ring(ring_body, params):
     assert diag.closed
 
 
+def test_validate_open_c_polyline_not_closed():
+    # the end nodes sit 0.01 apart, nearer than twice the node spacing
+    verts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 0.01, 0.0]])
+    body = discretize(CurveSpec(kind="polyline", vertices=verts), panels=32, order=4)
+    assert not validate_geometry(body, 0.1).closed
+
+
+def test_validate_coarse_ring_closed():
+    body = discretize(CurveSpec(kind="ring", radius=1.0), panels=1, order=2)
+    assert validate_geometry(body, 0.1).closed
+
+
 def test_validate_duplicate_nodes():
     body = DiscreteBody(nodes=np.zeros((2, 3)), weights=np.ones(2),
                         arclength=np.array([0.0, 1.0]), density=np.ones(2),
