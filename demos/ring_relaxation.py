@@ -19,7 +19,7 @@ from slenderfall import (CurveSpec, DynamicsParams, FallState, KernelParams,
 
 spec = CurveSpec(kind="ring", radius=1.0)
 body = discretize(spec, panels=16, order=4)
-mp = mass_properties(spec, body)
+mp = mass_properties(body)
 R = resistance_set(body, KernelParams(ell=0.1))
 
 k = R.k_tt[2, 2]

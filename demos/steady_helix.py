@@ -24,7 +24,7 @@ print()
 print("%8s %8s %16s %16s" % ("panels", "nodes", "lambda", "|K_tr|"))
 for panels in (8, 16, 32, 64):
     body = discretize(spec, panels=panels, order=6)
-    mp = mass_properties(spec, body)
+    mp = mass_properties(body)
     R = resistance_set(body, params)
     states = steady_states(R, mp)
     lam = max((s.lam for s in states), key=abs)
@@ -32,7 +32,7 @@ for panels in (8, 16, 32, 64):
           % (body.panels, body.n_nodes, lam, np.linalg.norm(R.k_tr)))
 
 body = discretize(spec, panels=32, order=6)
-mp = mass_properties(spec, body)
+mp = mass_properties(body)
 R = resistance_set(body, params)
 print()
 print("steady states at 32 panels:")

@@ -236,7 +236,7 @@ def _prepare(cfg, panels=None):
     if cfg.spec.density is None and cfg.m is not None:
         body = replace(
             body, density=np.full_like(body.weights, cfg.m / body.length))
-    mp = mass_properties(cfg.spec, body, m_c=cfg.m_c)
+    mp = mass_properties(body, m_c=cfg.m_c)
     params = KernelParams(ell=cfg.ell, mu=cfg.mu)
     return body, mp, params
 
@@ -337,7 +337,10 @@ def run(cfg, mode, out_dir="."):
     if mode not in MODES:
         raise ConfigError(f"cli.run: unknown mode {mode!r}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cli.run: cannot use output directory {out_dir}: {exc}")
     report = {"version": __version__, "mode": mode, "config": cfg.raw}
     if cfg.dimensional:
         report["nondimensionalization"] = cfg.dimensional

@@ -13,13 +13,18 @@ Reynolds number as a prefactor:
 
 At Re = 0 only (xi, omega) evolve; G, Q, c are frozen.
 
-The constants of the closure (resistance blocks, J and its restricted
-inverse, the masses, r and Re) are gathered once per integration into a
-private operator. Each right-hand side evaluation then does only the 3-vector
-arithmetic above, with the cross products written out on Python floats:
-numpy's per-call overhead on 3-vectors costs far more than the arithmetic.
+The constants of the closure (the grand resistance matrix, J and its
+restricted inverse, the masses, r and Re) are gathered once per integration
+into a private operator whose one derivative does the 3-vector arithmetic
+above, with the cross products written out on Python floats: numpy's
+per-call overhead on 3-vectors costs far more than the arithmetic. The RK4
+loop keeps the state as a list of 21 floats; arrays and FallState objects
+are built only at samples. After every step G is renormalized and Q is
+replaced by its orthogonal polar factor, computed by Newton's iteration
+with the cofactor matrix (no SVD).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,6 +33,8 @@ import numpy as np
 from .errors import InstabilityError, MassModelError
 
 _BLOWUP_NORM = 1e12
+_POLAR_TOL = 1e-8          # largest entry of a polar update at convergence
+_POLAR_MAX_ITER = 8
 
 
 @dataclass(frozen=True)
@@ -99,7 +106,8 @@ def _inertia_pinv(mass_props, resistance, rtol=1e-12):
 
 
 class _Operator:
-    """Constants of the quasi-steady closure as Python floats.
+    """Constants of the quasi-steady closure as Python floats, and the time
+    derivative of the packed state.
 
     Raises MassModelError when J is singular in a torque-carrying direction.
     """
@@ -116,57 +124,112 @@ class _Operator:
         self.r = np.asarray(mass_props.r, dtype=float).tolist()
         self.re = float(re)
 
+    def deriv(self, y):
+        """Time derivative of the packed state y (21 floats) as a list."""
+        (x1, x2, x3, w1, w2, w3, g1, g2, g3,
+         q11, q12, q13, q21, q22, q23, q31, q32, q33, _, _, _) = y
+        re, m, m_c = self.re, self.m, self.m_c
+        # hydrodynamic loads: (f, t) = -grand (xi, omega)
+        ((a11, a12, a13, a14, a15, a16), (a21, a22, a23, a24, a25, a26),
+         (a31, a32, a33, a34, a35, a36), (a41, a42, a43, a44, a45, a46),
+         (a51, a52, a53, a54, a55, a56), (a61, a62, a63, a64, a65, a66)) = self.grand
+        f1 = -(a11 * x1 + a12 * x2 + a13 * x3 + a14 * w1 + a15 * w2 + a16 * w3)
+        f2 = -(a21 * x1 + a22 * x2 + a23 * x3 + a24 * w1 + a25 * w2 + a26 * w3)
+        f3 = -(a31 * x1 + a32 * x2 + a33 * x3 + a34 * w1 + a35 * w2 + a36 * w3)
+        t1 = -(a41 * x1 + a42 * x2 + a43 * x3 + a44 * w1 + a45 * w2 + a46 * w3)
+        t2 = -(a51 * x1 + a52 * x2 + a53 * x3 + a54 * w1 + a55 * w2 + a56 * w3)
+        t3 = -(a61 * x1 + a62 * x2 + a63 * x3 + a64 * w1 + a65 * w2 + a66 * w3)
 
-def rhs(state, resistance, mass_props, re, _op=None):
+        # m dxi/dt = m_e G + f - Re m (omega x xi)
+        m_e, re_m = self.m_e, re * m
+        dxi1 = (m_e * g1 + f1 - re_m * (w2 * x3 - w3 * x2)) / m
+        dxi2 = (m_e * g2 + f2 - re_m * (w3 * x1 - w1 * x3)) / m
+        dxi3 = (m_e * g3 + f3 - re_m * (w1 * x2 - w2 * x1)) / m
+
+        # J domega/dt = -m_c (r x G) + t - Re (omega x J omega)
+        r1, r2, r3 = self.r
+        (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = self.J
+        j1 = b11 * w1 + b12 * w2 + b13 * w3
+        j2 = b21 * w1 + b22 * w2 + b23 * w3
+        j3 = b31 * w1 + b32 * w2 + b33 * w3
+        u1 = -m_c * (r2 * g3 - r3 * g2) + t1 - re * (w2 * j3 - w3 * j2)
+        u2 = -m_c * (r3 * g1 - r1 * g3) + t2 - re * (w3 * j1 - w1 * j3)
+        u3 = -m_c * (r1 * g2 - r2 * g1) + t3 - re * (w1 * j2 - w2 * j1)
+        (p11, p12, p13), (p21, p22, p23), (p31, p32, p33) = self.J_pinv
+
+        return [dxi1, dxi2, dxi3,
+                p11 * u1 + p12 * u2 + p13 * u3,
+                p21 * u1 + p22 * u2 + p23 * u3,
+                p31 * u1 + p32 * u2 + p33 * u3,
+                # dG/dt = Re (G x omega)
+                re * (g2 * w3 - g3 * w2), re * (g3 * w1 - g1 * w3),
+                re * (g1 * w2 - g2 * w1),
+                # dQ/dt = Re Q [omega x]: row i of Q [omega x] is q_i x omega
+                re * (q12 * w3 - q13 * w2), re * (q13 * w1 - q11 * w3),
+                re * (q11 * w2 - q12 * w1),
+                re * (q22 * w3 - q23 * w2), re * (q23 * w1 - q21 * w3),
+                re * (q21 * w2 - q22 * w1),
+                re * (q32 * w3 - q33 * w2), re * (q33 * w1 - q31 * w3),
+                re * (q31 * w2 - q32 * w1),
+                # dc/dt = Re Q xi
+                re * (q11 * x1 + q12 * x2 + q13 * x3),
+                re * (q21 * x1 + q22 * x2 + q23 * x3),
+                re * (q31 * x1 + q32 * x2 + q33 * x3)]
+
+
+def rhs(state, resistance, mass_props, re):
     """Time derivative of the packed state under the quasi-steady closure.
 
-    The cross products are written out on Python floats. ``_op`` is the
-    operator ``integrate`` builds once per integration from the same
-    resistance, mass properties and Re; without it one is built per call.
+    Evaluates the same float derivative that ``integrate`` steps with.
     """
-    op = _Operator(resistance, mass_props, re) if _op is None else _op
-    re, m = op.re, op.m
-    x1, x2, x3 = state.xi.tolist()
-    w1, w2, w3 = state.omega.tolist()
-    g1, g2, g3 = state.G.tolist()
-    # hydrodynamic loads: (f, t) = -grand (xi, omega)
-    f1, f2, f3, t1, t2, t3 = [-(a1 * x1 + a2 * x2 + a3 * x3 + a4 * w1 + a5 * w2 + a6 * w3)
-                              for a1, a2, a3, a4, a5, a6 in op.grand]
-
-    # m dxi/dt = m_e G + f - Re m (omega x xi)
-    re_m = re * m
-    dxi1 = (op.m_e * g1 + f1 - re_m * (w2 * x3 - w3 * x2)) / m
-    dxi2 = (op.m_e * g2 + f2 - re_m * (w3 * x1 - w1 * x3)) / m
-    dxi3 = (op.m_e * g3 + f3 - re_m * (w1 * x2 - w2 * x1)) / m
-
-    # J domega/dt = -m_c (r x G) + t - Re (omega x J omega)
-    r1, r2, r3 = op.r
-    m_c = op.m_c
-    j1, j2, j3 = [a1 * w1 + a2 * w2 + a3 * w3 for a1, a2, a3 in op.J]
-    u1 = -m_c * (r2 * g3 - r3 * g2) + t1 - re * (w2 * j3 - w3 * j2)
-    u2 = -m_c * (r3 * g1 - r1 * g3) + t2 - re * (w3 * j1 - w1 * j3)
-    u3 = -m_c * (r1 * g2 - r2 * g1) + t3 - re * (w1 * j2 - w2 * j1)
-    out = [dxi1, dxi2, dxi3]
-    out += [a1 * u1 + a2 * u2 + a3 * u3 for a1, a2, a3 in op.J_pinv]
-
-    # dG/dt = Re (G x omega)
-    out += (re * (g2 * w3 - g3 * w2), re * (g3 * w1 - g1 * w3), re * (g1 * w2 - g2 * w1))
-    # dQ/dt = Re Q [omega x]: row i of Q [omega x] is q_i x omega
-    Q = state.Q.tolist()
-    for q1, q2, q3 in Q:
-        out += (re * (q2 * w3 - q3 * w2), re * (q3 * w1 - q1 * w3), re * (q1 * w2 - q2 * w1))
-    # dc/dt = Re Q xi
-    out += [re * (q1 * x1 + q2 * x2 + q3 * x3) for q1, q2, q3 in Q]
-    return np.array(out)
+    op = _Operator(resistance, mass_props, re)
+    return np.array(op.deriv(state.pack().tolist()))
 
 
-def _project(y):
-    """Renormalize G and re-orthonormalize Q (polar correction) in place."""
-    y[6:9] /= np.linalg.norm(y[6:9])
-    q = y[9:18].reshape(3, 3)
-    u, _, vt = np.linalg.svd(q)
-    y[9:18] = (u @ vt).ravel()
-    return y
+def _polar_factor(q, step):
+    """Orthogonal polar factor of a 3x3 matrix given as 9 row-major floats.
+
+    Newton's iteration X <- (X + cof(X) / det X) / 2 (Higham, SIAM J. Sci.
+    Stat. Comput. 1986), with cof(X) = det(X) X^-T; the rows of cof(X) are
+    cross products of the rows of X. It stops once no entry of an update
+    exceeds _POLAR_TOL, which from a near-rotation takes one pass. det <= 0
+    (no rotation is the polar factor) and no convergence within
+    _POLAR_MAX_ITER passes raise InstabilityError.
+    """
+    for _ in range(_POLAR_MAX_ITER):
+        a1, a2, a3, b1, b2, b3, c1, c2, c3 = q
+        # row a of cof(X) is b x c; rows b and c are c x a and a x b
+        d1, d2, d3 = b2 * c3 - b3 * c2, b3 * c1 - b1 * c3, b1 * c2 - b2 * c1
+        det = a1 * d1 + a2 * d2 + a3 * d3
+        if not det > 0.0:
+            raise InstabilityError(
+                f"dynamics: orientation matrix has det {det:.3e} <= 0 at step "
+                f"{step}", step=step)
+        s = 1.0 / det
+        # update (cof(X) / det X - X) / 2, entry by entry
+        e1, e2, e3 = 0.5 * (d1 * s - a1), 0.5 * (d2 * s - a2), 0.5 * (d3 * s - a3)
+        e4 = 0.5 * ((c2 * a3 - c3 * a2) * s - b1)
+        e5 = 0.5 * ((c3 * a1 - c1 * a3) * s - b2)
+        e6 = 0.5 * ((c1 * a2 - c2 * a1) * s - b3)
+        e7 = 0.5 * ((a2 * b3 - a3 * b2) * s - c1)
+        e8 = 0.5 * ((a3 * b1 - a1 * b3) * s - c2)
+        e9 = 0.5 * ((a1 * b2 - a2 * b1) * s - c3)
+        q = [a1 + e1, a2 + e2, a3 + e3, b1 + e4, b2 + e5, b3 + e6,
+             c1 + e7, c2 + e8, c3 + e9]
+        if max(abs(e1), abs(e2), abs(e3), abs(e4), abs(e5), abs(e6),
+               abs(e7), abs(e8), abs(e9)) <= _POLAR_TOL:
+            return q
+    raise InstabilityError(
+        f"dynamics: polar iteration on the orientation matrix did not "
+        f"converge in {_POLAR_MAX_ITER} passes at step {step}", step=step)
+
+
+def _project(y, step):
+    """Renormalize G and replace Q by its polar factor, in place."""
+    g1, g2, g3 = y[6:9]
+    n = math.hypot(g1, g2, g3)
+    y[6:9] = g1 / n, g2 / n, g3 / n
+    y[9:18] = _polar_factor(y[9:18], step)
 
 
 @dataclass
@@ -238,13 +301,12 @@ def _state_mismatch(state, steady, resistance=None, mass_props=None):
 def integrate(state0, resistance, mass_props, params, steady_states=None):
     """Classical fixed-step 4th-order integration of the fall equations.
 
-    After every step G is renormalized and Q is projected back onto the
-    rotation group. Sampling happens every ``params.stride`` steps. When a
+    After every step G is renormalized and Q is replaced by its polar
+    factor. A state whose norm is not finite or exceeds _BLOWUP_NORM, or a
+    Q that is not near a rotation, raises InstabilityError. Sampling happens every ``params.stride`` steps. When a
     list of steady states is supplied, integration halts early once the
     current (xi, omega, G) is within ``params.steady_tol`` of one of them.
     """
-    re = params.re
-    y = state0.pack().copy()
     t = state0.t
     n_steps = int(np.ceil((params.t_end - t) / params.dt - 1e-12))
     out = [state0]
@@ -259,27 +321,26 @@ def integrate(state0, resistance, mass_props, params, steady_states=None):
             return Trajectory(states=out, halted_steady=True,
                               steady_index=steady_index)
 
-    op = _Operator(resistance, mass_props, re)
-
-    def f(ti, yi):
-        return rhs(FallState.unpack(ti, yi), resistance, mass_props, re, _op=op)
-
+    deriv = _Operator(resistance, mass_props, params.re).deriv
+    h = params.dt
+    h2, h6 = h / 2, h / 6
+    y = state0.pack().tolist()
     for step in range(1, n_steps + 1):
-        h = params.dt
-        k1 = f(t, y)
-        k2 = f(t + h / 2, y + h / 2 * k1)
-        k3 = f(t + h / 2, y + h / 2 * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = deriv(y)
+        k2 = deriv([a + h2 * b for a, b in zip(y, k1)])
+        k3 = deriv([a + h2 * b for a, b in zip(y, k2)])
+        k4 = deriv([a + h * b for a, b in zip(y, k3)])
+        y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         t += h
-        # "not <=" also catches NaN and Inf, which the SVD below cannot take
-        if not np.linalg.norm(y) <= _BLOWUP_NORM:
+        # "not <=" also catches NaN and Inf, which the projection cannot take
+        if not math.hypot(*y) <= _BLOWUP_NORM:
             raise InstabilityError(
                 f"dynamics.integrate: state norm not finite or above "
                 f"{_BLOWUP_NORM:.0e} at step {step}", step=step)
-        y = _project(y)
+        _project(y, step)
         if step % params.stride == 0 or step == n_steps:
-            s = FallState.unpack(t, y)
+            s = FallState.unpack(t, np.array(y))
             out.append(s)
             if steady_states:
                 for i, st in enumerate(steady_states):

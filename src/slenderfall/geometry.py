@@ -217,7 +217,7 @@ def discretize(spec, panels, order):
                         length=float(w.sum()), closed=spec.is_closed)
 
 
-def mass_properties(spec, body, m_c=0.0):
+def mass_properties(body, m_c=0.0):
     """Mass, centroid offset and inertia tensor of a discretized body.
 
     The centroid offset r uses the uniform arc-length measure regardless of

@@ -60,18 +60,18 @@ def helix_R(helix_body, params):
 
 
 @pytest.fixture(scope="session")
-def rod_mp(rod_spec, rod_body):
-    return mass_properties(rod_spec, rod_body, m_c=0.0)
+def rod_mp(rod_body):
+    return mass_properties(rod_body, m_c=0.0)
 
 
 @pytest.fixture(scope="session")
-def ring_mp(ring_spec, ring_body):
-    return mass_properties(ring_spec, ring_body, m_c=0.0)
+def ring_mp(ring_body):
+    return mass_properties(ring_body, m_c=0.0)
 
 
 @pytest.fixture(scope="session")
-def helix_mp(helix_spec, helix_body):
-    return mass_properties(helix_spec, helix_body, m_c=0.0)
+def helix_mp(helix_body):
+    return mass_properties(helix_body, m_c=0.0)
 
 
 def random_polyline_spec(rng, n_vertices=4):

@@ -79,7 +79,7 @@ def test_criterion_4_existence_random_bodies(params):
     for _ in range(20):
         spec = random_polyline_spec(rng, n_vertices=4)
         body = discretize(spec, panels=8, order=4)
-        mp = mass_properties(spec, body, m_c=0.25 * body.length)
+        mp = mass_properties(body, m_c=0.25 * body.length)
         R = resistance_set(body, params)
         states = steady_states(R, mp)
         F = fall_operator(R, mp).matrix
@@ -95,7 +95,7 @@ def test_criterion_5_helix_chirality(helix_spec, params):
     lams = []
     for panels in (32, 64):
         body = discretize(helix_spec, panels, order=6)
-        mp = mass_properties(helix_spec, body)
+        mp = mass_properties(body)
         states = steady_states(resistance_set(body, params), mp)
         lams.append(max((s.lam for s in states), key=abs))
     rel = abs(lams[1] - lams[0]) / abs(lams[1])

@@ -342,3 +342,15 @@ def test_memory_error_exits_3(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, base_config())
     assert cli.main(["steady", "--config", str(path), "--out", str(tmp_path)]) == 3
     assert "out of memory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_unusable_out_dir_exits_2(tmp_path, capsys, sub):
+    # --out names an existing file, or a path below one
+    path = write_config(tmp_path, base_config())
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    out = blocker / sub if sub else blocker
+    assert cli.main(["steady", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory"

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from slenderfall import (DynamicsParams, FallState, MassProperties,
-                         detect_steady, integrate, rhs, steady_states)
+from slenderfall import (CurveSpec, DynamicsParams, FallState, KernelParams,
+                         MassProperties, detect_steady, discretize, integrate,
+                         mass_properties, resistance_set, rhs, steady_states)
+from slenderfall.dynamics import _polar_factor
 from slenderfall.errors import InstabilityError, MassModelError
 
 
@@ -249,3 +251,69 @@ def test_step_halving_fourth_order_full_state(helix_R, helix_mp):
     assert np.linalg.norm(y3[9:18] - np.eye(3).ravel()) > 1e-3   # Q moved
     assert np.linalg.norm(y3[18:21]) > 1e-3                      # c moved
     assert 12.0 <= np.linalg.norm(y1 - y2) / np.linalg.norm(y2 - y3) <= 20.0
+
+
+def test_polar_factor_matches_svd():
+    # Q = R (I + E) near a rotation R; the SVD's own error here is ~4e-15
+    rng = np.random.default_rng(17)
+    for mag in 10.0 ** np.arange(-16, -2):
+        for _ in range(20):
+            E = rng.normal(size=(3, 3))
+            Q = _random_rotation(rng) @ (np.eye(3) + E * (mag / np.linalg.norm(E)))
+            P = np.array(_polar_factor(Q.ravel().tolist(), step=1)).reshape(3, 3)
+            u, _, vt = np.linalg.svd(Q)
+            assert np.abs(P - u @ vt).max() <= 1e-14
+            assert np.linalg.norm(P.T @ P - np.eye(3)) <= 1e-15
+
+
+def test_polar_factor_rejects_non_rotations():
+    rng = np.random.default_rng(19)
+    Q = _random_rotation(rng)
+    singular = Q.copy()
+    singular[2] = singular[0] + singular[1]
+    # 1e6 Q has a positive det, but unscaled Newton only halves it per pass
+    for bad in (singular, -Q, np.zeros((3, 3)), 1e6 * Q):
+        with pytest.raises(InstabilityError) as exc:
+            _polar_factor(bad.ravel().tolist(), step=7)
+        assert exc.value.step == 7
+
+
+def test_energy_identity_fourth_order():
+    # d/dt (m|xi|^2/2 + omega.J omega/2) = m_e G.xi - m_c (r x G).omega - z.A6 z:
+    # the Re terms do no work. A nonuniform helix with m_c > 0 has r != 0 and
+    # a nonsingular J.
+    spec = CurveSpec(kind="helix", radius=1.0, pitch=1.0, turns=2.0,
+                     density=lambda s: 1.0 + 0.5 * np.asarray(s, float))
+    body = discretize(spec, panels=16, order=6)
+    mp = mass_properties(body, m_c=0.3 * body.length)
+    R = resistance_set(body, KernelParams(ell=0.1))
+    re = 0.5
+    assert np.linalg.norm(mp.r) > 0.1
+    assert np.linalg.eigvalsh(mp.inertia).min() > 0.1 * mp.m
+    s0 = FallState(t=0.0, xi=np.array([0.2, 0.1, -0.4]),
+                   omega=np.array([0.5, -0.3, 0.8]),
+                   G=np.array([0.3, 0.2, 1.0]) / np.linalg.norm([0.3, 0.2, 1.0]),
+                   Q=np.eye(3), c=np.zeros(3))
+
+    def energy(s):
+        return 0.5 * mp.m * s.xi @ s.xi + 0.5 * s.omega @ mp.inertia @ s.omega
+
+    def power(s):
+        z = np.concatenate([s.xi, s.omega])
+        return (mp.m_e * s.G @ s.xi - mp.m_c * np.cross(mp.r, s.G) @ s.omega
+                - z @ R.grand @ z)
+
+    def discrepancy(dt):
+        # E(T) - E(0) minus the composite-Simpson integral of the power
+        traj = integrate(s0, R, mp, DynamicsParams(re=re, dt=dt, t_end=2.0))
+        P = np.array([power(s) for s in traj])
+        work = dt / 3 * (P[0] + P[-1] + 4 * P[1:-1:2].sum() + 2 * P[2:-1:2].sum())
+        for s in traj.states[::10]:
+            d = rhs(s, R, mp, re)
+            de = mp.m * s.xi @ d[:3] + s.omega @ mp.inertia @ d[3:6]
+            assert abs(de - power(s)) <= 1e-12 * max(abs(power(s)), mp.m_e)
+        return energy(traj.final) - energy(s0) - work
+
+    d1, d2, d3 = discrepancy(0.04), discrepancy(0.02), discrepancy(0.01)
+    assert 12.0 <= d1 / d2 <= 20.0 and 12.0 <= d2 / d3 <= 20.0
+    assert abs(d3) <= 1e-7 * mp.m_e

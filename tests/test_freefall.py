@@ -168,7 +168,7 @@ def test_random_polylines_have_states(params):
     for _ in range(5):
         spec = random_polyline_spec(rng)
         body = discretize(spec, panels=8, order=4)
-        mp = mass_properties(spec, body, m_c=0.2 * body.length)
+        mp = mass_properties(body, m_c=0.2 * body.length)
         R = resistance_set(body, params)
         states = steady_states(R, mp)
         assert len(states) >= 1

@@ -44,8 +44,8 @@ def test_mass_centering(helix_spec):
     assert np.linalg.norm(mass_mean.sum(axis=0)) <= 1e-10 * body.length
 
 
-def test_uniform_rod_centroid_zero(rod_spec, rod_body):
-    mp = mass_properties(rod_spec, rod_body, m_c=0.0)
+def test_uniform_rod_centroid_zero(rod_body):
+    mp = mass_properties(rod_body, m_c=0.0)
     assert np.linalg.norm(mp.r) <= 1e-12
     assert mp.m_e == mp.m - mp.m_c
 
@@ -70,7 +70,7 @@ def test_nonuniform_density_offsets_centroid(rod_spec):
 
     spec = CurveSpec(kind="rod", length=1.0, density=rho)
     body = discretize(spec, panels=8, order=4)
-    mp = mass_properties(spec, body)
+    mp = mass_properties(body)
     # mass-weighted mean is the origin, so the uniform centroid shifts away
     assert np.linalg.norm(mp.r) > 1e-3
 
