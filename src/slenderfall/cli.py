@@ -215,6 +215,8 @@ def _parse_config(raw):
         raise ConfigError(f"cli.parse_config: {exc}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cli.parse_config: bad body block: {exc}")
+    except OSError as exc:
+        raise ConfigError(f"cli.parse_config: cannot read the polyline CSV: {exc}")
 
     return RunConfig(spec=spec, ell=ell, re=re, mu=mu, m=m, m_c=m_c,
                      panels=panels, order=order, dynamics=dyn,
@@ -365,7 +367,7 @@ def run(cfg, mode, out_dir="."):
     else:
         body, mp, params = _prepare(cfg)
         # resistance_set first: it refuses a system too large for memory
-        # before validate_geometry's N x N distance table is allocated
+        # before validate_geometry's O(N^2) pair loop runs
         R = resistance_set(body, params)
         report["diagnostics"] = _diagnostics_dict(validate_geometry(body, cfg.ell))
         report["resistance"] = R.to_dict()

@@ -14,6 +14,8 @@ import numpy as np
 from .errors import GeometryError
 
 _KINDS = ("rod", "ring", "helix", "polyline")
+# node pairs per row strip of pair_strips; bounds the pairwise temporaries
+_STRIP_PAIRS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -236,6 +238,26 @@ def mass_properties(body, m_c=0.0):
     return MassProperties(m=m, m_c=float(m_c), m_e=m - float(m_c), r=r, inertia=J)
 
 
+def pair_strips(x):
+    """Node differences over the upper triangle, one row strip at a time.
+
+    Yields (p0, p1, d, r2) for consecutive strips of rows p0 <= p < p1
+    against the columns q >= p0, with d[a][i, j] = x[p0 + i, a] - x[p0 + j, a]
+    and r2 = d[0]^2 + d[1]^2 + d[2]^2. Entry (i, i) is the pair (p, p), so
+    the strip's own square block d[a][:, :p1 - p0] is complete. A strip
+    holds about _STRIP_PAIRS pairs (at least one row).
+    """
+    n = x.shape[0]
+    rows = max(1, _STRIP_PAIRS // max(n, 1))
+    for p0 in range(0, n, rows):
+        p1 = min(p0 + rows, n)
+        d = [x[p0:p1, None, a] - x[None, p0:, a] for a in range(3)]
+        r2 = d[0] * d[0]
+        r2 += d[1] * d[1]
+        r2 += d[2] * d[2]
+        yield p0, p1, d, r2
+
+
 @dataclass(frozen=True)
 class GeometryDiagnostics:
     min_separation: float
@@ -249,9 +271,11 @@ class GeometryDiagnostics:
 def validate_geometry(body, ell):
     """Diagnostic report on a discretization relative to the thickness ell."""
     x = body.nodes
-    d2 = sum((x[:, None, a] - x[None, :, a]) ** 2 for a in range(3))
-    np.fill_diagonal(d2, np.inf)
-    min_sep = float(np.sqrt(d2.min()))
+    min_r2 = np.inf
+    for _, _, _, r2 in pair_strips(x):
+        np.fill_diagonal(r2, np.inf)
+        min_r2 = min(min_r2, r2.min())
+    min_sep = float(np.sqrt(min_r2))
 
     # straightness: residual from the principal axis through the centroid
     xc = x - x.mean(axis=0)

@@ -9,10 +9,13 @@ psi_q = w_q phi_q the collocation system is
     G psi = u,    psi = W phi,
 
 where G is the symmetric 3N x 3N Green matrix, block (p,q) = G(x_p - x_q).
-The hyperviscous symbol is positive, so G is positive definite and is
-factored once by Cholesky, G = L L^T. The quadrature weights cancel from the
-resistance: with U the 3N x 6 matrix of the six unit rigid motions, the grand
-resistance matrix is A6 = U^T G^-1 U = Y^T Y with Y = L^-1 U, and
+It is assembled in row strips of nodes over one triangle and mirrored, so the
+kernel is evaluated once per node pair and the pairwise temporaries stay one
+strip in size at any N. The hyperviscous symbol is positive, so G is positive
+definite and is factored once by Cholesky, G = L L^T. The quadrature weights
+cancel from the resistance: with U the 3N x 6 matrix of the six unit rigid
+motions, the grand resistance matrix is A6 = U^T G^-1 U = Y^T Y with
+Y = L^-1 U, and
 
     f = -(K_tt xi + K_tr omega),   t = -(K_rt xi + K_rr omega),
 
@@ -27,16 +30,19 @@ import scipy.linalg as sla
 
 from .errors import (AssemblyError, ConfigError, ConvergenceError,
                      SingularEvaluationError, SolverError)
+from .geometry import _STRIP_PAIRS, pair_strips
 from .kernel import kernel_scalars
 
 _ZERO_DATA_TOL = 1e-12
-# N x N float64 arrays alive next to the (3N)^2 matrix at the peak of assembly
-_N2_TEMPORARIES = 6
+# strip-sized float64 arrays alive next to the (3N)^2 matrix at the peak of
+# assembly (the strip's differences and distances, A, B and kernel_scalars'
+# own temporaries)
+_STRIP_TEMPORARIES = 16
 
 
 def _check_fits(n):
     """Refuse an assembly whose peak memory exceeds the physical RAM."""
-    need = 8 * (9 + _N2_TEMPORARIES) * n * n
+    need = 8 * (9 * n * n + _STRIP_TEMPORARIES * max(_STRIP_PAIRS, n))
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > ram:
         raise ConfigError(f"mobility.assemble_system: N = {n} nodes need about "
@@ -48,34 +54,36 @@ def assemble_system(body, params):
     """Symmetric 3N x 3N Green matrix, block (p,q) = G(x_p - x_q), no weights.
 
     Component (a,b) of every block is A(r) delta_ab + B(r) d_a d_b / r^2 with
-    d = x_p - x_q; each is written once through the (N,3,N,3) view of the
-    matrix and mirrored to (b,a). The diagonal blocks are A(0) I.
+    d = x_p - x_q. The kernel is evaluated on one triangle only, in row
+    strips of nodes p0 <= p < p1 against q >= p0: each strip is written
+    through the (N,3,N,3) view of the matrix, component (a,b) also to (b,a),
+    and its part right of the strip's own square block is mirrored into the
+    column strip below. The diagonal blocks are A(0) I.
     """
     x = body.nodes
     n = body.n_nodes
     _check_fits(n)
-    d = [x[:, None, a] - x[None, :, a] for a in range(3)]
-    r2 = d[0] ** 2 + d[1] ** 2 + d[2] ** 2
-    r = np.sqrt(r2)
-    np.fill_diagonal(r2, np.inf)  # B(0) = 0, so the diagonal of B / r^2 is 0
-    if r2.min() == 0.0:
-        raise AssemblyError("mobility.assemble_system: duplicate nodes make "
-                            "the collocation system singular")
-    A, B = kernel_scalars(r, params)
-    B /= r2
-    del r, r2
     G = np.empty((3 * n, 3 * n))
     G4 = G.reshape(n, 3, n, 3)
-    gab = np.empty_like(B)
-    for a in range(3):
-        for b in range(a, 3):
-            np.multiply(B, d[a], out=gab)
-            gab *= d[b]
-            if a == b:
-                gab += A
-            G4[:, a, :, b] = gab
-            if a != b:
-                G4[:, b, :, a] = gab
+    for p0, p1, d, r2 in pair_strips(x):
+        r = np.sqrt(r2)
+        np.fill_diagonal(r2, np.inf)  # B(0) = 0, so the diagonal of B / r^2 is 0
+        if r2.min() == 0.0:
+            raise AssemblyError("mobility.assemble_system: duplicate nodes make "
+                                "the collocation system singular")
+        A, B = kernel_scalars(r, params)
+        B /= r2
+        gab = r2  # the component buffer of this strip
+        for a in range(3):
+            for b in range(a, 3):
+                np.multiply(B, d[a], out=gab)
+                gab *= d[b]
+                if a == b:
+                    gab += A
+                G4[p0:p1, a, p0:, b] = gab
+                if a != b:
+                    G4[p0:p1, b, p0:, a] = gab
+        G[3 * p1:, 3 * p0:3 * p1] = G[3 * p0:3 * p1, 3 * p1:].T
     return G
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from slenderfall import (CurveSpec, KernelParams, discretize, mass_properties,
-                         resistance_set)
+from slenderfall import (CurveSpec, DiscreteBody, KernelParams, discretize,
+                         mass_properties, resistance_set)
 
 ELL = 0.1
 
@@ -84,3 +84,20 @@ def random_polyline_spec(rng, n_vertices=4):
             return CurveSpec(kind="polyline", vertices=verts)
         except Exception:
             continue
+
+
+def random_walk_body(n, seed=0, step=0.01):
+    """N nodes of a seeded random walk; neighbour distances straddle the
+    kernel's near-field switch at 0.1 ell."""
+    rng = np.random.default_rng(seed)
+    nodes = np.cumsum(rng.normal(scale=step, size=(n, 3)), axis=0)
+    return DiscreteBody(nodes=nodes, weights=np.ones(n),
+                        arclength=np.arange(n, dtype=float), density=np.ones(n),
+                        panels=n, order=2, length=float(n))
+
+
+def with_strip_rows(monkeypatch, n, rows):
+    """Size the pairwise row strips to `rows` rows for an N-node body."""
+    from slenderfall import geometry
+    monkeypatch.setattr(geometry, "_STRIP_PAIRS", rows * n)
+    assert len(list(geometry.pair_strips(np.zeros((n, 3))))) == -(-n // rows)

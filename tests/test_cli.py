@@ -241,6 +241,16 @@ def test_polyline_csv_body(tmp_path):
     assert len(report["steady_states"]) >= 1
 
 
+def test_missing_polyline_csv_exits_2(tmp_path, capsys):
+    cfg = base_config(body={"kind": "polyline", "csv": str(tmp_path / "no_such.csv")})
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main(["steady", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
 def test_nan_re_fall_run_exits_2(tmp_path, capsys):
     cfg = base_config()
     cfg["fluid"] = {"nondimensional": {"ell": 0.1, "re": float("nan")}}

@@ -9,6 +9,8 @@ from slenderfall import (CurveSpec, DiscreteBody, discretize, load_polyline_csv,
                          mass_properties, validate_geometry)
 from slenderfall.errors import GeometryError
 
+from conftest import random_walk_body, with_strip_rows
+
 
 def test_rod_arclength_exact(rod_spec):
     body = discretize(rod_spec, panels=4, order=4)
@@ -107,6 +109,37 @@ def test_validate_duplicate_nodes():
     diag = validate_geometry(body, 0.1)
     assert diag.duplicate_nodes
     assert diag.min_separation == 0.0
+
+
+def dense_min_separation(x):
+    d2 = sum((x[:, None, a] - x[None, :, a]) ** 2 for a in range(3))
+    np.fill_diagonal(d2, np.inf)
+    return float(np.sqrt(d2.min())), np.unravel_index(np.argmin(d2), d2.shape)
+
+
+def test_validate_min_separation_across_strip_boundary(monkeypatch):
+    n = 29
+    with_strip_rows(monkeypatch, n, 8)
+    body = random_walk_body(n)
+    body.nodes[8] = body.nodes[7] + 1e-4   # rows 7 and 8 are in different strips
+    ref, pair = dense_min_separation(body.nodes)
+    assert sorted(pair) == [7, 8]
+    assert validate_geometry(body, 0.1).min_separation == ref
+
+
+def test_validate_duplicate_across_strips(monkeypatch):
+    n = 29
+    with_strip_rows(monkeypatch, n, 8)
+    body = random_walk_body(n)
+    body.nodes[20] = body.nodes[3]
+    diag = validate_geometry(body, 0.1)
+    assert diag.duplicate_nodes and diag.min_separation == 0.0
+
+
+def test_validate_readme_helix_min_separation(helix_spec):
+    body = discretize(helix_spec, panels=256, order=6)   # N = 1536
+    ref, _ = dense_min_separation(body.nodes)
+    assert validate_geometry(body, 0.1).min_separation == ref
 
 
 def test_validate_close_nodes_warns(rod_spec):

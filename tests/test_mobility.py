@@ -13,7 +13,7 @@ from slenderfall.errors import (AssemblyError, ConfigError, SingularEvaluationEr
                                 SolverError)
 from slenderfall.mobility import _factorize
 
-from conftest import random_polyline_spec
+from conftest import random_polyline_spec, random_walk_body, with_strip_rows
 
 
 def single_node_body(weight=0.25):
@@ -233,3 +233,59 @@ def test_assembly_beyond_memory_refused(params):
     finally:
         tracemalloc.stop()
     assert peak < 2**20  # refused before any N x N array was allocated
+
+
+def dense_green(x, params):
+    """The Green matrix from whole N x N tables, the formula written out."""
+    d = x[:, None, :] - x[None, :, :]
+    r2 = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
+    A, B = kernel_scalars(np.sqrt(r2), params)
+    np.fill_diagonal(r2, np.inf)
+    B = B / r2
+    n = x.shape[0]
+    G = np.empty((n, 3, n, 3))
+    for a in range(3):
+        for b in range(3):
+            lo, hi = min(a, b), max(a, b)   # (b,a) is the same product as (a,b)
+            G[:, a, :, b] = B * d[..., lo] * d[..., hi] + (A if a == b else 0.0)
+    return G.reshape(3 * n, 3 * n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 29])
+def test_assembly_strips_match_dense_reference(monkeypatch, params, n):
+    # strips of 8 rows: one partial strip, one full strip, one row past it,
+    # and four strips with a partial last one
+    with_strip_rows(monkeypatch, n, 8)
+    body = random_walk_body(n)
+    G = assemble_system(body, params)
+    assert np.array_equal(G, dense_green(body.nodes, params))
+    assert np.array_equal(G, G.T)
+
+
+def test_assembly_default_strips_match_dense_reference(params):
+    body = random_walk_body(300, seed=1)   # several strips of the default height
+    assert np.array_equal(assemble_system(body, params), dense_green(body.nodes, params))
+
+
+@pytest.mark.parametrize("p, q", [(0, 28), (9, 27)])
+def test_duplicate_nodes_in_different_strips_raise(monkeypatch, params, p, q):
+    # nodes p and q sit in different strips; the pair is met in p's strip
+    n = 29
+    with_strip_rows(monkeypatch, n, 8)
+    body = random_walk_body(n)
+    body.nodes[q] = body.nodes[p]
+    with pytest.raises(AssemblyError):
+        assemble_system(body, params)
+
+
+def test_assembly_peak_memory(helix_spec, params):
+    body = discretize(helix_spec, panels=128, order=6)   # N = 768
+    n = body.n_nodes
+    tracemalloc.start()
+    try:
+        assemble_system(body, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 72 N^2 bytes of the matrix plus one strip's temporaries
+    assert peak <= 80 * n * n
