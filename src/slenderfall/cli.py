@@ -118,7 +118,9 @@ def parse_config(raw):
     """Validate a raw config dict into a RunConfig; raises ConfigError."""
     try:
         return _parse_config(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: int() of an infinite count, or a dimensional scale
+        # out of the float range
         raise ConfigError(f"cli.parse_config: bad value: {exc}")
 
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegeneracyError, InternalConsistencyError
+from .errors import DegeneracyError, InternalConsistencyError, SolverError
 
 _SIGN_TOL = 1e-8
 
@@ -180,6 +180,11 @@ def real_eigenpairs(F, cluster_rtol=1e-7):
                 break
             lam -= step
         polished.append(lam)
+    if not np.all(np.isfinite(polished)):
+        # e.g. |F| ~ 1e280, whose characteristic polynomial overflows
+        raise SolverError(f"freefall.real_eigenpairs: the characteristic polynomial "
+                          f"of F (max |F_ij| = {np.abs(F).max():.3e}) has no "
+                          f"finite roots")
     polished.sort()
 
     # cluster repeated roots

@@ -9,24 +9,28 @@ psi_q = w_q phi_q the collocation system is
     G psi = u,    psi = W phi,
 
 where G is the symmetric 3N x 3N Green matrix, block (p,q) = G(x_p - x_q).
-It is assembled in row strips of nodes over one triangle and mirrored, so the
-kernel is evaluated once per node pair and the pairwise temporaries stay one
-strip in size at any N. The hyperviscous symbol is positive, so G is positive
-definite and is factored once by Cholesky, G = L L^T. The quadrature weights
-cancel from the resistance: with U the 3N x 6 matrix of the six unit rigid
-motions, the grand resistance matrix is A6 = U^T G^-1 U = Y^T Y with
-Y = L^-1 U, and
+Only one triangle of G is stored, in LAPACK's rectangular full packed (RFP)
+format: m(m+1)/2 doubles for m = 3N, half the square (Gustavson, Wasniewski,
+Dongarra & Langou, ACM TOMS 2010). It is assembled straight into that array
+in row strips of nodes, so the kernel is evaluated once per node pair and the
+pairwise temporaries stay one strip in size at any N. The hyperviscous
+symbol is positive, so G is positive definite and is factored once, in
+place, by the RFP Cholesky dpftrf, G = L L^T. The quadrature weights cancel
+from the resistance: with U the 3N x 6 matrix of the six unit rigid motions,
+the grand resistance matrix is A6 = U^T G^-1 U = Y^T Y with Y = L^-1 U (the
+RFP triangular solve dtfsm), and
 
     f = -(K_tt xi + K_tr omega),   t = -(K_rt xi + K_rr omega),
 
 torque and rotation referenced to the center of mass.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import (AssemblyError, ConfigError, ConvergenceError,
                      SingularEvaluationError, SolverError)
@@ -34,37 +38,58 @@ from .geometry import _STRIP_PAIRS, pair_strips
 from .kernel import kernel_scalars
 
 _ZERO_DATA_TOL = 1e-12
-# strip-sized float64 arrays alive next to the (3N)^2 matrix at the peak of
-# assembly (the strip's differences and distances, A, B and kernel_scalars'
-# own temporaries)
-_STRIP_TEMPORARIES = 16
+# strip-sized float64 arrays alive next to the packed matrix at the peak of
+# assembly (the strip's differences and distances, A, B, kernel_scalars' own
+# temporaries and the nine components of the strip's block rows)
+_STRIP_TEMPORARIES = 25
 
 
 def _check_fits(n):
     """Refuse an assembly whose peak memory exceeds the physical RAM."""
-    need = 8 * (9 * n * n + _STRIP_TEMPORARIES * max(_STRIP_PAIRS, n))
+    m = 3 * n
+    need = 8 * (m * (m + 1) // 2 + _STRIP_TEMPORARIES * max(_STRIP_PAIRS, n))
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > ram:
         raise ConfigError(f"mobility.assemble_system: N = {n} nodes need about "
-                          f"{need / 2**30:.1f} GiB for the dense system, more than "
-                          f"the {ram / 2**30:.1f} GiB of physical memory")
+                          f"{need / 2**30:.1f} GiB for the packed system, more "
+                          f"than the {ram / 2**30:.1f} GiB of physical memory")
+
+
+def _rfp_diagonal(m):
+    """Flat positions of the diagonal entries G[i, i] in the RFP array of
+    an m x m matrix (the index map is in assemble_system)."""
+    h, s = (m + 1) // 2, 1 - m % 2
+    i = np.arange(m)
+    return np.where(i < h, i * (m + s) + i + s, (i - h + 1 - s) * (m + s) + i - h)
 
 
 def assemble_system(body, params):
-    """Symmetric 3N x 3N Green matrix, block (p,q) = G(x_p - x_q), no weights.
+    """Green matrix G, block (p,q) = G(x_p - x_q), no weights, packed RFP.
 
     Component (a,b) of every block is A(r) delta_ab + B(r) d_a d_b / r^2 with
-    d = x_p - x_q. The kernel is evaluated on one triangle only, in row
-    strips of nodes p0 <= p < p1 against q >= p0: each strip is written
-    through the (N,3,N,3) view of the matrix, component (a,b) also to (b,a),
-    and its part right of the strip's own square block is mirrored into the
-    column strip below. The diagonal blocks are A(0) I.
+    d = x_p - x_q. Returns LAPACK's rectangular full packed array of the
+    lower triangle (TRANSR='N', UPLO='L') of the symmetric m x m matrix,
+    m = 3N, as its C-order transpose R of shape (h, m + s), h = ceil(m/2),
+    s = 1 if m is even else 0: the upper entry G[i, c], c >= i, is
+
+        R[i, c + s]              for i < h,
+        R[c - h + 1 - s, i - h]  for i >= h.
+
+    The kernel is evaluated once per node pair, in row strips of nodes
+    p0 <= p < p1 against q >= p0 (rows i0 <= i < i1 of G). Each strip is
+    written as one slice right of its own square block, plainly for rows
+    above h and transposed for rows below it, plus the upper triangle of
+    the square block, whose lower entries would overwrite the other half of
+    the RFP array; a strip that straddles row h is written in two parts.
+    The diagonal blocks are A(0) I.
     """
     x = body.nodes
     n = body.n_nodes
     _check_fits(n)
-    G = np.empty((3 * n, 3 * n))
-    G4 = G.reshape(n, 3, n, 3)
+    m = 3 * n
+    h, s = (m + 1) // 2, 1 - m % 2
+    R = np.empty((h, m + s))
+    buf = upper = None
     for p0, p1, d, r2 in pair_strips(x):
         r = np.sqrt(r2)
         np.fill_diagonal(r2, np.inf)  # B(0) = 0, so the diagonal of B / r^2 is 0
@@ -73,6 +98,10 @@ def assemble_system(body, params):
                                 "the collocation system singular")
         A, B = kernel_scalars(r, params)
         B /= r2
+        if buf is None:  # the first strip is the largest
+            buf = np.empty(9 * r2.size)
+            upper = np.triu(np.ones((3 * (p1 - p0),) * 2, dtype=bool))
+        S4 = buf[:9 * r2.size].reshape(p1 - p0, 3, n - p0, 3)
         gab = r2  # the component buffer of this strip
         for a in range(3):
             for b in range(a, 3):
@@ -80,26 +109,42 @@ def assemble_system(body, params):
                 gab *= d[b]
                 if a == b:
                     gab += A
-                G4[p0:p1, a, p0:, b] = gab
+                S4[:, a, :, b] = gab
                 if a != b:
-                    G4[p0:p1, b, p0:, a] = gab
-        G[3 * p1:, 3 * p0:3 * p1] = G[3 * p0:3 * p1, 3 * p1:].T
-    return G
+                    S4[:, b, :, a] = gab
+        S = S4.reshape(3 * (p1 - p0), 3 * (n - p0))
+        i0, i1 = 3 * p0, 3 * p1
+        for lo, hi in ((i0, min(i1, h)), (max(i0, h), i1)):
+            if lo >= hi:
+                continue
+            right = S[lo - i0:hi - i0, hi - i0:]
+            square = S[lo - i0:hi - i0, lo - i0:hi - i0]
+            if hi <= h:
+                R[lo:hi, hi + s:] = right
+                dst = R[lo:hi, lo + s:hi + s]
+            else:
+                R[hi - h + 1 - s:, lo - h:hi - h] = right.T
+                dst = R[lo - h + 1 - s:hi - h + 1 - s, lo - h:hi - h].T
+            np.copyto(dst, square, where=upper[:hi - lo, :hi - lo])
+    return R
 
 
-def _factorize(G):
-    """Cholesky factor (c, lower) of the Green matrix, computed in place.
+def _factorize(packed):
+    """Cholesky factor L of the Green matrix, computed in place by dpftrf.
 
-    G is symmetric, so G.T is the same matrix in Fortran order, which LAPACK
-    factors without a copy. G is overwritten.
+    `packed` is the RFP array of `assemble_system` (any shape with that
+    memory order); it is overwritten by L in the same RFP layout, which
+    dtfsm and dpftrs read.
     """
-    try:
-        factor = sla.cho_factor(G.T, lower=True, overwrite_a=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise SolverError(f"mobility: Green matrix is not positive definite: {exc}")
-    if not np.all(np.isfinite(np.diagonal(factor[0]))):
+    m = (math.isqrt(8 * packed.size + 1) - 1) // 2   # packed.size = m(m+1)/2
+    L, info = lapack.dpftrf(m, packed.reshape(-1), transr="N", uplo="L",
+                            overwrite_a=1)
+    if info != 0:
+        raise SolverError(f"mobility: Green matrix is not positive definite "
+                          f"(dpftrf info {info})")
+    if not np.all(np.isfinite(L[_rfp_diagonal(m)])):
         raise SolverError("mobility: Cholesky factor has non-finite entries")
-    return factor
+    return L
 
 
 def rigid_data(body, xi, omega):
@@ -121,8 +166,8 @@ def solve_rigid_problem(body, params, xi, omega):
     if np.linalg.norm(u) < _ZERO_DATA_TOL * scale:
         phi = np.zeros((body.n_nodes, 3))
         return phi, np.zeros(3), np.zeros(3)
-    psi = sla.cho_solve(_factorize(assemble_system(body, params)), u,
-                        check_finite=False)
+    L = _factorize(assemble_system(body, params))
+    psi, _ = lapack.dpftrs(body.n_nodes * 3, L, u[:, None], transr="N", uplo="L")
     phi = psi.reshape(body.n_nodes, 3) / body.weights[:, None]
     f, t = force_torque(body, phi)
     return phi, f, t
@@ -182,8 +227,7 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
     its transpose; as Y^T Y is symmetric by construction, it can no longer
     fail.
     """
-    G = assemble_system(body, params)
-    factor = _factorize(G)
+    L = _factorize(assemble_system(body, params))
     n = body.n_nodes
     eye = np.eye(3)
 
@@ -195,7 +239,7 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
             u = rigid_data(body, np.zeros(3), eye[j - 3])
             if np.linalg.norm(u) >= _ZERO_DATA_TOL * (1 + body.length):
                 U[:, j] = u  # else straight-body axial rotation: zero column
-    Y = sla.solve_triangular(factor[0], U, lower=factor[1], check_finite=False)
+    Y = lapack.dtfsm(1.0, L, U, transr="N", side="L", uplo="L", trans="N")
     A6 = Y.T @ Y
 
     norm = np.linalg.norm(A6)

@@ -1,7 +1,10 @@
 """Shared fixtures: reference bodies, kernel parameters, resistance sets."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from slenderfall import (CurveSpec, DiscreteBody, KernelParams, discretize,
                          mass_properties, resistance_set)
@@ -101,3 +104,14 @@ def with_strip_rows(monkeypatch, n, rows):
     from slenderfall import geometry
     monkeypatch.setattr(geometry, "_STRIP_PAIRS", rows * n)
     assert len(list(geometry.pair_strips(np.zeros((n, 3))))) == -(-n // rows)
+
+
+def rfp_to_dense(packed):
+    """The dense symmetric matrix held in an RFP array (TRANSR='N',
+    UPLO='L'): LAPACK's dtfttr unpacks the lower triangle, and its strictly
+    lower part is mirrored."""
+    m = (math.isqrt(8 * packed.size + 1) - 1) // 2
+    a, info = lapack.dtfttr(m, packed.reshape(-1), transr="N", uplo="L")
+    assert info == 0
+    lower = np.tril(a)
+    return lower + np.tril(lower, -1).T

@@ -11,7 +11,7 @@ from slenderfall import (CurveSpec, KernelParams, assemble_system, discretize,
                          mass_properties, resistance_set, rhs, steady_states)
 from slenderfall.dynamics import DynamicsParams, FallState, integrate
 
-from conftest import random_polyline_spec
+from conftest import random_polyline_spec, rfp_to_dense
 
 
 def _report(num, name, ok, detail=""):
@@ -145,7 +145,7 @@ def test_criterion_7_regularization_necessity(rod_spec):
     body = discretize(rod_spec, panels=16, order=4)  # N = 64
     conds = []
     for ell in (1.0, 0.1, 0.01):
-        M = assemble_system(body, KernelParams(ell=ell))
+        M = rfp_to_dense(assemble_system(body, KernelParams(ell=ell)))
         conds.append(float(np.linalg.cond(M)))
     ok = conds[0] < conds[1] < conds[2]
     _report(7, "condition number grows as ell decreases", ok,

@@ -285,14 +285,54 @@ def test_parse_config_rejects_non_finite(block, key, value):
 @pytest.mark.parametrize("block, key, value", [
     ("fluid", "ell", "abc"),
     ("discretization", "panels", "x"),
+    # a JSON number such as 1e400 parses to inf, and int(inf) overflows
+    ("discretization", "panels", float("inf")),
+    ("discretization", "order", float("inf")),
+    ("dynamics", "stride", float("inf")),
+    # Re = rho^2 g d^3 / mu^2 overflows in nondimensionalize
+    ("fluid", "dimensional", {"rho": 1e300, "mu": 1e-300, "L": 1e300, "d": 1e-300,
+                              "gravity": 1e300}),
 ])
 def test_non_numeric_config_value_exits_2(tmp_path, capsys, block, key, value):
-    cfg = base_config()
-    (cfg["fluid"]["nondimensional"] if block == "fluid" else cfg[block])[key] = value
+    cfg = base_config(dynamics={"dt": 0.01, "t_end": 0.02})
+    if key == "dimensional":
+        cfg["fluid"] = {"dimensional": value}
+    else:
+        (cfg["fluid"]["nondimensional"] if block == "fluid" else cfg[block])[key] = value
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
     assert cli.main(["steady", "--config", str(path), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("fluid", "ell", 1e-300),
+    ("masses", "m", 1e300),
+])
+def test_overflowing_fall_operator_exits_3(tmp_path, capsys, block, key, value):
+    # both give a finite F with entries near 1e281, whose characteristic
+    # polynomial overflows; the eigenvector SVD of F - lambda I then fails
+    cfg = base_config(body={"kind": "rod", "length": 2.0},
+                      discretization={"panels": 4, "order": 3},
+                      dynamics={"dt": 0.01, "t_end": 0.05})
+    (cfg["fluid"]["nondimensional"] if block == "fluid" else cfg[block])[key] = value
+    path = write_config(tmp_path, cfg)
+    for mode in ("steady", "fall"):
+        out = tmp_path / mode
+        assert cli.main([mode, "--config", str(path), "--out", str(out)]) == 3
+        assert "solver error" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+
+def test_tiny_mu_fall_run_exits_3(tmp_path, capsys):
+    # mu = 1e-308 overflows the Green matrix; the factor's diagonal check stops it
+    cfg = base_config(dynamics={"dt": 0.01, "t_end": 0.05})
+    cfg["fluid"]["nondimensional"]["mu"] = 1e-308
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main(["fall", "--config", str(path), "--out", str(out)]) == 3
+    assert "Cholesky factor has non-finite entries" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

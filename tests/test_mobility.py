@@ -5,15 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from slenderfall import (DiscreteBody, KernelParams, assemble_system, discretize,
                          energy_dissipation, evaluate_flow, force_torque,
                          kernel_scalars, resistance_set, solve_rigid_problem)
 from slenderfall.errors import (AssemblyError, ConfigError, SingularEvaluationError,
                                 SolverError)
+from slenderfall import mobility
 from slenderfall.mobility import _factorize
 
-from conftest import random_polyline_spec, random_walk_body, with_strip_rows
+from conftest import (random_polyline_spec, random_walk_body, rfp_to_dense,
+                      with_strip_rows)
 
 
 def single_node_body(weight=0.25):
@@ -25,19 +28,19 @@ def single_node_body(weight=0.25):
 def test_single_node_system():
     p = KernelParams(ell=0.5, mu=2.0)
     w = 0.25
-    M = assemble_system(single_node_body(w), p)
+    M = rfp_to_dense(assemble_system(single_node_body(w), p))
     assert np.allclose(M, np.eye(3) / (6 * np.pi * p.mu * p.ell), rtol=1e-12)
 
 
 def test_equal_weight_symmetry(params):
-    # with equal node weights the full matrix is symmetric, G being even
+    # with equal node weights the unpacked matrix is symmetric, G being even
     n = 24
     th = 2 * np.pi * np.arange(n) / n
     nodes = np.stack([np.cos(th), np.sin(th), 0 * th], axis=1)
     w = np.full(n, 2 * np.pi / n)
     body = DiscreteBody(nodes=nodes, weights=w, arclength=th, density=np.ones(n),
                         panels=n, order=2, length=float(w.sum()))
-    M = assemble_system(body, params)
+    M = rfp_to_dense(assemble_system(body, params))
     assert np.linalg.norm(M - M.T) <= 1e-12 * np.linalg.norm(M)
 
 
@@ -201,8 +204,19 @@ def test_factorize_rejects_indefinite():
     rng = np.random.default_rng(3)
     Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     G = Q @ np.diag([3.0, 2.0, 1.0, 0.5, -0.5, 1.5]) @ Q.T
+    packed, info = lapack.dtrttf(0.5 * (G + G.T), transr="N", uplo="L")
+    assert info == 0
     with pytest.raises(SolverError):
-        _factorize(0.5 * (G + G.T))
+        _factorize(packed)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 6])
+def test_rfp_diagonal_positions(m):
+    # the entries whose finiteness _factorize checks, for both parities of m
+    diagonal = np.arange(1.0, m + 1)
+    packed, info = lapack.dtrttf(np.diag(diagonal), transr="N", uplo="L")
+    assert info == 0
+    assert np.array_equal(packed[mobility._rfp_diagonal(m)], diagonal)
 
 
 def test_rotation_covariance(helix_spec, helix_body, helix_R, params):
@@ -251,20 +265,22 @@ def dense_green(x, params):
     return G.reshape(3 * n, 3 * n)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 29])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 20, 29])
 def test_assembly_strips_match_dense_reference(monkeypatch, params, n):
     # strips of 8 rows: one partial strip, one full strip, one row past it,
-    # and four strips with a partial last one
+    # and four strips with a partial last one. Odd N gives an odd order
+    # m = 3N, whose RFP split row h = (m + 1) / 2 falls inside a node; at
+    # N = 16 h is a strip boundary, and at N = 20 the second strip straddles it
     with_strip_rows(monkeypatch, n, 8)
     body = random_walk_body(n)
-    G = assemble_system(body, params)
+    G = rfp_to_dense(assemble_system(body, params))
     assert np.array_equal(G, dense_green(body.nodes, params))
-    assert np.array_equal(G, G.T)
 
 
 def test_assembly_default_strips_match_dense_reference(params):
     body = random_walk_body(300, seed=1)   # several strips of the default height
-    assert np.array_equal(assemble_system(body, params), dense_green(body.nodes, params))
+    G = rfp_to_dense(assemble_system(body, params))
+    assert np.array_equal(G, dense_green(body.nodes, params))
 
 
 @pytest.mark.parametrize("p, q", [(0, 28), (9, 27)])
@@ -283,9 +299,23 @@ def test_assembly_peak_memory(helix_spec, params):
     n = body.n_nodes
     tracemalloc.start()
     try:
-        assemble_system(body, params)
+        resistance_set(body, params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the 72 N^2 bytes of the matrix plus one strip's temporaries
-    assert peak <= 80 * n * n
+    # the 36 N^2 bytes of the packed matrix, factored in place, plus one
+    # strip's temporaries
+    assert peak <= 40 * n * n
+
+
+def test_memory_guard_counts_packed_matrix(monkeypatch):
+    # N = 1000 needs 36 N^2 bytes for the packed matrix plus about 1.6 MB of
+    # strip temporaries: 40 N^2 bytes of RAM suffice, where the 72 N^2 of the
+    # full square would not, and 30 N^2 do not
+    n = 1000
+    ram = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 40 * n * n}
+    monkeypatch.setattr(mobility.os, "sysconf", ram.__getitem__)
+    mobility._check_fits(n)
+    ram["SC_PHYS_PAGES"] = 30 * n * n
+    with pytest.raises(ConfigError):
+        mobility._check_fits(n)
