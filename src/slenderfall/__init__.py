@@ -12,18 +12,15 @@ from .dynamics import DynamicsParams, FallState, Trajectory, detect_steady, inte
 from .freefall import FallOperator, SteadyState, fall_operator, real_eigenpairs, residual, steady_states
 from .geometry import (CurveSpec, DiscreteBody, MassProperties, discretize,
                        load_polyline_csv, mass_properties, validate_geometry)
-from .kernel import KernelParams, KernelScalars, fourier_oracle, kernel_scalars, oseen_hyper, pressure_kernel
-from .mobility import (ResistanceSet, assemble_system, energy_dissipation,
-                       evaluate_flow, force_torque, resistance_set, solve_rigid_problem)
+from .kernel import KernelParams, KernelScalars, fourier_oracle, kernel_scalars
+from .mobility import ResistanceSet, assemble_system, resistance_set
 
 __all__ = [
     "__version__",
     "CurveSpec", "DiscreteBody", "MassProperties",
     "discretize", "mass_properties", "validate_geometry", "load_polyline_csv",
-    "KernelParams", "KernelScalars", "kernel_scalars", "oseen_hyper",
-    "pressure_kernel", "fourier_oracle",
-    "ResistanceSet", "assemble_system", "solve_rigid_problem", "resistance_set",
-    "evaluate_flow", "energy_dissipation", "force_torque",
+    "KernelParams", "KernelScalars", "kernel_scalars", "fourier_oracle",
+    "ResistanceSet", "assemble_system", "resistance_set",
     "FallOperator", "SteadyState", "fall_operator", "real_eigenpairs",
     "steady_states", "residual",
     "FallState", "DynamicsParams", "Trajectory", "rhs", "integrate", "detect_steady",

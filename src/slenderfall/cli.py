@@ -256,10 +256,15 @@ def _diagnostics_dict(diag):
     }
 
 
-def _steady_state_dicts(states, cfg):
+def _steady_state_dicts(states, cfg, R, weights):
+    """State dicts, each with the size of its line force density phi:
+    max_q |phi_q| and sqrt(sum_q w_q |phi_q|^2)."""
     out = []
     for s in states:
         d = s.to_dict()
+        phi2 = ((R.densities @ np.r_[s.xi, s.omega]) ** 2).sum(axis=1)
+        d["force_density"] = {"max": float(np.sqrt(phi2.max())),
+                              "l2": float(np.sqrt(weights @ phi2))}
         if cfg.dimensional:
             W = cfg.dimensional["speed_scale"]
             dd = cfg.dimensional["length_scale"]
@@ -379,7 +384,8 @@ def run(cfg, mode, out_dir="."):
         }
         if mode in ("steady", "fall"):
             states = steady_states(R, mp)
-            report["steady_states"] = _steady_state_dicts(states, cfg)
+            report["steady_states"] = _steady_state_dicts(states, cfg, R,
+                                                          body.weights)
         if mode == "fall":
             if cfg.dynamics is None:
                 raise ConfigError("cli.run: fall mode needs a 'dynamics' block")

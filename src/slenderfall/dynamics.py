@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InstabilityError, MassModelError
+from .freefall import residual
 
 _BLOWUP_NORM = 1e12
 _POLAR_TOL = 1e-8          # largest entry of a polar update at convergence
@@ -372,9 +373,6 @@ def detect_steady(trajectory, steady_states, tol, resistance=None, mass_props=No
         "t_final": final.t,
     }
     if not converged and resistance is not None and mass_props is not None:
-        f = -(resistance.k_tt @ final.xi + resistance.k_tr @ final.omega)
-        t = -(resistance.k_rt @ final.xi + resistance.k_rr @ final.omega)
-        report["final_balance_residual"] = float(max(
-            np.linalg.norm(mass_props.m_e * final.G + f),
-            np.linalg.norm(mass_props.m_c * np.cross(mass_props.r, final.G) - t)))
+        report["final_balance_residual"] = residual(
+            final.xi, final.omega, final.G, resistance, mass_props)
     return report

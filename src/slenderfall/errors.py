@@ -13,16 +13,8 @@ class KernelDomainError(SlenderFallError, ValueError):
     """Kernel evaluated outside its domain (negative distance)."""
 
 
-class SingularEvaluationError(SlenderFallError):
-    """Field evaluation requested at a singular point."""
-
-
 class OracleError(SlenderFallError):
     """Fourier-space verification quadrature failed to converge."""
-
-    def __init__(self, message, achieved_tol=None):
-        super().__init__(message)
-        self.achieved_tol = achieved_tol
 
 
 class AssemblyError(SlenderFallError):
@@ -31,10 +23,6 @@ class AssemblyError(SlenderFallError):
 
 class SolverError(SlenderFallError):
     """Dense factorization or solve failed."""
-
-    def __init__(self, message, condition_estimate=None):
-        super().__init__(message)
-        self.condition_estimate = condition_estimate
 
 
 class ConvergenceError(SlenderFallError):

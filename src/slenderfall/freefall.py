@@ -13,7 +13,7 @@ straight bodies whose axial rotation generates no boundary data; that null
 direction is detected and removed by a restricted pseudo-inverse.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -227,31 +227,29 @@ def steady_states(resistance, mass_props, residual_rtol=1e-8):
         xi = np.linalg.solve(resistance.k_tt,
                              mass_props.m_e * g - lam * resistance.k_tr @ g)
         omega = lam * g
-        eig_res = float(np.linalg.norm(F @ g - lam * g))
-        state = SteadyState(lam=lam, g=g, xi=xi, omega=omega,
-                            multiplicity=mult, degenerate=op.degenerate,
-                            eigen_residual=eig_res,
-                            momentum_residual=0.0,
-                            eigenbasis=basis if mult > 1 else None)
-        mom = residual(state, resistance, mass_props)
+        mom = residual(xi, omega, g, resistance, mass_props)
         scale = max(abs(mass_props.m_e),
                     np.linalg.norm(resistance.k_tt) * np.linalg.norm(xi), 1e-300)
         if mom > residual_rtol * scale:
             raise InternalConsistencyError(
                 f"freefall.steady_states: momentum residual {mom:.3e} exceeds "
                 f"{residual_rtol:.1e} * scale ({scale:.3e})")
-        states.append(replace(state, momentum_residual=mom))
+        states.append(SteadyState(
+            lam=lam, g=g, xi=xi, omega=omega, multiplicity=mult,
+            degenerate=op.degenerate,
+            eigen_residual=float(np.linalg.norm(F @ g - lam * g)),
+            momentum_residual=mom, eigenbasis=basis if mult > 1 else None))
     return states
 
 
-def residual(state, resistance, mass_props):
-    """Momentum-balance residual of a candidate steady state.
+def residual(xi, omega, g, resistance, mass_props):
+    """Momentum-balance residual of the motion (xi, omega) under gravity g.
 
     Recomputes f and t from the resistance relation and returns
     max(|m_e g + f|, |m_c r x g - t|).
     """
-    f = -(resistance.k_tt @ state.xi + resistance.k_tr @ state.omega)
-    t = -(resistance.k_rt @ state.xi + resistance.k_rr @ state.omega)
-    res_force = np.linalg.norm(mass_props.m_e * state.g + f)
-    res_torque = np.linalg.norm(mass_props.m_c * np.cross(mass_props.r, state.g) - t)
+    f = -(resistance.k_tt @ xi + resistance.k_tr @ omega)
+    t = -(resistance.k_rt @ xi + resistance.k_rr @ omega)
+    res_force = np.linalg.norm(mass_props.m_e * g + f)
+    res_torque = np.linalg.norm(mass_props.m_c * np.cross(mass_props.r, g) - t)
     return float(max(res_force, res_torque))

@@ -6,6 +6,7 @@ the hydrodynamic collocation and the mass quadrature. All node coordinates
 live in the co-moving frame, centered at the (mass-weighted) center of mass.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -82,12 +83,16 @@ class CurveSpec:
             return [(ring, 2 * np.pi * R)]
         if self.kind == "helix":
             R, p, n = self.radius, self.pitch, self.turns
+            a = 2 * np.pi * R
+            # hypot only where a^2 or p^2 would overflow: it may round the
+            # last bit differently from the square root
+            speed = math.hypot(a, p) if max(a, p) > 1e150 else np.sqrt(a ** 2 + p ** 2)
 
             def helix(t):
                 th = 2 * np.pi * n * t
                 return np.stack([R * np.cos(th), R * np.sin(th), p * n * t], axis=-1)
 
-            return [(helix, n * np.sqrt((2 * np.pi * R) ** 2 + p ** 2))]
+            return [(helix, n * speed)]
         # polyline: one segment per edge
         verts = self.vertices
         if self.closed:
@@ -183,8 +188,9 @@ def discretize(spec, panels, order):
         raise GeometryError("geometry.discretize: order must be in 2..16")
     segs = spec.segments()
     lengths = np.array([L for _, L in segs])
-    if lengths.sum() <= 0:
-        raise GeometryError("geometry.discretize: zero-length curve")
+    if not 0 < lengths.sum() < np.inf:
+        raise GeometryError("geometry.discretize: curve length must be positive "
+                            "and finite")
 
     # distribute panels over segments, >= 1 each
     if len(segs) == 1:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import KernelDomainError, OracleError, SingularEvaluationError
+from .errors import KernelDomainError, OracleError
 
 # Taylor coefficients of 8*pi*mu*ell*A and 8*pi*mu*ell*B in powers of s:
 #   a_n = 2 (-1)^n [ 1/(n+1)! - (n+2)/(n+3)! ]
@@ -102,31 +102,6 @@ def kernel_scalars(r, params):
     return KernelScalars(A.reshape(r_in.shape), B.reshape(r_in.shape))
 
 
-def oseen_hyper(x, params):
-    """Velocity Green tensor G(x) = A I + B xhat xhat as a 3x3 array."""
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    A, B = kernel_scalars(r, params)
-    if r == 0.0:
-        return A * np.eye(3)
-    xh = x / r
-    return A * np.eye(3) + B * np.outer(xh, xh)
-
-
-def pressure_kernel(x):
-    """Pressure response x / (4 pi |x|^3) to a unit point force.
-
-    The hyperviscous term is divergence-free under the incompressibility
-    projection, so the pressure solves the same Poisson problem as in the
-    classical Stokes case.
-    """
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise SingularEvaluationError("kernel.pressure_kernel: |x| = 0")
-    return x / (4.0 * np.pi * r ** 3)
-
-
 def fourier_oracle(r, params, dps=30):
     """Verification oracle: A(r), B(r) by radial wavenumber quadrature.
 
@@ -162,6 +137,5 @@ def fourier_oracle(r, params, dps=30):
     except Exception as exc:  # pragma: no cover - mpmath failure path
         raise OracleError(f"kernel.fourier_oracle: quadrature failed: {exc}")
     if not (np.isfinite(A) and np.isfinite(B)):
-        raise OracleError("kernel.fourier_oracle: quadrature did not converge",
-                          achieved_tol=np.inf)
+        raise OracleError("kernel.fourier_oracle: quadrature did not converge")
     return KernelScalars(A, B)

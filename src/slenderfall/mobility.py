@@ -22,7 +22,10 @@ RFP triangular solve dtfsm), and
 
     f = -(K_tt xi + K_tr omega),   t = -(K_rt xi + K_rr omega),
 
-torque and rotation referenced to the center of mass.
+torque and rotation referenced to the center of mass. One more triangular
+solve on the same factor gives the six basis force densities
+Phi = W^-1 L^-T Y = W^-1 G^-1 U, so the line force density of any rigid
+motion z = (xi, omega) is Phi z.
 """
 
 import math
@@ -32,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import (AssemblyError, ConfigError, ConvergenceError,
-                     SingularEvaluationError, SolverError)
+from .errors import AssemblyError, ConfigError, ConvergenceError, SolverError
 from .geometry import _STRIP_PAIRS, pair_strips
 from .kernel import kernel_scalars
 
@@ -153,48 +155,17 @@ def rigid_data(body, xi, omega):
             + np.cross(np.asarray(omega, float), body.nodes)).ravel()
 
 
-def solve_rigid_problem(body, params, xi, omega):
-    """Line force density and total force/torque for a prescribed rigid motion.
-
-    Returns (phi, f, t) with phi of shape (N,3), phi = G^-1 u / w. Rigid
-    data that vanishes on the whole body (e.g. rotation of a straight rod
-    about its own axis) is mapped to phi = 0 exactly rather than amplifying
-    roundoff.
-    """
-    u = rigid_data(body, xi, omega)
-    scale = max(np.linalg.norm(xi), np.linalg.norm(omega) * (1 + body.length), 1.0)
-    if np.linalg.norm(u) < _ZERO_DATA_TOL * scale:
-        phi = np.zeros((body.n_nodes, 3))
-        return phi, np.zeros(3), np.zeros(3)
-    L = _factorize(assemble_system(body, params))
-    psi, _ = lapack.dpftrs(body.n_nodes * 3, L, u[:, None], transr="N", uplo="L")
-    phi = psi.reshape(body.n_nodes, 3) / body.weights[:, None]
-    f, t = force_torque(body, phi)
-    return phi, f, t
-
-
-def force_torque(body, phi):
-    """Total hydrodynamic force and torque from a line force density.
-
-    The stress divergence is minus the line measure with density phi, so the
-    force on the body is f = -sum w_q phi_q and the torque about the center
-    of mass is t = -sum w_q x_q x phi_q.
-    """
-    w = body.weights[:, None]
-    f = -(w * phi).sum(axis=0)
-    t = -(w * np.cross(body.nodes, phi)).sum(axis=0)
-    return f, t
-
-
 @dataclass(frozen=True)
 class ResistanceSet:
-    """The four 3x3 resistance blocks and their 6x6 grand matrix."""
+    """The four 3x3 resistance blocks, their 6x6 grand matrix and the
+    line force densities of the six unit rigid motions."""
 
     k_tt: np.ndarray
     k_tr: np.ndarray
     k_rt: np.ndarray
     k_rr: np.ndarray
     grand: np.ndarray        # (6,6) symmetrized
+    densities: np.ndarray    # (N,3,6) column j: density of unit motion j
     asymmetry: float         # relative asymmetry before symmetrization
     ell: float
     mu: float
@@ -216,16 +187,18 @@ class ResistanceSet:
 
 
 def resistance_set(body, params, asymmetry_tol=1e-6):
-    """The grand resistance matrix A6 = U^T G^-1 U from one Cholesky factor.
+    """The grand resistance matrix A6 = U^T G^-1 U and the basis force
+    densities Phi = W^-1 G^-1 U from one Cholesky factor.
 
     U holds the six unit rigid motions (three translations, three rotations
     about the center of mass) as columns of nodal velocities; with G = L L^T,
-    Y = L^-1 U and A6 = Y^T Y. Column j of A6 is the force and torque of the
-    nodal point forces G^-1 U_j, the weights having cancelled. The axial
+    Y = L^-1 U, A6 = Y^T Y and Phi = W^-1 L^-T Y. Column j of A6 is the force
+    and torque of the nodal point forces G^-1 U_j, the weights having
+    cancelled: sum_q w_q Phi_qj and sum_q w_q x_q x Phi_qj. The axial
     rotation of a straight body generates no boundary data and gives an
-    exact zero row and column. The reciprocity gate below compares A6 with
-    its transpose; as Y^T Y is symmetric by construction, it can no longer
-    fail.
+    exact zero row and column of A6 and an exact zero density. The
+    reciprocity gate below compares A6 with its transpose; as Y^T Y is
+    symmetric by construction, it can no longer fail.
     """
     L = _factorize(assemble_system(body, params))
     n = body.n_nodes
@@ -241,6 +214,8 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
                 U[:, j] = u  # else straight-body axial rotation: zero column
     Y = lapack.dtfsm(1.0, L, U, transr="N", side="L", uplo="L", trans="N")
     A6 = Y.T @ Y
+    psi = lapack.dtfsm(1.0, L, Y, transr="N", side="L", uplo="L", trans="T")
+    densities = psi.reshape(n, 3, 6) / body.weights[:, None, None]
 
     norm = np.linalg.norm(A6)
     asym = float(np.linalg.norm(A6 - A6.T) / norm) if norm > 0 else 0.0
@@ -250,37 +225,6 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
             f"{asymmetry_tol:.1e}; discretization too coarse")
     A6 = 0.5 * (A6 + A6.T)
     return ResistanceSet(k_tt=A6[:3, :3], k_tr=A6[:3, 3:], k_rt=A6[3:, :3],
-                         k_rr=A6[3:, 3:], grand=A6, asymmetry=asym,
-                         ell=params.ell, mu=params.mu, n_nodes=n,
+                         k_rr=A6[3:, 3:], grand=A6, densities=densities,
+                         asymmetry=asym, ell=params.ell, mu=params.mu, n_nodes=n,
                          shape_hash=body.shape_hash())
-
-
-def evaluate_flow(body, phi, x, params, with_pressure=True):
-    """Velocity and pressure of the single-layer field at a point x.
-
-    The velocity is defined everywhere (the kernel is bounded); the pressure
-    kernel is singular on the curve, so requesting the pressure at a
-    collocation node raises. Pass ``with_pressure=False`` to evaluate only
-    the velocity, e.g. on the body itself.
-    """
-    x = np.asarray(x, dtype=float)
-    d = x[None, :] - body.nodes
-    r = np.linalg.norm(d, axis=1)
-    A, B = kernel_scalars(r, params)
-    rsafe = np.where(r == 0.0, 1.0, r)
-    xh = d / rsafe[:, None]
-    wphi = body.weights[:, None] * phi
-    u = (A[:, None] * wphi).sum(axis=0) + xh.T @ (B * (xh * wphi).sum(axis=1))
-    if not with_pressure:
-        return u, None
-    if np.any(r == 0.0):
-        raise SingularEvaluationError("mobility.evaluate_flow: pressure evaluation "
-                                      "at a collocation node")
-    p = float((body.weights * (d * phi).sum(axis=1) / (4.0 * np.pi * r ** 3)).sum())
-    return u, p
-
-
-def energy_dissipation(zeta6, resistance):
-    """Instantaneous dissipation rate of the rigid motion (xi, omega)."""
-    z = np.asarray(zeta6, dtype=float)
-    return float(z @ resistance.grand @ z)

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import lapack
 
 from slenderfall import (CurveSpec, DiscreteBody, KernelParams, discretize,
-                         mass_properties, resistance_set)
+                         kernel_scalars, mass_properties, resistance_set)
 
 ELL = 0.1
 
@@ -115,3 +115,19 @@ def rfp_to_dense(packed):
     assert info == 0
     lower = np.tril(a)
     return lower + np.tril(lower, -1).T
+
+
+def dense_green(x, params):
+    """The Green matrix from whole N x N tables, the formula written out."""
+    d = x[:, None, :] - x[None, :, :]
+    r2 = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
+    A, B = kernel_scalars(np.sqrt(r2), params)
+    np.fill_diagonal(r2, np.inf)
+    B = B / r2
+    n = x.shape[0]
+    G = np.empty((n, 3, n, 3))
+    for a in range(3):
+        for b in range(3):
+            lo, hi = min(a, b), max(a, b)   # (b,a) is the same product as (a,b)
+            G[:, a, :, b] = B * d[..., lo] * d[..., hi] + (A if a == b else 0.0)
+    return G.reshape(3 * n, 3 * n)

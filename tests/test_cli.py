@@ -92,7 +92,7 @@ def test_malformed_config_exits_2_no_artifacts(tmp_path, capsys):
 
 def test_solver_error_exits_3(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
-        raise SolverError("mobility: factorization failed", condition_estimate=1e99)
+        raise SolverError("mobility: factorization failed")
 
     monkeypatch.setattr(cli, "resistance_set", boom)
     path = write_config(tmp_path, base_config())
@@ -111,6 +111,8 @@ def test_steady_mode_ring(tmp_path):
     assert states[0]["multiplicity"] == 3
     assert report["resistance"]["n_nodes"] == 48
     assert "diagnostics" in report and "version" in report
+    density = states[0]["force_density"]
+    assert 0 < density["l2"] < np.inf and 0 < density["max"] < np.inf
 
 
 def test_config_roundtrip(tmp_path):
@@ -336,6 +338,21 @@ def test_tiny_mu_fall_run_exits_3(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("body", [
+    {"kind": "helix", "radius": 1e300, "pitch": 1.0, "turns": 2.0},
+    {"kind": "helix", "radius": 1.0, "pitch": 1e300, "turns": 2.0},
+], ids=["radius", "pitch"])
+def test_huge_helix_exits_3(tmp_path, capsys, body):
+    # the length is finite; the Green matrix is not, and the factor's
+    # diagonal check stops it
+    path = write_config(tmp_path, base_config(body=body))
+    for mode in ("steady", "convergence"):
+        out = tmp_path / mode
+        assert cli.main([mode, "--config", str(path), "--out", str(out)]) == 3
+        assert "Cholesky factor has non-finite entries" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("block, key, value", [
     ("fluid", "mu", -1.0),
     ("fluid", "mu", 0.0),
@@ -371,11 +388,13 @@ def test_total_mass_steady_run_discretizes_once(tmp_path, monkeypatch):
     ({"kind": "polyline", "vertices": [[0, 0, 0], [1, 0, 0], [1, float("nan"), 0]]},
      {"m": 1.0}),
     ({"kind": "rod", "length": float("inf")}, {"m": 1.0}),
+    ({"kind": "ring", "radius": 1e308}, {"m": 1.0}),
     ({"kind": "rod", "length": 2.0},
      {"rho_line": {"type": "linear", "a": float("nan")}}),
     ({"kind": "rod", "length": 2.0},
      {"rho_line": {"type": "linear", "a": 1.0, "b": -1.0}}),
-], ids=["nan-vertex", "infinite-length", "nan-density", "negative-density"])
+], ids=["nan-vertex", "infinite-length", "infinite-ring-length", "nan-density",
+        "negative-density"])
 def test_bad_body_or_density_exits_2(tmp_path, capsys, body, masses):
     path = write_config(tmp_path, base_config(body=body, masses=masses))
     out = tmp_path / "out"

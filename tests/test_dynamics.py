@@ -126,6 +126,20 @@ def test_helix_low_re_run_recorded(helix_R, helix_mp):
         assert np.isfinite(report["final_balance_residual"])
 
 
+def test_final_balance_residual_is_the_load_imbalance(helix_R, helix_mp):
+    # at Re = 0, m dxi/dt = m_e G + f and J domega/dt = t - m_c r x G, so a
+    # run stopped short of steady reports max(m |dxi/dt|, |J domega/dt|)
+    params = DynamicsParams(re=0.0, dt=0.01, t_end=0.05)
+    traj = integrate(FallState.from_rest([0, 0, 1.0]), helix_R, helix_mp, params)
+    report = detect_steady(traj, steady_states(helix_R, helix_mp), tol=1e-6,
+                           resistance=helix_R, mass_props=helix_mp)
+    assert not report["converged"]
+    d = rhs(traj.final, helix_R, helix_mp, re=0.0)
+    expected = max(helix_mp.m * np.linalg.norm(d[:3]),
+                   np.linalg.norm(helix_mp.inertia @ d[3:6]))
+    assert report["final_balance_residual"] == pytest.approx(expected, rel=1e-10)
+
+
 def test_blow_up_detected(ring_R, ring_mp):
     params = DynamicsParams(re=0.0, dt=10.0, t_end=1000.0)
     with pytest.raises(InstabilityError) as exc:

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from slenderfall import (KernelParams, MassProperties, ResistanceSet,
+from slenderfall import (CurveSpec, KernelParams, MassProperties, ResistanceSet,
                          discretize, fall_operator, mass_properties,
                          real_eigenpairs, residual, resistance_set,
                          steady_states)
 from slenderfall.errors import DegeneracyError
-from slenderfall.freefall import SteadyState, cross_matrix
+from slenderfall.freefall import cross_matrix
 
 from conftest import random_polyline_spec
 
@@ -129,30 +129,47 @@ def test_helix_chirality(helix_R, helix_mp):
 
 def test_residual_sensitivity(helix_R, helix_mp):
     s = max(steady_states(helix_R, helix_mp), key=lambda st: abs(st.lam))
-    assert residual(s, helix_R, helix_mp) <= 1e-10 * helix_mp.m_e
+    assert residual(s.xi, s.omega, s.g, helix_R, helix_mp) <= 1e-10 * helix_mp.m_e
     perp = np.cross(s.g, [0.0, 0.0, 1.0])
     perp /= np.linalg.norm(perp)
     g_pert = s.g + 1e-3 * perp
     g_pert /= np.linalg.norm(g_pert)
-    pert = SteadyState(lam=s.lam, g=g_pert, xi=s.xi, omega=s.omega,
-                       multiplicity=1, degenerate=False, eigen_residual=0.0,
-                       momentum_residual=0.0)
-    assert residual(pert, helix_R, helix_mp) >= 1e-5 * helix_mp.m_e
+    assert residual(s.xi, s.omega, g_pert, helix_R, helix_mp) >= 1e-5 * helix_mp.m_e
 
 
 def test_mirror_property(helix_R, helix_mp):
     for s in steady_states(helix_R, helix_mp):
-        mirror = SteadyState(lam=s.lam, g=-s.g, xi=-s.xi, omega=-s.omega,
-                             multiplicity=s.multiplicity, degenerate=False,
-                             eigen_residual=0.0, momentum_residual=0.0)
-        assert residual(mirror, helix_R, helix_mp) <= 1e-10 * helix_mp.m_e
+        mirror = residual(-s.xi, -s.omega, -s.g, helix_R, helix_mp)
+        assert mirror <= 1e-10 * helix_mp.m_e
+
+
+def test_steady_density_carries_the_load(ring_body, ring_R, params):
+    # at a steady state the fluid holds the body up: the force density of
+    # the motion gives sum w phi = m_e g and sum w x x phi = -m_c r x g.
+    # A graded density moves the center of mass off the centroid, r != 0
+    spec = CurveSpec(kind="helix", radius=1.0, pitch=1.0, turns=2.0,
+                     density=lambda s: 1.0 + 0.3 * s)
+    helix = discretize(spec, panels=32, order=6)
+    assert np.linalg.norm(mass_properties(helix).r) > 1e-3
+    for body, R in ((helix, resistance_set(helix, params)), (ring_body, ring_R)):
+        mp = mass_properties(body, m_c=0.2 * body.length)
+        w = body.weights[:, None]
+        torque_scale = mp.m_e * np.abs(body.nodes).max()
+        for s in steady_states(R, mp):
+            phi = R.densities @ np.r_[s.xi, s.omega]
+            force = (w * phi).sum(axis=0)
+            torque = (w * np.cross(body.nodes, phi)).sum(axis=0)
+            assert np.linalg.norm(force - mp.m_e * s.g) <= 1e-8 * mp.m_e
+            assert (np.linalg.norm(torque + mp.m_c * np.cross(mp.r, s.g))
+                    <= 1e-8 * torque_scale)
 
 
 def test_scaling_covariance(helix_R, helix_mp):
     c = 3.0
     scaled_R = ResistanceSet(k_tt=c * helix_R.k_tt, k_tr=c * helix_R.k_tr,
                              k_rt=c * helix_R.k_rt, k_rr=c * helix_R.k_rr,
-                             grand=c * helix_R.grand, asymmetry=helix_R.asymmetry,
+                             grand=c * helix_R.grand, densities=c * helix_R.densities,
+                             asymmetry=helix_R.asymmetry,
                              ell=helix_R.ell, mu=helix_R.mu,
                              n_nodes=helix_R.n_nodes, shape_hash=helix_R.shape_hash)
     scaled_mp = MassProperties(m=c * helix_mp.m, m_c=c * helix_mp.m_c,

@@ -5,9 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slenderfall import (KernelParams, fourier_oracle, kernel_scalars,
-                         oseen_hyper, pressure_kernel)
-from slenderfall.errors import KernelDomainError, SingularEvaluationError
+from slenderfall import KernelParams, fourier_oracle, kernel_scalars
+from slenderfall.errors import KernelDomainError
+
+from conftest import dense_green
+
+
+def green_tensor(x, params):
+    """G(x) = A I + B xhat xhat: block (0,1) of the Green matrix of the two
+    nodes x and 0, or at |x| = 0 the diagonal block of one node."""
+    x = np.asarray(x, dtype=float)
+    if (x ** 2).sum() == 0.0:
+        return dense_green(np.zeros((1, 3)), params)
+    return dense_green(np.array([x, np.zeros(3)]), params)[:3, 3:]
 
 
 def test_self_mobility_limit():
@@ -72,14 +82,14 @@ def test_far_field_approaches_stokeslet():
 def test_trace_identity():
     p = KernelParams(ell=0.7, mu=1.3)
     for x in (np.array([0.3, -0.1, 0.2]), np.array([5.0, 1.0, -2.0])):
-        G = oseen_hyper(x, p)
+        G = green_tensor(x, p)
         A, B = kernel_scalars(float(np.linalg.norm(x)), p)
         assert abs(np.trace(G) - (3 * A + B)) <= 1e-14
 
 
 def test_tensor_at_zero():
     p = KernelParams(ell=1.0)
-    G = oseen_hyper(np.zeros(3), p)
+    G = green_tensor(np.zeros(3), p)
     assert np.allclose(G, np.eye(3) / (6 * np.pi), rtol=1e-12)
 
 
@@ -92,7 +102,7 @@ def test_divergence_free():
     for j in range(3):
         e = np.zeros(3)
         e[j] = h
-        div += (oseen_hyper(x0 + e, p)[:, j] - oseen_hyper(x0 - e, p)[:, j]) / (2 * h)
+        div += (green_tensor(x0 + e, p)[:, j] - green_tensor(x0 - e, p)[:, j]) / (2 * h)
     assert np.linalg.norm(div) <= 1e-6
 
 
@@ -110,16 +120,6 @@ def test_large_ell_self_mobility_scaling():
     r = 0.5
     vals = [fourier_oracle(r, KernelParams(ell=ell)).A for ell in (10.0, 100.0)]
     assert abs(vals[0] / vals[1] - 10.0) <= 0.1 * 10.0
-
-
-def test_pressure_kernel():
-    assert np.allclose(pressure_kernel([1.0, 0, 0]), [1 / (4 * np.pi), 0, 0])
-    x = np.array([0.2, -0.7, 1.1])
-    assert np.allclose(pressure_kernel(-x), -pressure_kernel(x))
-    assert abs(np.linalg.norm(pressure_kernel(x))
-               - 1 / (4 * np.pi * (x @ x))) <= 1e-14
-    with pytest.raises(SingularEvaluationError):
-        pressure_kernel(np.zeros(3))
 
 
 def test_domain_errors():
@@ -146,9 +146,9 @@ def test_array_evaluation_matches_scalar():
 def test_tensor_even_and_symmetric(x):
     p = KernelParams(ell=1.0)
     x = np.asarray(x)
-    G = oseen_hyper(x, p)
+    G = green_tensor(x, p)
     assert np.allclose(G, G.T)
-    assert np.allclose(G, oseen_hyper(-x, p))
+    assert np.allclose(G, green_tensor(-x, p))
     # finite self-mobility: positive quadratic form everywhere
     f = np.array([0.3, -1.2, 0.5])
     assert f @ G @ f > 0

@@ -1,4 +1,5 @@
-"""Mobility module: collocation system, rigid solves, resistance matrices."""
+"""Mobility module: collocation system, resistance matrices, basis force
+densities."""
 
 import tracemalloc
 
@@ -8,15 +9,13 @@ import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from slenderfall import (DiscreteBody, KernelParams, assemble_system, discretize,
-                         energy_dissipation, evaluate_flow, force_torque,
-                         kernel_scalars, resistance_set, solve_rigid_problem)
-from slenderfall.errors import (AssemblyError, ConfigError, SingularEvaluationError,
-                                SolverError)
+                         kernel_scalars, resistance_set)
+from slenderfall.errors import AssemblyError, ConfigError, SolverError
 from slenderfall import mobility
 from slenderfall.mobility import _factorize
 
-from conftest import (random_polyline_spec, random_walk_body, rfp_to_dense,
-                      with_strip_rows)
+from conftest import (dense_green, random_polyline_spec, random_walk_body,
+                      rfp_to_dense, with_strip_rows)
 
 
 def single_node_body(weight=0.25):
@@ -52,21 +51,20 @@ def test_duplicate_nodes_raise(params):
         assemble_system(body, params)
 
 
-def test_zero_motion_zero_force(rod_body, params):
-    phi, f, t = solve_rigid_problem(rod_body, params, np.zeros(3), np.zeros(3))
-    assert np.all(phi == 0) and np.all(f == 0) and np.all(t == 0)
-
-
 def test_single_node_drag():
+    # one node of weight w: the point force 6 pi mu ell per unit velocity
+    # spread over w
     p = KernelParams(ell=0.5, mu=2.0)
-    phi, f, t = solve_rigid_problem(single_node_body(), p, [1.0, 0, 0], np.zeros(3))
-    assert np.allclose(f, [-6 * np.pi * p.mu * p.ell, 0, 0], rtol=1e-12)
-    assert np.allclose(t, 0)
+    w = 0.25
+    phi = resistance_set(single_node_body(w), p).densities[0]
+    drag = 6 * np.pi * p.mu * p.ell / w
+    assert np.allclose(phi[:, :3], drag * np.eye(3), rtol=1e-12, atol=0)
+    assert np.all(phi[:, 3:] == 0)   # rotation about the node moves nothing
 
 
-def test_straight_rod_axial_spin_free(rod_body, params):
-    phi, f, t = solve_rigid_problem(rod_body, params, np.zeros(3), [1.0, 0, 0])
-    assert np.all(phi == 0) and np.all(f == 0) and np.all(t == 0)
+def test_straight_rod_axial_spin_free(rod_R):
+    # the rod lies on the x axis: spinning about it generates no density
+    assert np.all(rod_R.densities[:, :, 3] == 0)
 
 
 def test_reciprocity(rod_R, ring_R, helix_R):
@@ -100,10 +98,21 @@ def test_helix_coupling_present(helix_R):
     assert np.linalg.norm(helix_R.k_tr) > 1e-2 * np.linalg.norm(helix_R.k_tt)
 
 
-def test_force_density_identity(rod_body, rod_R, params):
-    phi, f, t = solve_rigid_problem(rod_body, params, [1.0, 0, 0], np.zeros(3))
-    assert np.allclose(f, -rod_R.k_tt @ [1.0, 0, 0], rtol=1e-8)
-    assert np.allclose(t, -rod_R.k_rt @ [1.0, 0, 0], atol=1e-8 * np.abs(f).max())
+def test_force_density_identity(rod_body, rod_R, ring_body, ring_R, helix_body,
+                                helix_R, params):
+    # sum w phi_j and sum w x x phi_j are column j of the grand matrix
+    body = discretize(random_polyline_spec(np.random.default_rng(7), n_vertices=5),
+                      panels=16, order=4)
+    cases = ((rod_body, rod_R), (ring_body, ring_R), (helix_body, helix_R),
+             (body, resistance_set(body, params)))
+    for body, R in cases:
+        w = body.weights[:, None, None]
+        force = (w * R.densities).sum(axis=0)
+        torque = (w * np.cross(body.nodes[:, :, None], R.densities, axis=1)).sum(axis=0)
+        for j in range(6):
+            column = np.r_[force[:, j], torque[:, j]]
+            assert (np.linalg.norm(column - R.grand[:, j])
+                    <= 1e-12 * np.linalg.norm(R.grand[:, j])), j
 
 
 def test_refinement_cauchy(rod_spec, params):
@@ -116,43 +125,33 @@ def test_refinement_cauchy(rod_spec, params):
     assert d2 < d1
 
 
-def test_evaluate_flow_collocation_identity(ring_body, params):
-    xi, omega = np.array([0.2, -0.1, 0.4]), np.array([0.3, 0.0, -0.2])
-    phi, _, _ = solve_rigid_problem(ring_body, params, xi, omega)
-    q = 7
-    xq = ring_body.nodes[q]
-    u, p = evaluate_flow(ring_body, phi, xq, params, with_pressure=False)
-    assert np.allclose(u, xi + np.cross(omega, xq), rtol=1e-10, atol=1e-12)
-    assert p is None
-    with pytest.raises(SingularEvaluationError):
-        evaluate_flow(ring_body, phi, xq, params)
+def test_density_collocation_identity(ring_body, ring_R, helix_body, helix_R,
+                                      params):
+    # the flow of the point forces w phi, evaluated at the nodes, is the
+    # rigid motion: G (W Phi) = U, for the six unit motions and a mixed one
+    eye = np.eye(3)
+    for body, R in ((ring_body, ring_R), (helix_body, helix_R)):
+        x, w = body.nodes, body.weights[:, None]
+        G = dense_green(x, params)
+        motions = [(eye[j], np.zeros(3)) for j in range(3)]
+        motions += [(np.zeros(3), eye[j]) for j in range(3)]
+        motions += [([0.2, -0.1, 0.4], [0.3, 0.0, -0.2])]
+        for xi, omega in motions:
+            phi = R.densities @ np.r_[xi, omega]
+            rigid = (xi + np.cross(omega, x)).ravel()
+            assert (np.linalg.norm(G @ (w * phi).ravel() - rigid)
+                    <= 1e-10 * np.linalg.norm(rigid)), (xi, omega)
 
 
-def test_evaluate_flow_far_field_decay(rod_body, params):
-    phi, _, _ = solve_rigid_problem(rod_body, params, [0, 0, 1.0], np.zeros(3))
-    u1, p1 = evaluate_flow(rod_body, phi, np.array([1e3, 0, 0]), params)
-    u2, p2 = evaluate_flow(rod_body, phi, np.array([2e3, 0, 0]), params)
-    ratio = np.linalg.norm(u2) / np.linalg.norm(u1)
+def test_density_far_field_decay(rod_body, rod_R, params):
+    # the flow of a translating rod falls off like a Stokeslet, 1/r: the
+    # velocity at a far point is block row 0 of the Green matrix of that
+    # point and the nodes, applied to the point forces w phi
+    psi = (rod_body.weights[:, None] * rod_R.densities[:, :, 2]).ravel()
+    u = [dense_green(np.vstack([[r, 0.0, 0.0], rod_body.nodes]), params)[:3, 3:] @ psi
+         for r in (1e3, 2e3)]
+    ratio = np.linalg.norm(u[1]) / np.linalg.norm(u[0])
     assert 0.5 * 0.8 <= ratio <= 0.5 * 1.2
-    assert np.isfinite(p1) and np.isfinite(p2)
-
-
-def test_evaluate_flow_zero_density(rod_body, params):
-    u, p = evaluate_flow(rod_body, np.zeros((rod_body.n_nodes, 3)),
-                         np.array([1.0, 2.0, 3.0]), params)
-    assert np.all(u == 0) and p == 0.0
-
-
-def test_energy_dissipation(rod_R, ring_R):
-    assert energy_dissipation(np.zeros(6), ring_R) == 0.0
-    z = np.zeros(6)
-    z[0] = 1.0
-    assert energy_dissipation(z, ring_R) == pytest.approx(ring_R.k_tt[0, 0])
-    assert energy_dissipation(z, ring_R) > 0
-    # straight rod spun about its own axis dissipates nothing
-    axial = np.zeros(6)
-    axial[3] = 1.0
-    assert energy_dissipation(axial, rod_R) == 0.0
 
 
 def test_resistance_metadata(ring_body, ring_R, params):
@@ -247,22 +246,6 @@ def test_assembly_beyond_memory_refused(params):
     finally:
         tracemalloc.stop()
     assert peak < 2**20  # refused before any N x N array was allocated
-
-
-def dense_green(x, params):
-    """The Green matrix from whole N x N tables, the formula written out."""
-    d = x[:, None, :] - x[None, :, :]
-    r2 = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
-    A, B = kernel_scalars(np.sqrt(r2), params)
-    np.fill_diagonal(r2, np.inf)
-    B = B / r2
-    n = x.shape[0]
-    G = np.empty((n, 3, n, 3))
-    for a in range(3):
-        for b in range(3):
-            lo, hi = min(a, b), max(a, b)   # (b,a) is the same product as (a,b)
-            G[:, a, :, b] = B * d[..., lo] * d[..., hi] + (A if a == b else 0.0)
-    return G.reshape(3 * n, 3 * n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 20, 29])
