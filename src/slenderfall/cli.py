@@ -262,9 +262,11 @@ def _steady_state_dicts(states, cfg, R, weights):
     out = []
     for s in states:
         d = s.to_dict()
-        phi2 = ((R.densities @ np.r_[s.xi, s.omega]) ** 2).sum(axis=1)
-        d["force_density"] = {"max": float(np.sqrt(phi2.max())),
-                              "l2": float(np.sqrt(weights @ phi2))}
+        phi = R.densities @ np.r_[s.xi, s.omega]
+        top = np.abs(phi).max() or 1.0   # scaled: |phi|^2 may overflow
+        phi2 = ((phi / top) ** 2).sum(axis=1)
+        d["force_density"] = {"max": float(top * np.sqrt(phi2.max())),
+                              "l2": float(top * np.sqrt(weights @ phi2))}
         if cfg.dimensional:
             W = cfg.dimensional["speed_scale"]
             dd = cfg.dimensional["length_scale"]

@@ -291,8 +291,8 @@ def _state_mismatch(state, steady, resistance=None, mass_props=None):
     g_s, xi_s, om_s = _family_target(state, steady, resistance, mass_props)
     best = np.inf
     for sign in (1.0, -1.0):
-        dxi = np.linalg.norm(state.xi - sign * xi_s)
-        dom = np.linalg.norm(state.omega - sign * om_s)
+        dxi = math.hypot(*(state.xi - sign * xi_s))   # hypot: no overflow
+        dom = math.hypot(*(state.omega - sign * om_s))
         cosang = np.clip(state.G @ (sign * g_s), -1.0, 1.0)
         ang = float(np.arccos(cosang))
         best = min(best, max(dxi, dom, ang))

@@ -13,6 +13,7 @@ straight bodies whose axial rotation generates no boundary data; that null
 direction is detected and removed by a restricted pseudo-inverse.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -97,8 +98,11 @@ def fall_operator(resistance, mass_props, degeneracy_rtol=1e-10):
             "one direction; no consistent restriction",
             null_direction=vt[small])
     null = vt[-1]
-    # consistency: the load must not drive the null direction
-    if np.linalg.norm(null @ rhs) > degeneracy_rtol * max(np.linalg.norm(rhs), 1.0):
+    # consistency: the load must not drive the null direction; a load norm
+    # that overflows passes here, and real_eigenpairs refuses the F it gives
+    with np.errstate(over="ignore"):
+        driven = np.linalg.norm(null @ rhs) > degeneracy_rtol * max(np.linalg.norm(rhs), 1.0)
+    if driven:
         raise DegeneracyError(
             "freefall.fall_operator: load has a component along the degenerate "
             "rotation direction", null_direction=null)
@@ -118,6 +122,7 @@ def _apply_sign_convention(g):
     return g
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def real_eigenpairs(F, cluster_rtol=1e-7):
     """All real eigenpairs of a 3x3 matrix via the characteristic cubic.
 
@@ -125,7 +130,9 @@ def real_eigenpairs(F, cluster_rtol=1e-7):
     branch), each real root is polished by Newton iteration on the
     characteristic polynomial, and eigenvectors come from the SVD null space
     of F - lambda I. Repeated roots are clustered and reported once with
-    their multiplicity and an orthonormal eigenspace basis.
+    their multiplicity and an orthonormal eigenspace basis. A polynomial
+    that overflows leaves no finite root and raises SolverError, without a
+    floating-point warning.
     """
     F = np.asarray(F, dtype=float)
     norm_f = float(np.linalg.norm(F))
@@ -228,8 +235,9 @@ def steady_states(resistance, mass_props, residual_rtol=1e-8):
                              mass_props.m_e * g - lam * resistance.k_tr @ g)
         omega = lam * g
         mom = residual(xi, omega, g, resistance, mass_props)
+        # hypot: |K_tt| or |xi| alone may under- or overflow as a sum of squares
         scale = max(abs(mass_props.m_e),
-                    np.linalg.norm(resistance.k_tt) * np.linalg.norm(xi), 1e-300)
+                    math.hypot(*resistance.k_tt.ravel()) * math.hypot(*xi), 1e-300)
         if mom > residual_rtol * scale:
             raise InternalConsistencyError(
                 f"freefall.steady_states: momentum residual {mom:.3e} exceeds "
@@ -250,6 +258,6 @@ def residual(xi, omega, g, resistance, mass_props):
     """
     f = -(resistance.k_tt @ xi + resistance.k_tr @ omega)
     t = -(resistance.k_rt @ xi + resistance.k_rr @ omega)
-    res_force = np.linalg.norm(mass_props.m_e * g + f)
-    res_torque = np.linalg.norm(mass_props.m_c * np.cross(mass_props.r, g) - t)
-    return float(max(res_force, res_torque))
+    res_force = math.hypot(*(mass_props.m_e * g + f))   # hypot: no overflow
+    res_torque = math.hypot(*(mass_props.m_c * np.cross(mass_props.r, g) - t))
+    return max(res_force, res_torque)

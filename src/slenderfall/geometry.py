@@ -219,7 +219,11 @@ def discretize(spec, panels, order):
         raise GeometryError("geometry.discretize: density profile must be positive")
 
     mass_w = w * rho
-    x = x - (mass_w[:, None] * x).sum(axis=0) / mass_w.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x - (mass_w[:, None] * x).sum(axis=0) / mass_w.sum()
+    if not np.all(np.isfinite(x)):
+        raise GeometryError("geometry.discretize: node coordinates overflow when "
+                            "centered at the center of mass")
     return DiscreteBody(nodes=x, weights=w, arclength=s, density=rho,
                         panels=int(np.sum(counts)), order=order,
                         length=float(w.sum()), closed=spec.is_closed)
@@ -244,20 +248,22 @@ def mass_properties(body, m_c=0.0):
     return MassProperties(m=m, m_c=float(m_c), m_e=m - float(m_c), r=r, inertia=J)
 
 
-def pair_strips(x):
+def pair_strips(x, y=None):
     """Node differences over the upper triangle, one row strip at a time.
 
     Yields (p0, p1, d, r2) for consecutive strips of rows p0 <= p < p1
-    against the columns q >= p0, with d[a][i, j] = x[p0 + i, a] - x[p0 + j, a]
-    and r2 = d[0]^2 + d[1]^2 + d[2]^2. Entry (i, i) is the pair (p, p), so
-    the strip's own square block d[a][:, :p1 - p0] is complete. A strip
-    holds about _STRIP_PAIRS pairs (at least one row).
+    against the columns q >= p0, with d[a][i, j] = x[p0 + i, a] - y[p0 + j, a]
+    and r2 = d[0]^2 + d[1]^2 + d[2]^2; y (as many nodes as x) defaults to x.
+    For y = x, entry (i, i) is the pair (p, p), so the strip's own square
+    block d[a][:, :p1 - p0] is complete. A strip holds about _STRIP_PAIRS
+    pairs (at least one row).
     """
     n = x.shape[0]
+    y = x if y is None else y
     rows = max(1, _STRIP_PAIRS // max(n, 1))
     for p0 in range(0, n, rows):
         p1 = min(p0 + rows, n)
-        d = [x[p0:p1, None, a] - x[None, p0:, a] for a in range(3)]
+        d = [x[p0:p1, None, a] - y[None, p0:, a] for a in range(3)]
         r2 = d[0] * d[0]
         r2 += d[1] * d[1]
         r2 += d[2] * d[2]

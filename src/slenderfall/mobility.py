@@ -26,11 +26,26 @@ torque and rotation referenced to the center of mass. One more triangular
 solve on the same factor gives the six basis force densities
 Phi = W^-1 L^-T Y = W^-1 G^-1 U, so the line force density of any rigid
 motion z = (xi, omega) is Phi z.
+
+The Green tensor is isotropic, G(R d) = R G(d) R^T for every orthogonal R.
+Rods, rings and helices (and their composite Gauss nodes) are mapped onto
+themselves by reversing the node order and applying a symmetric orthogonal
+R, R^2 = I: x_{N-1-p} - c = R (x_p - c). The Green matrix then commutes
+with that node map, and in the basis of its even and odd vectors it is
+block diagonal (Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal.
+1992). For such a body of even N, the two diagonal blocks of order 3N/2,
+
+    G+-(p, q) = G(x_p - x_q) +- G(x_p - x_{N-1-q}) R,    p, q < N/2,
+
+are assembled, factored and solved one at a time, in place of G: a quarter
+of the factor's work and a quarter of its memory. Any other body takes the
+one-block path.
 """
 
 import math
 import os
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.linalg import lapack
@@ -40,20 +55,29 @@ from .geometry import _STRIP_PAIRS, pair_strips
 from .kernel import kernel_scalars
 
 _ZERO_DATA_TOL = 1e-12
+# largest distance of a node from the image of its mirror node, relative to
+# the body's extent, for the two-block path
+_SYMMETRY_RTOL = 1e-12
 # strip-sized float64 arrays alive next to the packed matrix at the peak of
 # assembly (the strip's differences and distances, A, B, kernel_scalars' own
 # temporaries and the nine components of the strip's block rows)
 _STRIP_TEMPORARIES = 25
+# and those of a strip's mirror term: its differences and distances, A, B,
+# R d, B d_a and R_ab A
+_MIRROR_TEMPORARIES = 11
 
 
-def _check_fits(n):
-    """Refuse an assembly whose peak memory exceeds the physical RAM."""
+def _check_fits(n, mirrored=False):
+    """Refuse an assembly whose peak memory exceeds the physical RAM: the
+    packed 3n x 3n matrix and one strip's temporaries, more of them when
+    the blocks carry the mirror term."""
     m = 3 * n
-    need = 8 * (m * (m + 1) // 2 + _STRIP_TEMPORARIES * max(_STRIP_PAIRS, n))
+    strip = _STRIP_TEMPORARIES + mirrored * _MIRROR_TEMPORARIES
+    need = 8 * (m * (m + 1) // 2 + strip * max(_STRIP_PAIRS, n))
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > ram:
-        raise ConfigError(f"mobility.assemble_system: N = {n} nodes need about "
-                          f"{need / 2**30:.1f} GiB for the packed system, more "
+        raise ConfigError(f"mobility.assemble_system: a packed Green matrix of "
+                          f"order {m} needs about {need / 2**30:.1f} GiB, more "
                           f"than the {ram / 2**30:.1f} GiB of physical memory")
 
 
@@ -65,17 +89,18 @@ def _rfp_diagonal(m):
     return np.where(i < h, i * (m + s) + i + s, (i - h + 1 - s) * (m + s) + i - h)
 
 
-def assemble_system(body, params):
+@np.errstate(over="ignore", invalid="ignore")
+def assemble_system(body, params, mirror=None):
     """Green matrix G, block (p,q) = G(x_p - x_q), no weights, packed RFP.
 
     Component (a,b) of every block is A(r) delta_ab + B(r) d_a d_b / r^2 with
     d = x_p - x_q. Returns LAPACK's rectangular full packed array of the
     lower triangle (TRANSR='N', UPLO='L') of the symmetric m x m matrix,
-    m = 3N, as its C-order transpose R of shape (h, m + s), h = ceil(m/2),
+    m = 3N, as its C-order transpose P of shape (h, m + s), h = ceil(m/2),
     s = 1 if m is even else 0: the upper entry G[i, c], c >= i, is
 
-        R[i, c + s]              for i < h,
-        R[c - h + 1 - s, i - h]  for i >= h.
+        P[i, c + s]              for i < h,
+        P[c - h + 1 - s, i - h]  for i >= h.
 
     The kernel is evaluated once per node pair, in row strips of nodes
     p0 <= p < p1 against q >= p0 (rows i0 <= i < i1 of G). Each strip is
@@ -83,21 +108,31 @@ def assemble_system(body, params):
     above h and transposed for rows below it, plus the upper triangle of
     the square block, whose lower entries would overwrite the other half of
     the RFP array; a strip that straddles row h is written in two parts.
-    The diagonal blocks are A(0) I.
+    The diagonal blocks are A(0) I. An entry that overflows stays inf or
+    NaN, without a floating-point warning; _factorize refuses its factor.
+
+    With mirror = (R, sign), R the reversal involution of a body of even N
+    (see the module docstring), the result is instead the diagonal block
+    G+ (sign 1) or G- (sign -1) of order 3N/2, in the same layout: block
+    (p,q), p, q < N/2, gains sign G(x_p - x_{N-1-q}) R, whose component
+    (a,b) is sign (A R_ab + B d_a (R d)_b / r^2) with d = x_p - x_{N-1-q}.
+    The strips then pair the first N/2 nodes with the first N/2 and with
+    the last N/2 in reverse order.
     """
-    x = body.nodes
-    n = body.n_nodes
-    _check_fits(n)
+    x, far = body.nodes, repeat(None)
+    if mirror is not None:
+        half = body.n_nodes // 2
+        x, far = x[:half], pair_strips(x[:half], x[half:][::-1])
+    n = x.shape[0]
+    _check_fits(n, mirror is not None)
     m = 3 * n
     h, s = (m + 1) // 2, 1 - m % 2
-    R = np.empty((h, m + s))
+    P = np.empty((h, m + s))
     buf = upper = None
-    for p0, p1, d, r2 in pair_strips(x):
+    for (p0, p1, d, r2), far_strip in zip(pair_strips(x), far):
         r = np.sqrt(r2)
         np.fill_diagonal(r2, np.inf)  # B(0) = 0, so the diagonal of B / r^2 is 0
-        if r2.min() == 0.0:
-            raise AssemblyError("mobility.assemble_system: duplicate nodes make "
-                                "the collocation system singular")
+        _refuse_duplicates(r2)
         A, B = kernel_scalars(r, params)
         B /= r2
         if buf is None:  # the first strip is the largest
@@ -114,6 +149,8 @@ def assemble_system(body, params):
                 S4[:, a, :, b] = gab
                 if a != b:
                     S4[:, b, :, a] = gab
+        if far_strip is not None:
+            _add_mirror_term(S4, far_strip, *mirror, params, gab)
         S = S4.reshape(3 * (p1 - p0), 3 * (n - p0))
         i0, i1 = 3 * p0, 3 * p1
         for lo, hi in ((i0, min(i1, h)), (max(i0, h), i1)):
@@ -122,13 +159,38 @@ def assemble_system(body, params):
             right = S[lo - i0:hi - i0, hi - i0:]
             square = S[lo - i0:hi - i0, lo - i0:hi - i0]
             if hi <= h:
-                R[lo:hi, hi + s:] = right
-                dst = R[lo:hi, lo + s:hi + s]
+                P[lo:hi, hi + s:] = right
+                dst = P[lo:hi, lo + s:hi + s]
             else:
-                R[hi - h + 1 - s:, lo - h:hi - h] = right.T
-                dst = R[lo - h + 1 - s:hi - h + 1 - s, lo - h:hi - h].T
+                P[hi - h + 1 - s:, lo - h:hi - h] = right.T
+                dst = P[lo - h + 1 - s:hi - h + 1 - s, lo - h:hi - h].T
             np.copyto(dst, square, where=upper[:hi - lo, :hi - lo])
-    return R
+    return P
+
+
+def _refuse_duplicates(r2):
+    if r2.min() == 0.0:
+        raise AssemblyError("mobility.assemble_system: duplicate nodes make "
+                            "the collocation system singular")
+
+
+def _add_mirror_term(S4, strip, R, sign, params, gab):
+    """Add sign G(d) R to the strip's block rows S4, d the strip's mirror
+    differences."""
+    _, _, d, r2 = strip
+    _refuse_duplicates(r2)
+    A, B = kernel_scalars(np.sqrt(r2), params)
+    A *= sign
+    B *= sign
+    B /= r2
+    e = [R[b, 0] * d[0] + R[b, 1] * d[1] + R[b, 2] * d[2] for b in range(3)]
+    for a in range(3):
+        Bd = B * d[a]
+        for b in range(3):
+            np.multiply(Bd, e[b], out=gab)
+            if R[a, b] != 0.0:
+                gab += R[a, b] * A
+            S4[:, a, :, b] += gab
 
 
 def _factorize(packed):
@@ -155,6 +217,43 @@ def rigid_data(body, xi, omega):
             + np.cross(np.asarray(omega, float), body.nodes)).ravel()
 
 
+def _reversal_symmetry(x):
+    """The involution R with x_{N-1-p} - c = R (x_p - c) for every node,
+    c the node centroid, to _SYMMETRY_RTOL of the body's extent; None if
+    N is odd or there is none.
+
+    With y_p = x_p - c, M = sum_p y_{N-1-p} y_p^T is symmetric (reversing
+    the sum transposes it), and the orthogonal R closest to mapping each
+    y_p onto y_{N-1-p} (Procrustes) is its polar factor Q sign(Lambda) Q^T,
+    from M = Q Lambda Q^T: symmetric, so R^2 = I. A null direction of M (a
+    straight or planar body) holds no node coordinate, and either sign maps
+    the nodes there; the sign of its roundoff eigenvalue picks one, +1 for
+    an exact zero.
+    """
+    n = x.shape[0]
+    if n % 2:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):   # inf or NaN: no symmetry
+        y = x - x.mean(axis=0)
+        extent = np.abs(y).max()
+    if not 0.0 < extent < np.inf:
+        return None
+    y = y / extent
+    lam, Q = np.linalg.eigh(y[::-1].T @ y)
+    R = (Q * np.where(lam < 0.0, -1.0, 1.0)) @ Q.T
+    if np.linalg.norm(y[::-1] - y @ R, axis=1).max() > _SYMMETRY_RTOL:
+        return None
+    return R
+
+
+def _solve(packed, U):
+    """Y^T Y and L^-T Y for Y = L^-1 U, L the Cholesky factor of the packed
+    matrix, which it overwrites."""
+    L = _factorize(packed)
+    Y = lapack.dtfsm(1.0, L, U, transr="N", side="L", uplo="L", trans="N")
+    return Y.T @ Y, lapack.dtfsm(1.0, L, Y, transr="N", side="L", uplo="L", trans="T")
+
+
 @dataclass(frozen=True)
 class ResistanceSet:
     """The four 3x3 resistance blocks, their 6x6 grand matrix and the
@@ -166,6 +265,7 @@ class ResistanceSet:
     k_rr: np.ndarray
     grand: np.ndarray        # (6,6) symmetrized
     densities: np.ndarray    # (N,3,6) column j: density of unit motion j
+    blocks: tuple            # orders of the factored diagonal blocks of G
     asymmetry: float         # relative asymmetry before symmetrization
     ell: float
     mu: float
@@ -178,6 +278,7 @@ class ResistanceSet:
             "k_tr": self.k_tr.tolist(),
             "k_rt": self.k_rt.tolist(),
             "k_rr": self.k_rr.tolist(),
+            "blocks": list(self.blocks),
             "asymmetry": self.asymmetry,
             "ell": self.ell,
             "mu": self.mu,
@@ -188,7 +289,7 @@ class ResistanceSet:
 
 def resistance_set(body, params, asymmetry_tol=1e-6):
     """The grand resistance matrix A6 = U^T G^-1 U and the basis force
-    densities Phi = W^-1 G^-1 U from one Cholesky factor.
+    densities Phi = W^-1 G^-1 U from one Cholesky factor per diagonal block.
 
     U holds the six unit rigid motions (three translations, three rotations
     about the center of mass) as columns of nodal velocities; with G = L L^T,
@@ -199,11 +300,14 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
     exact zero row and column of A6 and an exact zero density. The
     reciprocity gate below compares A6 with its transpose; as Y^T Y is
     symmetric by construction, it can no longer fail.
+
+    A reversal-symmetric body is solved on the two blocks G+- of the module
+    docstring instead: with U+-_p = U_p +- R U_{N-1-p} and psi+- = G+-^-1 U+-,
+    A6 = (Y+^T Y+ + Y-^T Y-) / 2, and the nodal point forces are
+    (psi+_p + psi-_p) / 2 at node p and R (psi+_p - psi-_p) / 2 at N-1-p.
     """
-    L = _factorize(assemble_system(body, params))
     n = body.n_nodes
     eye = np.eye(3)
-
     U = np.zeros((3 * n, 6))
     for j in range(6):
         if j < 3:
@@ -212,9 +316,24 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
             u = rigid_data(body, np.zeros(3), eye[j - 3])
             if np.linalg.norm(u) >= _ZERO_DATA_TOL * (1 + body.length):
                 U[:, j] = u  # else straight-body axial rotation: zero column
-    Y = lapack.dtfsm(1.0, L, U, transr="N", side="L", uplo="L", trans="N")
-    A6 = Y.T @ Y
-    psi = lapack.dtfsm(1.0, L, Y, transr="N", side="L", uplo="L", trans="T")
+
+    R = _reversal_symmetry(body.nodes)
+    if R is None:
+        A6, psi = _solve(assemble_system(body, params), U)
+        blocks = (3 * n,)
+    else:
+        h = n // 2
+        U3 = U.reshape(n, 3, 6)
+        near, far = U3[:h], R @ U3[h:][::-1]
+        A6, parts = np.zeros((6, 6)), []
+        for sign in (1.0, -1.0):   # one block alive at a time: it is not kept
+            A, p = _solve(assemble_system(body, params, (R, sign)),
+                          (near + sign * far).reshape(3 * h, 6))
+            A6 += 0.5 * A
+            parts.append(p.reshape(h, 3, 6))
+        plus, minus = parts
+        psi = 0.5 * np.concatenate([plus + minus, (R @ (plus - minus))[::-1]])
+        blocks = (3 * h, 3 * h)
     densities = psi.reshape(n, 3, 6) / body.weights[:, None, None]
 
     norm = np.linalg.norm(A6)
@@ -226,5 +345,5 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
     A6 = 0.5 * (A6 + A6.T)
     return ResistanceSet(k_tt=A6[:3, :3], k_tr=A6[:3, 3:], k_rt=A6[3:, :3],
                          k_rr=A6[3:, 3:], grand=A6, densities=densities,
-                         asymmetry=asym, ell=params.ell, mu=params.mu, n_nodes=n,
-                         shape_hash=body.shape_hash())
+                         blocks=blocks, asymmetry=asym, ell=params.ell,
+                         mu=params.mu, n_nodes=n, shape_hash=body.shape_hash())

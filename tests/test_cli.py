@@ -1,6 +1,8 @@
 """CLI module: nondimensionalization, config parsing, pipeline modes."""
 
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,19 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def main_printing_warnings(argv):
+    """cli.main with every warning printed to stderr, as a run from a shell
+    prints it (pytest would otherwise record it away from stderr)."""
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename,
+                                                lineno, line))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        return cli.main(argv)
 
 
 def test_nondimensionalize_reference_case():
@@ -110,6 +125,7 @@ def test_steady_mode_ring(tmp_path):
     assert states[0]["lambda"] == pytest.approx(0.0, abs=1e-12)
     assert states[0]["multiplicity"] == 3
     assert report["resistance"]["n_nodes"] == 48
+    assert report["resistance"]["blocks"] == [72, 72]   # reversal-symmetric
     assert "diagnostics" in report and "version" in report
     density = states[0]["force_density"]
     assert 0 < density["l2"] < np.inf and 0 < density["max"] < np.inf
@@ -241,6 +257,8 @@ def test_polyline_csv_body(tmp_path):
     assert cli.main(["steady", "--config", str(path), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert len(report["steady_states"]) >= 1
+    # the equal-legged L is its own mirror image, in reverse order
+    assert report["resistance"]["blocks"] == [36, 36]
 
 
 def test_missing_polyline_csv_exits_2(tmp_path, capsys):
@@ -313,8 +331,30 @@ def test_non_numeric_config_value_exits_2(tmp_path, capsys, block, key, value):
     ("masses", "m", 1e300),
 ])
 def test_overflowing_fall_operator_exits_3(tmp_path, capsys, block, key, value):
-    # both give a finite F with entries near 1e281, whose characteristic
-    # polynomial overflows; the eigenvector SVD of F - lambda I then fails
+    # both give the helix a finite F with entries of 1e282 and 1e297, whose
+    # characteristic polynomial overflows
+    cfg = base_config(body={"kind": "helix", "radius": 1.0, "pitch": 1.0, "turns": 2.0},
+                      discretization={"panels": 4, "order": 3},
+                      dynamics={"dt": 0.01, "t_end": 0.05})
+    (cfg["fluid"]["nondimensional"] if block == "fluid" else cfg[block])[key] = value
+    path = write_config(tmp_path, cfg)
+    for mode in ("steady", "fall"):
+        out = tmp_path / mode
+        assert main_printing_warnings([mode, "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "solver error" in err and "Warning" not in err
+        assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("fluid", "ell", 1e-300),
+    ("masses", "m", 1e300),
+])
+def test_straight_rod_at_extreme_scales_runs_clean(tmp_path, capsys, block, key, value):
+    # a straight rod has no translation-rotation coupling; solved on its two
+    # reversal blocks that coupling is exactly zero, so F = 0 and the steady
+    # speed (about 9e297 and 2.5e299) is finite: both modes succeed, with
+    # finite force densities and no floating-point warnings
     cfg = base_config(body={"kind": "rod", "length": 2.0},
                       discretization={"panels": 4, "order": 3},
                       dynamics={"dt": 0.01, "t_end": 0.05})
@@ -322,9 +362,15 @@ def test_overflowing_fall_operator_exits_3(tmp_path, capsys, block, key, value):
     path = write_config(tmp_path, cfg)
     for mode in ("steady", "fall"):
         out = tmp_path / mode
-        assert cli.main([mode, "--config", str(path), "--out", str(out)]) == 3
-        assert "solver error" in capsys.readouterr().err
-        assert not (out / "report.json").exists()
+        assert main_printing_warnings([mode, "--config", str(path), "--out", str(out)]) == 0
+        assert "Warning" not in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["resistance"]["blocks"] == [18, 18]
+        for state in report["steady_states"]:
+            assert state["lambda"] == 0.0
+            assert all(np.isfinite(state["xi"])) and np.abs(state["xi"]).max() > 1e297
+            density = state["force_density"]
+            assert 0 < density["l2"] < np.inf and 0 < density["max"] < np.inf
 
 
 def test_tiny_mu_fall_run_exits_3(tmp_path, capsys):
@@ -333,8 +379,9 @@ def test_tiny_mu_fall_run_exits_3(tmp_path, capsys):
     cfg["fluid"]["nondimensional"]["mu"] = 1e-308
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
-    assert cli.main(["fall", "--config", str(path), "--out", str(out)]) == 3
-    assert "Cholesky factor has non-finite entries" in capsys.readouterr().err
+    assert main_printing_warnings(["fall", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "Cholesky factor has non-finite entries" in err and "Warning" not in err
     assert not (out / "report.json").exists()
 
 
@@ -342,14 +389,15 @@ def test_tiny_mu_fall_run_exits_3(tmp_path, capsys):
     {"kind": "helix", "radius": 1e300, "pitch": 1.0, "turns": 2.0},
     {"kind": "helix", "radius": 1.0, "pitch": 1e300, "turns": 2.0},
 ], ids=["radius", "pitch"])
-def test_huge_helix_exits_3(tmp_path, capsys, body):
-    # the length is finite; the Green matrix is not, and the factor's
-    # diagonal check stops it
+def test_huge_helix_exits_2(tmp_path, capsys, body):
+    # the length is finite; centering the nodes at the center of mass
+    # overflows, and discretize refuses the non-finite nodes
     path = write_config(tmp_path, base_config(body=body))
     for mode in ("steady", "convergence"):
         out = tmp_path / mode
-        assert cli.main([mode, "--config", str(path), "--out", str(out)]) == 3
-        assert "Cholesky factor has non-finite entries" in capsys.readouterr().err
+        assert main_printing_warnings([mode, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Warning" not in err
         assert not (out / "report.json").exists()
 
 

@@ -1,12 +1,13 @@
 """Freefall module: fall operator, cubic eigen-solver, steady states."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from slenderfall import (CurveSpec, KernelParams, MassProperties, ResistanceSet,
-                         discretize, fall_operator, mass_properties,
-                         real_eigenpairs, residual, resistance_set,
-                         steady_states)
+from slenderfall import (CurveSpec, KernelParams, MassProperties, discretize,
+                         fall_operator, mass_properties, real_eigenpairs,
+                         residual, resistance_set, steady_states)
 from slenderfall.errors import DegeneracyError
 from slenderfall.freefall import cross_matrix
 
@@ -166,12 +167,9 @@ def test_steady_density_carries_the_load(ring_body, ring_R, params):
 
 def test_scaling_covariance(helix_R, helix_mp):
     c = 3.0
-    scaled_R = ResistanceSet(k_tt=c * helix_R.k_tt, k_tr=c * helix_R.k_tr,
-                             k_rt=c * helix_R.k_rt, k_rr=c * helix_R.k_rr,
-                             grand=c * helix_R.grand, densities=c * helix_R.densities,
-                             asymmetry=helix_R.asymmetry,
-                             ell=helix_R.ell, mu=helix_R.mu,
-                             n_nodes=helix_R.n_nodes, shape_hash=helix_R.shape_hash)
+    scaled_R = replace(helix_R, k_tt=c * helix_R.k_tt, k_tr=c * helix_R.k_tr,
+                       k_rt=c * helix_R.k_rt, k_rr=c * helix_R.k_rr,
+                       grand=c * helix_R.grand, densities=c * helix_R.densities)
     scaled_mp = MassProperties(m=c * helix_mp.m, m_c=c * helix_mp.m_c,
                                m_e=c * helix_mp.m_e, r=helix_mp.r,
                                inertia=c * helix_mp.inertia)

@@ -1,5 +1,7 @@
 """Geometry module: discretization, mass properties, diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +180,17 @@ def test_bad_discretization_args(rod_spec):
         discretize(rod_spec, panels=0, order=4)
     with pytest.raises(GeometryError):
         discretize(rod_spec, panels=4, order=1)
+
+
+@pytest.mark.parametrize("radius, pitch", [(1e300, 1.0), (1.0, 1e300)])
+def test_overflowing_nodes_rejected(radius, pitch):
+    # the length is finite, but centering at the center of mass overflows
+    # (weights near 1e299 times coordinates near 1e300)
+    spec = CurveSpec(kind="helix", radius=radius, pitch=pitch, turns=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError):
+            discretize(spec, panels=12, order=4)
 
 
 def test_negative_density_rejected():

@@ -2,17 +2,18 @@
 densities."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from slenderfall import (DiscreteBody, KernelParams, assemble_system, discretize,
-                         kernel_scalars, resistance_set)
+from slenderfall import (CurveSpec, DiscreteBody, KernelParams, assemble_system,
+                         discretize, kernel_scalars, resistance_set)
 from slenderfall.errors import AssemblyError, ConfigError, SolverError
 from slenderfall import mobility
-from slenderfall.mobility import _factorize
+from slenderfall.mobility import _factorize, rigid_data
 
 from conftest import (dense_green, random_polyline_spec, random_walk_body,
                       rfp_to_dense, with_strip_rows)
@@ -277,21 +278,40 @@ def test_duplicate_nodes_in_different_strips_raise(monkeypatch, params, p, q):
         assemble_system(body, params)
 
 
-def test_assembly_peak_memory(helix_spec, params):
-    body = discretize(helix_spec, panels=128, order=6)   # N = 768
+def test_assembly_peak_memory(params):
+    # a body without reversal symmetry takes the one-block path
+    spec = random_polyline_spec(np.random.default_rng(7), n_vertices=5)
+    body = discretize(spec, panels=192, order=4)   # N = 768
     n = body.n_nodes
     tracemalloc.start()
     try:
-        resistance_set(body, params)
+        R = resistance_set(body, params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert R.blocks == (3 * n,)
     # the 36 N^2 bytes of the packed matrix, factored in place, plus one
     # strip's temporaries
     assert peak <= 40 * n * n
 
 
-def test_memory_guard_counts_packed_matrix(monkeypatch):
+def test_symmetric_assembly_peak_memory(helix_spec, params):
+    body = discretize(helix_spec, panels=128, order=6)   # N = 768
+    n = body.n_nodes
+    tracemalloc.start()
+    try:
+        R = resistance_set(body, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert R.blocks == (3 * n // 2,) * 2
+    # one packed block of order 3N/2 at a time, 9 N^2 bytes, plus one
+    # strip's temporaries and the 3N x 6 right-hand sides: measured 12.6 N^2,
+    # bounded with a margin of about 1 N^2 (0.6 MB)
+    assert peak <= 13.5 * n * n
+
+
+def test_memory_guard_counts_packed_matrix(monkeypatch, params):
     # N = 1000 needs 36 N^2 bytes for the packed matrix plus about 1.6 MB of
     # strip temporaries: 40 N^2 bytes of RAM suffice, where the 72 N^2 of the
     # full square would not, and 30 N^2 do not
@@ -302,3 +322,73 @@ def test_memory_guard_counts_packed_matrix(monkeypatch):
     ram["SC_PHYS_PAGES"] = 30 * n * n
     with pytest.raises(ConfigError):
         mobility._check_fits(n)
+    # a reversal-symmetric body of N = 1000 factors one block of order 1500
+    # at a time, 9 N^2 bytes, plus about 2.4 MB of strip temporaries: it is
+    # solved in 12 N^2 bytes of RAM, where an asymmetric body is refused
+    ram["SC_PHYS_PAGES"] = 12 * n * n
+    ring = discretize(CurveSpec(kind="ring", radius=1.0), panels=250, order=4)
+    assert resistance_set(ring, params).blocks == (1500, 1500)
+    with pytest.raises(ConfigError):
+        resistance_set(random_walk_body(n), params)
+
+
+def cholesky_reference(body, params):
+    """Grand matrix and basis densities from a Cholesky solve with the
+    whole dense Green matrix of conftest.dense_green."""
+    eye, zero = np.eye(3), np.zeros(3)
+    U = np.stack([rigid_data(body, eye[j], zero) for j in range(3)]
+                 + [rigid_data(body, zero, eye[j]) for j in range(3)], axis=1)
+    psi = sla.cho_solve(sla.cho_factor(dense_green(body.nodes, params)), U)
+    grand = U.T @ psi
+    return 0.5 * (grand + grand.T), psi.reshape(-1, 3, 6) / body.weights[:, None, None]
+
+
+def _moved(body, transform):
+    return replace(body, nodes=transform(body.nodes.copy()))
+
+
+def _rotated_and_translated(x):
+    Q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+    return x @ Q.T + np.array([0.3, -1.2, 2.5])
+
+
+def _one_node_moved(x):
+    x[17, 2] += 1e-9
+    return x
+
+
+README_HELIX = CurveSpec(kind="helix", radius=1.0, pitch=1.0, turns=2.0)
+SYMMETRY_CASES = {
+    # two blocks: straight (rank-1 nodes), planar (rank 2) and chiral bodies
+    "rod": (lambda: discretize(CurveSpec(kind="rod", length=2.0), 16, 4), 2),
+    "ring": (lambda: discretize(CurveSpec(kind="ring", radius=1.0), 16, 4), 2),
+    "V-polyline": (lambda: discretize(CurveSpec(
+        kind="polyline", vertices=np.array([[-1.0, 1.5, 0], [0, 0, 0], [1, 1.5, 0]])),
+        16, 4), 2),
+    "README-helix": (lambda: discretize(README_HELIX, 32, 6), 2),
+    "moved-helix": (lambda: _moved(discretize(README_HELIX, 16, 4),
+                                   _rotated_and_translated), 2),
+    "linear-density-rod": (lambda: discretize(CurveSpec(
+        kind="rod", length=2.0, density=lambda s: 1.0 + s), 16, 4), 2),
+    # one block
+    "odd-N-rod": (lambda: discretize(CurveSpec(kind="rod", length=2.0), 15, 3), 1),
+    "random-polyline": (lambda: discretize(
+        random_polyline_spec(np.random.default_rng(7), n_vertices=5), 16, 4), 1),
+    "helix-one-node-moved": (lambda: _moved(discretize(README_HELIX, 16, 4),
+                                            _one_node_moved), 1),
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRY_CASES)
+def test_reversal_symmetry_selects_the_path(name, params):
+    # reversal-symmetric bodies are solved on two half-size blocks, every
+    # other body on one; both give the dense Cholesky solution
+    make, n_blocks = SYMMETRY_CASES[name]
+    body = make()
+    n = body.n_nodes
+    R = resistance_set(body, params)
+    assert R.blocks == ((3 * n // 2,) * 2 if n_blocks == 2 else (3 * n,))
+    grand, densities = cholesky_reference(body, params)
+    assert np.linalg.norm(R.grand - grand) <= 1e-13 * np.linalg.norm(grand)
+    assert (np.linalg.norm(R.densities - densities)
+            <= 1e-13 * np.linalg.norm(densities))
