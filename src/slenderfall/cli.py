@@ -108,6 +108,15 @@ def _build_spec(body, density):
     raise ConfigError(f"cli: unknown or missing body kind {kind!r}")
 
 
+def _block(parent, key, default=None):
+    """The JSON object under `key` (`default` if absent); anything else is a
+    config error."""
+    value = parent.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"cli.parse_config: '{key}' must be a JSON object")
+    return value
+
+
 def _require_finite(**values):
     for name, v in values.items():
         if not np.isfinite(v):
@@ -127,12 +136,11 @@ def parse_config(raw):
 def _parse_config(raw):
     if not isinstance(raw, dict):
         raise ConfigError("cli.parse_config: config must be a JSON object")
-    try:
-        body = raw["body"]
-    except KeyError:
+    if "body" not in raw:
         raise ConfigError("cli.parse_config: missing 'body' block")
+    body = _block(raw, "body")
 
-    fluid = raw.get("fluid", {})
+    fluid = _block(raw, "fluid", {})
     has_nd = "nondimensional" in fluid
     has_dim = "dimensional" in fluid
     if has_nd == has_dim:
@@ -140,7 +148,7 @@ def _parse_config(raw):
                           "and fluid.dimensional must be present")
     dimensional = None
     if has_nd:
-        nd = fluid["nondimensional"]
+        nd = _block(fluid, "nondimensional")
         try:
             ell = float(nd["ell"])
         except KeyError:
@@ -148,7 +156,7 @@ def _parse_config(raw):
         re = float(nd.get("re", 0.0))
         mu = float(nd.get("mu", 1.0))
     else:
-        dim = fluid["dimensional"]
+        dim = _block(fluid, "dimensional")
         try:
             scales = nondimensionalize(float(dim["rho"]), float(dim["mu"]),
                                        float(dim["L"]), float(dim["d"]),
@@ -165,7 +173,7 @@ def _parse_config(raw):
     if re < 0:
         raise ConfigError("cli.parse_config: Re must be >= 0")
 
-    masses = raw.get("masses", {})
+    masses = _block(raw, "masses", {})
     m_c = float(masses.get("m_c", 0.0))
     _require_finite(m_c=m_c)
     if m_c < 0:
@@ -173,7 +181,7 @@ def _parse_config(raw):
     density = None
     m = None
     if "rho_line" in masses:
-        density = _density_from_config(masses["rho_line"])
+        density = _density_from_config(_block(masses, "rho_line"))
     elif "m" in masses:
         m = float(masses["m"])
         _require_finite(m=m)
@@ -186,7 +194,7 @@ def _parse_config(raw):
         if m is not None:
             m = m / dimensional["mass_scale"]
 
-    disc = raw.get("discretization", {})
+    disc = _block(raw, "discretization", {})
     panels = int(disc.get("panels", 32))
     order = int(disc.get("order", 4))
     if panels < 1:
@@ -197,12 +205,14 @@ def _parse_config(raw):
     dyn = None
     g_dir = np.array([0.0, 0.0, 1.0])
     if "dynamics" in raw:
-        db = raw["dynamics"]
+        db = _block(raw, "dynamics")
         g_dir = np.asarray(db.get("g_direction", [0.0, 0.0, 1.0]), dtype=float)
         if g_dir.shape != (3,) or not np.all(np.isfinite(g_dir)):
             raise ConfigError("cli.parse_config: g_direction must be 3 finite numbers")
-        if np.linalg.norm(g_dir) == 0:
+        top = np.abs(g_dir).max()
+        if top == 0:
             raise ConfigError("cli.parse_config: g_direction must be nonzero")
+        g_dir = g_dir / top   # its norm may overflow
         try:
             dyn = DynamicsParams(re=re, dt=float(db["dt"]),
                                  t_end=float(db["t_end"]),
@@ -375,10 +385,9 @@ def run(cfg, mode, out_dir="."):
                     "lambda", "grand_diff", "diff_ratio"])
     else:
         body, mp, params = _prepare(cfg)
-        # resistance_set first: it refuses a system too large for memory
-        # before validate_geometry's O(N^2) pair loop runs
         R = resistance_set(body, params)
-        report["diagnostics"] = _diagnostics_dict(validate_geometry(body, cfg.ell))
+        report["diagnostics"] = _diagnostics_dict(
+            validate_geometry(body, cfg.ell, R.min_separation))
         report["resistance"] = R.to_dict()
         report["mass_properties"] = {
             "m": mp.m, "m_c": mp.m_c, "m_e": mp.m_e,

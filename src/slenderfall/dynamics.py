@@ -51,6 +51,7 @@ class FallState:
     def from_rest(g_direction=(0.0, 0.0, 1.0)):
         """Release from rest: xi = omega = 0, Q = I, G = g."""
         g = np.asarray(g_direction, dtype=float)
+        g = g / np.abs(g).max()   # its norm may overflow
         g = g / np.linalg.norm(g)
         return FallState(t=0.0, xi=np.zeros(3), omega=np.zeros(3), G=g,
                          Q=np.eye(3), c=np.zeros(3))
@@ -78,6 +79,9 @@ class DynamicsParams:
                 raise ValueError(f"dynamics.DynamicsParams: {name} must be finite")
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dynamics.DynamicsParams: dt and t_end must be positive")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError("dynamics.DynamicsParams: t_end / dt, the step "
+                             "count, must be finite")
         if self.re < 0:
             raise ValueError("dynamics.DynamicsParams: Re must be >= 0")
         if self.stride < 1:

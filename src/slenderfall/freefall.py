@@ -85,7 +85,8 @@ def fall_operator(resistance, mass_props, degeneracy_rtol=1e-10):
     rhs = mass_props.m_e * krt_kttinv + mass_props.m_c * cross_matrix(mass_props.r)
 
     u, sv, vt = np.linalg.svd(schur)
-    scale = max(np.linalg.norm(Krr), np.finfo(float).tiny)
+    top = np.abs(Krr).max() or 1.0   # scaled: |Krr|^2 may overflow
+    scale = max(top * np.linalg.norm(Krr / top), np.finfo(float).tiny)
     small = sv < degeneracy_rtol * scale
     if small.sum() == 0:
         F = np.linalg.solve(schur, rhs)

@@ -248,6 +248,12 @@ def mass_properties(body, m_c=0.0):
     return MassProperties(m=m, m_c=float(m_c), m_e=m - float(m_c), r=r, inertia=J)
 
 
+def _strip_rows(cols):
+    """Rows of a strip whose rows meet `cols` columns: about _STRIP_PAIRS
+    pairs, at least one row."""
+    return max(1, _STRIP_PAIRS // cols)
+
+
 def pair_strips(x, y=None):
     """Node differences over the upper triangle, one row strip at a time.
 
@@ -255,19 +261,21 @@ def pair_strips(x, y=None):
     against the columns q >= p0, with d[a][i, j] = x[p0 + i, a] - y[p0 + j, a]
     and r2 = d[0]^2 + d[1]^2 + d[2]^2; y (as many nodes as x) defaults to x.
     For y = x, entry (i, i) is the pair (p, p), so the strip's own square
-    block d[a][:, :p1 - p0] is complete. A strip holds about _STRIP_PAIRS
-    pairs (at least one row).
+    block d[a][:, :p1 - p0] is complete. Each strip holds about _STRIP_PAIRS
+    pairs, at most max(_STRIP_PAIRS, N): the rows grow as the columns
+    shrink, so every strip but the last costs the same per numpy call.
     """
     n = x.shape[0]
     y = x if y is None else y
-    rows = max(1, _STRIP_PAIRS // max(n, 1))
-    for p0 in range(0, n, rows):
-        p1 = min(p0 + rows, n)
+    p0 = 0
+    while p0 < n:
+        p1 = min(p0 + _strip_rows(n - p0), n)
         d = [x[p0:p1, None, a] - y[None, p0:, a] for a in range(3)]
         r2 = d[0] * d[0]
         r2 += d[1] * d[1]
         r2 += d[2] * d[2]
         yield p0, p1, d, r2
+        p0 = p1
 
 
 @dataclass(frozen=True)
@@ -280,14 +288,16 @@ class GeometryDiagnostics:
     warnings: tuple = field(default=())
 
 
-def validate_geometry(body, ell):
-    """Diagnostic report on a discretization relative to the thickness ell."""
+def validate_geometry(body, ell, min_separation):
+    """Diagnostic report on a discretization relative to the thickness ell.
+
+    `min_separation` is the smallest distance between two distinct nodes;
+    the assembly of the Green matrix finds it on its one pass over the node
+    pairs (mobility.ResistanceSet.min_separation). The checks made here are
+    O(N).
+    """
     x = body.nodes
-    min_r2 = np.inf
-    for _, _, _, r2 in pair_strips(x):
-        np.fill_diagonal(r2, np.inf)
-        min_r2 = min(min_r2, r2.min())
-    min_sep = float(np.sqrt(min_r2))
+    min_sep = float(min_separation)
 
     # straightness: residual from the principal axis through the centroid
     xc = x - x.mean(axis=0)

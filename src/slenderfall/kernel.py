@@ -77,26 +77,50 @@ class KernelScalars(NamedTuple):
 
 
 def kernel_scalars(r, params):
-    """Evaluate A(r), B(r). Accepts scalars or arrays; r must be >= 0."""
+    """Evaluate A(r), B(r). Accepts scalars or arrays; r must be >= 0.
+
+    The closed form is evaluated in place on five arrays of r's size, with
+    s^2 and 6/s^2 computed once; the near-field series runs only where some
+    s is at or below the switch.
+    """
     r_in = np.asarray(r, dtype=float)
-    if np.any(r_in < 0):
-        raise KernelDomainError("kernel.kernel_scalars: negative distance")
     s = np.atleast_1d(r_in) / params.ell
-    small = s <= params.switch_radius / params.ell
+    small = s <= params.switch_radius / params.ell   # holds every r < 0
+    near = small.any()
+    if near and np.any(np.atleast_1d(r_in)[small] < 0):
+        raise KernelDomainError("kernel.kernel_scalars: negative distance")
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        es = np.exp(-s)
-        gA = (1.0 - 2.0 * es + 2.0 * (1.0 - es * (1.0 + s)) / s ** 2) / s
-        gB = (1.0 - 6.0 / s ** 2 + es * (2.0 + 6.0 / s + 6.0 / s ** 2)) / s
+        es = np.negative(s)
+        np.exp(es, out=es)
+        s2 = s * s
+        A = s + 1.0
+        A *= es
+        np.subtract(1.0, A, out=A)
+        A *= 2.0
+        A /= s2                  # 2 (1 - e^-s (1 + s)) / s^2
+        B = es * 2.0
+        np.subtract(1.0, B, out=B)
+        A += B
+        A /= s
+        np.divide(6.0, s2, out=s2)
+        np.divide(6.0, s, out=B)
+        B += 2.0
+        B += s2
+        B *= es                  # e^-s (2 + 6/s + 6/s^2)
+        np.subtract(1.0, s2, out=s2)
+        B += s2
+        B /= s
 
-    n = params.series_order + 1
-    ss = s[small]
-    gA[small] = np.polyval(_A_COEF[:n][::-1], ss)
-    gB[small] = np.polyval(_B_COEF[:n][::-1], ss)
+    if near:
+        n = params.series_order + 1
+        ss = s[small]
+        A[small] = np.polyval(_A_COEF[:n][::-1], ss)
+        B[small] = np.polyval(_B_COEF[:n][::-1], ss)
 
     scale = 1.0 / (8.0 * np.pi * params.mu * params.ell)
-    A = scale * gA
-    B = scale * gB
+    A *= scale
+    B *= scale
     if r_in.ndim == 0:
         return KernelScalars(float(A[0]), float(B[0]))
     return KernelScalars(A.reshape(r_in.shape), B.reshape(r_in.shape))

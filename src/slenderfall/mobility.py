@@ -13,10 +13,12 @@ Only one triangle of G is stored, in LAPACK's rectangular full packed (RFP)
 format: m(m+1)/2 doubles for m = 3N, half the square (Gustavson, Wasniewski,
 Dongarra & Langou, ACM TOMS 2010). It is assembled straight into that array
 in row strips of nodes, so the kernel is evaluated once per node pair and the
-pairwise temporaries stay one strip in size at any N. The hyperviscous
-symbol is positive, so G is positive definite and is factored once, in
-place, by the RFP Cholesky dpftrf, G = L L^T. The quadrature weights cancel
-from the resistance: with U the 3N x 6 matrix of the six unit rigid motions,
+pairwise temporaries stay one strip in size at any N. That pass is the only
+one over the node pairs: its squared distances also give the smallest node
+separation (ResistanceSet.min_separation). The hyperviscous symbol is
+positive, so G is positive definite and is factored once, in place, by the
+RFP Cholesky dpftrf, G = L L^T. The quadrature weights cancel from the
+resistance: with U the 3N x 6 matrix of the six unit rigid motions,
 the grand resistance matrix is A6 = U^T G^-1 U = Y^T Y with Y = L^-1 U (the
 RFP triangular solve dtfsm), and
 
@@ -39,12 +41,17 @@ block diagonal (Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal.
 
 are assembled, factored and solved one at a time, in place of G: a quarter
 of the factor's work and a quarter of its memory. Any other body takes the
-one-block path.
+one-block path. R = Q diag(eps) Q^T has the eigenvalues eps_a = +-1, so in
+the eigenframe of R, on the rotated nodes (x - c) Q, the mirror is a sign
+per axis: the far term's component (a,b) is the near term's formula at
+d = x_p - x_{N-1-q} times +-eps_b, written with the near term in one pass.
+The rigid motions are rotated into that frame by Q^T, and the point forces
+back by Q.
 """
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
@@ -58,13 +65,15 @@ _ZERO_DATA_TOL = 1e-12
 # largest distance of a node from the image of its mirror node, relative to
 # the body's extent, for the two-block path
 _SYMMETRY_RTOL = 1e-12
-# strip-sized float64 arrays alive next to the packed matrix at the peak of
-# assembly (the strip's differences and distances, A, B, kernel_scalars' own
-# temporaries and the nine components of the strip's block rows)
-_STRIP_TEMPORARIES = 25
-# and those of a strip's mirror term: its differences and distances, A, B,
-# R d, B d_a and R_ab A
-_MIRROR_TEMPORARIES = 11
+# strip-sized float64 arrays alive at the peak of assembly, inside
+# kernel_scalars: the strip's differences and squared distances (4), its
+# nine components (9), the distances and kernel_scalars' own arrays with its
+# near-field mask (7) and the square blocks' triangle mask (1)
+_STRIP_TEMPORARIES = 21
+# and, with the mirror term, the far differences and squared distances (4)
+# and the near term's A and B kept while the far kernel runs (2), plus one
+# for the near-field subsets
+_MIRROR_TEMPORARIES = 7
 
 
 def _check_fits(n, mirrored=False):
@@ -91,7 +100,8 @@ def _rfp_diagonal(m):
 
 @np.errstate(over="ignore", invalid="ignore")
 def assemble_system(body, params, mirror=None):
-    """Green matrix G, block (p,q) = G(x_p - x_q), no weights, packed RFP.
+    """Green matrix G, block (p,q) = G(x_p - x_q), no weights, packed RFP,
+    and the smallest distance between two distinct nodes.
 
     Component (a,b) of every block is A(r) delta_ab + B(r) d_a d_b / r^2 with
     d = x_p - x_q. Returns LAPACK's rectangular full packed array of the
@@ -108,19 +118,24 @@ def assemble_system(body, params, mirror=None):
     above h and transposed for rows below it, plus the upper triangle of
     the square block, whose lower entries would overwrite the other half of
     the RFP array; a strip that straddles row h is written in two parts.
-    The diagonal blocks are A(0) I. An entry that overflows stays inf or
-    NaN, without a floating-point warning; _factorize refuses its factor.
+    The diagonal blocks are A(0) I. The strips' squared distances also give
+    the smallest node separation, and a zero one is refused. An entry that
+    overflows stays inf or NaN, without a floating-point warning;
+    _factorize refuses its factor.
 
-    With mirror = (R, sign), R the reversal involution of a body of even N
-    (see the module docstring), the result is instead the diagonal block
-    G+ (sign 1) or G- (sign -1) of order 3N/2, in the same layout: block
-    (p,q), p, q < N/2, gains sign G(x_p - x_{N-1-q}) R, whose component
-    (a,b) is sign (A R_ab + B d_a (R d)_b / r^2) with d = x_p - x_{N-1-q}.
-    The strips then pair the first N/2 nodes with the first N/2 and with
-    the last N/2 in reverse order.
+    With mirror = (eps, sign), the body's nodes given in the eigenframe of
+    its reversal involution (see the module docstring), so that node N-1-p
+    is node p with its coordinates times eps, the result is instead the
+    diagonal block G+ (sign 1) or G- (sign -1) of order 3N/2, in the same
+    layout: block (p,q), p, q < N/2, gains sign G(x_p - x_{N-1-q}) diag(eps),
+    whose component (a,b) is the near term's formula at d = x_p - x_{N-1-q}
+    times sign eps_b. The strips pair the first N/2 nodes with the first
+    N/2 and with the last N/2 in reverse order; the separation covers both.
     """
-    x, far = body.nodes, repeat(None)
+    x, far, flip = body.nodes, repeat(None), None
     if mirror is not None:
+        eps, sign = mirror
+        flip = sign * np.asarray(eps) > 0   # the far term's sign, per column b
         half = body.n_nodes // 2
         x, far = x[:half], pair_strips(x[:half], x[half:][::-1])
     n = x.shape[0]
@@ -128,30 +143,17 @@ def assemble_system(body, params, mirror=None):
     m = 3 * n
     h, s = (m + 1) // 2, 1 - m % 2
     P = np.empty((h, m + s))
-    buf = upper = None
+    buf = np.empty(9 * min(max(_STRIP_PAIRS, n), n * n))   # the largest strip
+    # a strip of k rows and at least k columns holds at most _STRIP_PAIRS
+    # pairs unless k = 1, so k <= isqrt(_STRIP_PAIRS)
+    tall = 3 * min(n, math.isqrt(_STRIP_PAIRS))
+    upper = np.triu(np.ones((tall, tall), dtype=bool))
+    sep2 = np.inf
     for (p0, p1, d, r2), far_strip in zip(pair_strips(x), far):
-        r = np.sqrt(r2)
-        np.fill_diagonal(r2, np.inf)  # B(0) = 0, so the diagonal of B / r^2 is 0
-        _refuse_duplicates(r2)
-        A, B = kernel_scalars(r, params)
-        B /= r2
-        if buf is None:  # the first strip is the largest
-            buf = np.empty(9 * r2.size)
-            upper = np.triu(np.ones((3 * (p1 - p0),) * 2, dtype=bool))
-        S4 = buf[:9 * r2.size].reshape(p1 - p0, 3, n - p0, 3)
-        gab = r2  # the component buffer of this strip
-        for a in range(3):
-            for b in range(a, 3):
-                np.multiply(B, d[a], out=gab)
-                gab *= d[b]
-                if a == b:
-                    gab += A
-                S4[:, a, :, b] = gab
-                if a != b:
-                    S4[:, b, :, a] = gab
-        if far_strip is not None:
-            _add_mirror_term(S4, far_strip, *mirror, params, gab)
-        S = S4.reshape(3 * (p1 - p0), 3 * (n - p0))
+        k = p1 - p0
+        S4 = buf[:9 * r2.size].reshape(k, 3, n - p0, 3)
+        sep2 = min(sep2, _block_rows(S4, d, r2, far_strip, flip, params))
+        S = S4.reshape(3 * k, 3 * (n - p0))
         i0, i1 = 3 * p0, 3 * p1
         for lo, hi in ((i0, min(i1, h)), (max(i0, h), i1)):
             if lo >= hi:
@@ -165,32 +167,53 @@ def assemble_system(body, params, mirror=None):
                 P[hi - h + 1 - s:, lo - h:hi - h] = right.T
                 dst = P[lo - h + 1 - s:hi - h + 1 - s, lo - h:hi - h].T
             np.copyto(dst, square, where=upper[:hi - lo, :hi - lo])
-    return P
+    return P, float(np.sqrt(sep2))
 
 
-def _refuse_duplicates(r2):
-    if r2.min() == 0.0:
+def _block_rows(S4, d, r2, far, flip, params):
+    """Write a strip's block rows into S4, each component once, its far
+    term (if any) added or subtracted as flip says; return the strip's
+    least squared distance between two distinct nodes. Once the kernel has
+    run, r2 and f2 serve as the component buffers; the kernel values are
+    dropped on return, before the next strip is formed."""
+    A, B = kernel_scalars(np.sqrt(r2), params)
+    np.fill_diagonal(r2, np.inf)  # B(0) = 0, so the diagonal of B / r^2 is 0
+    least = _least(r2)
+    B /= r2
+    if far is not None:
+        _, _, e, f2 = far
+        least = min(least, _least(f2))
+        Af, Bf = kernel_scalars(np.sqrt(f2), params)
+        Bf /= f2
+    for a in range(3):
+        for b in range(a, 3):
+            _component(A, B, d, a, b, r2)
+            if far is not None:
+                _component(Af, Bf, e, a, b, f2)
+            for i, j in ((a, b), (b, a)) if a != b else ((a, b),):
+                if far is None:
+                    S4[:, i, :, j] = r2
+                else:
+                    (np.add if flip[j] else np.subtract)(r2, f2, out=S4[:, i, :, j])
+    return least
+
+
+def _least(r2):
+    """The least of a strip's squared distances; zero is refused."""
+    least = r2.min()
+    if least == 0.0:
         raise AssemblyError("mobility.assemble_system: duplicate nodes make "
                             "the collocation system singular")
+    return least
 
 
-def _add_mirror_term(S4, strip, R, sign, params, gab):
-    """Add sign G(d) R to the strip's block rows S4, d the strip's mirror
-    differences."""
-    _, _, d, r2 = strip
-    _refuse_duplicates(r2)
-    A, B = kernel_scalars(np.sqrt(r2), params)
-    A *= sign
-    B *= sign
-    B /= r2
-    e = [R[b, 0] * d[0] + R[b, 1] * d[1] + R[b, 2] * d[2] for b in range(3)]
-    for a in range(3):
-        Bd = B * d[a]
-        for b in range(3):
-            np.multiply(Bd, e[b], out=gab)
-            if R[a, b] != 0.0:
-                gab += R[a, b] * A
-            S4[:, a, :, b] += gab
+def _component(A, B, d, a, b, out):
+    """Component (a,b) of a strip's blocks, B d_a d_b (+ A if a == b), into
+    out; B is B(r) / r^2."""
+    np.multiply(B, d[a], out=out)
+    out *= d[b]
+    if a == b:
+        out += A
 
 
 def _factorize(packed):
@@ -198,16 +221,18 @@ def _factorize(packed):
 
     `packed` is the RFP array of `assemble_system` (any shape with that
     memory order); it is overwritten by L in the same RFP layout, which
-    dtfsm and dpftrs read.
+    dtfsm and dpftrs read. A NaN pivot stops dpftrf and is left on the
+    diagonal, so the diagonal is checked first: an overflowed matrix is
+    reported as such, not as indefinite.
     """
     m = (math.isqrt(8 * packed.size + 1) - 1) // 2   # packed.size = m(m+1)/2
     L, info = lapack.dpftrf(m, packed.reshape(-1), transr="N", uplo="L",
                             overwrite_a=1)
+    if not np.all(np.isfinite(L[_rfp_diagonal(m)])):
+        raise SolverError("mobility: Cholesky factor has non-finite entries")
     if info != 0:
         raise SolverError(f"mobility: Green matrix is not positive definite "
                           f"(dpftrf info {info})")
-    if not np.all(np.isfinite(L[_rfp_diagonal(m)])):
-        raise SolverError("mobility: Cholesky factor has non-finite entries")
     return L
 
 
@@ -218,9 +243,11 @@ def rigid_data(body, xi, omega):
 
 
 def _reversal_symmetry(x):
-    """The involution R with x_{N-1-p} - c = R (x_p - c) for every node,
-    c the node centroid, to _SYMMETRY_RTOL of the body's extent; None if
-    N is odd or there is none.
+    """The eigenframe of the involution R with x_{N-1-p} - c = R (x_p - c)
+    for every node, c the node centroid, to _SYMMETRY_RTOL of the body's
+    extent: (c, Q, eps) with R = Q diag(eps) Q^T, Q orthogonal and eps
+    signs, so that the rotated nodes (x_p - c) Q of nodes N-1-p and p differ
+    by the factor eps per axis; None if N is odd or there is no such R.
 
     With y_p = x_p - c, M = sum_p y_{N-1-p} y_p^T is symmetric (reversing
     the sum transposes it), and the orthogonal R closest to mapping each
@@ -234,16 +261,18 @@ def _reversal_symmetry(x):
     if n % 2:
         return None
     with np.errstate(over="ignore", invalid="ignore"):   # inf or NaN: no symmetry
-        y = x - x.mean(axis=0)
+        c = x.mean(axis=0)
+        y = x - c
         extent = np.abs(y).max()
     if not 0.0 < extent < np.inf:
         return None
     y = y / extent
     lam, Q = np.linalg.eigh(y[::-1].T @ y)
-    R = (Q * np.where(lam < 0.0, -1.0, 1.0)) @ Q.T
-    if np.linalg.norm(y[::-1] - y @ R, axis=1).max() > _SYMMETRY_RTOL:
+    eps = np.where(lam < 0.0, -1.0, 1.0)
+    w = y @ Q
+    if np.linalg.norm(w[::-1] - w * eps, axis=1).max() > _SYMMETRY_RTOL:
         return None
-    return R
+    return c, Q, eps
 
 
 def _solve(packed, U):
@@ -267,6 +296,7 @@ class ResistanceSet:
     densities: np.ndarray    # (N,3,6) column j: density of unit motion j
     blocks: tuple            # orders of the factored diagonal blocks of G
     asymmetry: float         # relative asymmetry before symmetrization
+    min_separation: float    # smallest distance between two distinct nodes
     ell: float
     mu: float
     n_nodes: int
@@ -298,13 +328,21 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
     cancelled: sum_q w_q Phi_qj and sum_q w_q x_q x Phi_qj. The axial
     rotation of a straight body generates no boundary data and gives an
     exact zero row and column of A6 and an exact zero density. The
-    reciprocity gate below compares A6 with its transpose; as Y^T Y is
-    symmetric by construction, it can no longer fail.
+    reciprocity gate below compares A6 with its transpose, both scaled by
+    the largest entry; as Y^T Y is symmetric by construction, it can no
+    longer fail.
 
     A reversal-symmetric body is solved on the two blocks G+- of the module
-    docstring instead: with U+-_p = U_p +- R U_{N-1-p} and psi+- = G+-^-1 U+-,
+    docstring instead, in the eigenframe of R, where R = diag(eps): with
+    U_p rotated by Q^T, U+-_p = U_p +- eps U_{N-1-p} and psi+- = G+-^-1 U+-,
     A6 = (Y+^T Y+ + Y-^T Y-) / 2, and the nodal point forces are
-    (psi+_p + psi-_p) / 2 at node p and R (psi+_p - psi-_p) / 2 at N-1-p.
+    (psi+_p + psi-_p) / 2 at node p and eps (psi+_p - psi-_p) / 2 at N-1-p,
+    rotated back by Q.
+
+    `min_separation` is the smallest distance between two distinct nodes,
+    found by the assembly; on the two-block path it covers the pairs within
+    the first N/2 nodes and between the halves, and the others are their
+    mirror images.
     """
     n = body.n_nodes
     eye = np.eye(3)
@@ -317,27 +355,33 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
             if np.linalg.norm(u) >= _ZERO_DATA_TOL * (1 + body.length):
                 U[:, j] = u  # else straight-body axial rotation: zero column
 
-    R = _reversal_symmetry(body.nodes)
-    if R is None:
-        A6, psi = _solve(assemble_system(body, params), U)
+    sym = _reversal_symmetry(body.nodes)
+    if sym is None:
+        packed, sep = assemble_system(body, params)
+        A6, psi = _solve(packed, U)
         blocks = (3 * n,)
     else:
+        c, Q, eps = sym
         h = n // 2
-        U3 = U.reshape(n, 3, 6)
-        near, far = U3[:h], R @ U3[h:][::-1]
+        frame = replace(body, nodes=(body.nodes - c) @ Q)
+        U3 = Q.T @ U.reshape(n, 3, 6)
+        near, far = U3[:h], eps[:, None] * U3[h:][::-1]
         A6, parts = np.zeros((6, 6)), []
-        for sign in (1.0, -1.0):   # one block alive at a time: it is not kept
-            A, p = _solve(assemble_system(body, params, (R, sign)),
-                          (near + sign * far).reshape(3 * h, 6))
+        for sign in (1.0, -1.0):
+            packed, sep = assemble_system(frame, params, (eps, sign))
+            A, p = _solve(packed, (near + sign * far).reshape(3 * h, 6))
+            del packed   # one block alive at a time
             A6 += 0.5 * A
             parts.append(p.reshape(h, 3, 6))
         plus, minus = parts
-        psi = 0.5 * np.concatenate([plus + minus, (R @ (plus - minus))[::-1]])
+        psi = Q @ (0.5 * np.concatenate([plus + minus,
+                                         (eps[:, None] * (plus - minus))[::-1]]))
         blocks = (3 * h, 3 * h)
     densities = psi.reshape(n, 3, 6) / body.weights[:, None, None]
 
-    norm = np.linalg.norm(A6)
-    asym = float(np.linalg.norm(A6 - A6.T) / norm) if norm > 0 else 0.0
+    scaled = A6 / (np.abs(A6).max() or 1.0)   # |A6|^2 may overflow
+    norm = np.linalg.norm(scaled)
+    asym = float(np.linalg.norm(scaled - scaled.T) / norm) if norm > 0 else 0.0
     if asym > asymmetry_tol:
         raise ConvergenceError(
             f"mobility.resistance_set: grand matrix asymmetry {asym:.3e} exceeds "
@@ -345,5 +389,6 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
     A6 = 0.5 * (A6 + A6.T)
     return ResistanceSet(k_tt=A6[:3, :3], k_tr=A6[:3, 3:], k_rt=A6[3:, :3],
                          k_rr=A6[3:, 3:], grand=A6, densities=densities,
-                         blocks=blocks, asymmetry=asym, ell=params.ell,
+                         blocks=blocks, asymmetry=asym, min_separation=sep,
+                         ell=params.ell,
                          mu=params.mu, n_nodes=n, shape_hash=body.shape_hash())

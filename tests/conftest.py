@@ -100,10 +100,22 @@ def random_walk_body(n, seed=0, step=0.01):
 
 
 def with_strip_rows(monkeypatch, n, rows):
-    """Size the pairwise row strips to `rows` rows for an N-node body."""
+    """Fix the pairwise row strips at `rows` rows each for an N-node body,
+    whatever their columns, so that strip boundaries fall at multiples of
+    `rows`."""
     from slenderfall import geometry
-    monkeypatch.setattr(geometry, "_STRIP_PAIRS", rows * n)
-    assert len(list(geometry.pair_strips(np.zeros((n, 3))))) == -(-n // rows)
+    assert rows * n <= geometry._STRIP_PAIRS   # the strip buffers' size
+    monkeypatch.setattr(geometry, "_strip_rows", lambda cols: rows)
+    bounds = [(p0, p1) for p0, p1, _, _ in geometry.pair_strips(np.zeros((n, 3)))]
+    assert bounds == [(p0, min(p0 + rows, n)) for p0 in range(0, n, rows)]
+
+
+def dense_min_separation(x):
+    """The smallest distance between two distinct nodes, from the whole
+    N x N table of squared distances, and the pair of nodes at it."""
+    d2 = sum((x[:, None, a] - x[None, :, a]) ** 2 for a in range(3))
+    np.fill_diagonal(d2, np.inf)
+    return float(np.sqrt(d2.min())), np.unravel_index(np.argmin(d2), d2.shape)
 
 
 def rfp_to_dense(packed):

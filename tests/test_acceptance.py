@@ -145,7 +145,7 @@ def test_criterion_7_regularization_necessity(rod_spec):
     body = discretize(rod_spec, panels=16, order=4)  # N = 64
     conds = []
     for ell in (1.0, 0.1, 0.01):
-        M = rfp_to_dense(assemble_system(body, KernelParams(ell=ell)))
+        M = rfp_to_dense(assemble_system(body, KernelParams(ell=ell))[0])
         conds.append(float(np.linalg.cond(M)))
     ok = conds[0] < conds[1] < conds[2]
     _report(7, "condition number grows as ell decreases", ok,

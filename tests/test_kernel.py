@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from slenderfall import KernelParams, fourier_oracle, kernel_scalars
 from slenderfall.errors import KernelDomainError
+from slenderfall.kernel import _A_COEF, _B_COEF
 
 from conftest import dense_green
 
@@ -139,6 +140,45 @@ def test_array_evaluation_matches_scalar():
     for i, r in enumerate(rs):
         a, b = kernel_scalars(float(r), p)
         assert A[i] == a and B[i] == b
+
+
+def written_out_kernel(r, params):
+    """A(r), B(r): the closed form as one expression per scalar, replaced
+    by the Taylor series at and below the switch radius."""
+    s = r / params.ell
+    small = s <= params.switch_radius / params.ell
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        es = np.exp(-s)
+        gA = (1.0 - 2.0 * es + 2.0 * (1.0 - es * (1.0 + s)) / s ** 2) / s
+        gB = (1.0 - 6.0 / s ** 2 + es * (2.0 + 6.0 / s + 6.0 / s ** 2)) / s
+    n = params.series_order + 1
+    gA[small] = np.polyval(_A_COEF[:n][::-1], s[small])
+    gB[small] = np.polyval(_B_COEF[:n][::-1], s[small])
+    scale = 1.0 / (8.0 * np.pi * params.mu * params.ell)
+    return scale * gA, scale * gB
+
+
+@pytest.mark.parametrize("ell, mu", [(0.1, 1.0), (1.0, 2.5), (3.7, 0.3)])
+def test_kernel_matches_written_out_formula_bitwise(ell, mu):
+    # 10^4 radii straddling the switch, r = 0 first; evaluated whole and in
+    # sorted strips, of which the upper ones hold no near-field entry
+    p = KernelParams(ell=ell, mu=mu)
+    rng = np.random.default_rng(2)
+    r = np.concatenate([[0.0], p.switch_radius * rng.uniform(0.0, 2.0, 4999),
+                        ell * rng.uniform(0.0, 30.0, 5000)])
+    assert np.array_equal(np.stack(kernel_scalars(r, p)),
+                          np.stack(written_out_kernel(r, p)))
+    strips = np.array_split(np.sort(r), 7)
+    assert np.all(strips[-1] > p.switch_radius)
+    for strip in strips:
+        assert np.array_equal(np.stack(kernel_scalars(strip, p)),
+                              np.stack(written_out_kernel(strip, p)))
+
+
+def test_kernel_refuses_negative_distance_among_others():
+    p = KernelParams(ell=1.0)
+    with pytest.raises(KernelDomainError):
+        kernel_scalars(np.array([0.5, 3.0, -1e-300, 2.0]), p)
 
 
 @settings(max_examples=50, deadline=None)

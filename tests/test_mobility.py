@@ -12,11 +12,11 @@ from scipy.linalg import lapack
 from slenderfall import (CurveSpec, DiscreteBody, KernelParams, assemble_system,
                          discretize, kernel_scalars, resistance_set)
 from slenderfall.errors import AssemblyError, ConfigError, SolverError
-from slenderfall import mobility
+from slenderfall import geometry, mobility
 from slenderfall.mobility import _factorize, rigid_data
 
-from conftest import (dense_green, random_polyline_spec, random_walk_body,
-                      rfp_to_dense, with_strip_rows)
+from conftest import (dense_green, dense_min_separation, random_polyline_spec,
+                      random_walk_body, rfp_to_dense, with_strip_rows)
 
 
 def single_node_body(weight=0.25):
@@ -28,7 +28,7 @@ def single_node_body(weight=0.25):
 def test_single_node_system():
     p = KernelParams(ell=0.5, mu=2.0)
     w = 0.25
-    M = rfp_to_dense(assemble_system(single_node_body(w), p))
+    M = rfp_to_dense(assemble_system(single_node_body(w), p)[0])
     assert np.allclose(M, np.eye(3) / (6 * np.pi * p.mu * p.ell), rtol=1e-12)
 
 
@@ -40,7 +40,7 @@ def test_equal_weight_symmetry(params):
     w = np.full(n, 2 * np.pi / n)
     body = DiscreteBody(nodes=nodes, weights=w, arclength=th, density=np.ones(n),
                         panels=n, order=2, length=float(w.sum()))
-    M = rfp_to_dense(assemble_system(body, params))
+    M = rfp_to_dense(assemble_system(body, params)[0])
     assert np.linalg.norm(M - M.T) <= 1e-12 * np.linalg.norm(M)
 
 
@@ -257,17 +257,115 @@ def test_assembly_strips_match_dense_reference(monkeypatch, params, n):
     # N = 16 h is a strip boundary, and at N = 20 the second strip straddles it
     with_strip_rows(monkeypatch, n, 8)
     body = random_walk_body(n)
-    G = rfp_to_dense(assemble_system(body, params))
+    G = rfp_to_dense(assemble_system(body, params)[0])
     assert np.array_equal(G, dense_green(body.nodes, params))
 
 
 def test_assembly_default_strips_match_dense_reference(params):
     body = random_walk_body(300, seed=1)   # several strips of the default height
-    G = rfp_to_dense(assemble_system(body, params))
-    assert np.array_equal(G, dense_green(body.nodes, params))
+    packed, separation = assemble_system(body, params)
+    assert np.array_equal(rfp_to_dense(packed), dense_green(body.nodes, params))
+    assert separation == dense_min_separation(body.nodes)[0]
 
 
-@pytest.mark.parametrize("p, q", [(0, 28), (9, 27)])
+def test_pair_strips_balanced():
+    # consecutive strips cover the rows; every strip but the last is within
+    # one row of _STRIP_PAIRS pairs, and none holds more than
+    # max(_STRIP_PAIRS, its columns)
+    for n in (1, 90, 91, 2304, 9000):
+        x = np.zeros((n, 3))
+        strips = [(p0, p1, r2.size) for p0, p1, _, r2 in geometry.pair_strips(x)]
+        assert [p0 for p0, _, _ in strips] == [0] + [p1 for _, p1, _ in strips[:-1]]
+        assert strips[-1][1] == n
+        for p0, p1, size in strips:
+            cols = n - p0
+            assert size == (p1 - p0) * cols <= max(geometry._STRIP_PAIRS, cols)
+            if p1 < n:
+                assert size + cols > geometry._STRIP_PAIRS
+
+
+def test_min_separation_across_strip_boundary(monkeypatch, params):
+    n = 29
+    with_strip_rows(monkeypatch, n, 8)
+    body = random_walk_body(n)
+    body.nodes[8] = body.nodes[7] + 1e-4   # rows 7 and 8 are in different strips
+    ref, pair = dense_min_separation(body.nodes)
+    assert sorted(pair) == [7, 8]
+    R = resistance_set(body, params)
+    assert R.blocks == (3 * n,) and R.min_separation == ref
+
+
+def test_readme_helix_min_separation(helix_spec, params):
+    body = discretize(helix_spec, panels=256, order=6)   # N = 1536
+    ref, _ = dense_min_separation(body.nodes)
+    R = resistance_set(body, params)
+    assert R.blocks == (2304, 2304)
+    assert abs(R.min_separation - ref) <= 1e-12 * ref
+
+
+def mirror_body(n, seed=0, close=None, gap=1e-3):
+    """N nodes, the last N/2 the first N/2 in reverse order turned by pi
+    about an axis, then rotated and moved. close = (p, q) puts node q at
+    `gap` from node p: q < N/2 moves node q itself, q >= N/2 moves node
+    N-1-q so that its mirror image lands there."""
+    rng = np.random.default_rng(seed)
+    h, turn = n // 2, np.array([1.0, -1.0, -1.0])
+    y = rng.uniform(-1.0, 1.0, size=(h, 3))
+    if close is not None:
+        p, q = close
+        target = y[p] + gap * np.array([0.6, 0.0, 0.8])
+        if q < h:
+            y[q] = target
+        else:
+            y[n - 1 - q] = target * turn
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    nodes = np.vstack([y, (y * turn)[::-1]]) @ Q.T + np.array([0.3, -1.2, 2.5])
+    return DiscreteBody(nodes=nodes, weights=np.ones(n),
+                        arclength=np.arange(n, dtype=float), density=np.ones(n),
+                        panels=n, order=2, length=float(n))
+
+
+@pytest.mark.parametrize("close", [(3, 20), (5, 29)], ids=["same-half", "across-halves"])
+def test_symmetric_min_separation_across_strips(monkeypatch, params, close):
+    # N = 48: the first 24 nodes in strips of 8 rows; nodes 3 and 20 sit in
+    # different strips, and node 29 is the mirror of node 18
+    n = 48
+    with_strip_rows(monkeypatch, n // 2, 8)
+    body = mirror_body(n, close=close)
+    ref, pair = dense_min_separation(body.nodes)
+    p, q = close
+    assert sorted(pair) in (sorted(close), sorted((n - 1 - p, n - 1 - q)))  # or its mirror
+    R = resistance_set(body, params)
+    assert R.blocks == (3 * n // 2,) * 2
+    assert abs(R.min_separation - ref) <= 1e-12 * ref
+    body = mirror_body(n, close=close, gap=0.0)
+    assert mobility._reversal_symmetry(body.nodes) is not None
+    with pytest.raises(AssemblyError):
+        resistance_set(body, params)
+
+
+@pytest.mark.parametrize("rows", [8, None])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_mirror_blocks_match_dense_reference(monkeypatch, params, sign, rows):
+    # G+- in the eigenframe of the mirror: block (p,q) is
+    # G(x_p - x_q) + sign G(x_p - x_{N-1-q}) diag(eps), whose upper triangle
+    # is stored; the dense Green matrix of the rotated nodes gives both terms
+    n = 40
+    if rows is not None:
+        with_strip_rows(monkeypatch, n // 2, rows)
+    body = mirror_body(n, seed=3)
+    c, Q, eps = mobility._reversal_symmetry(body.nodes)
+    assert sorted(eps) == [-1.0, -1.0, 1.0]
+    frame = replace(body, nodes=(body.nodes - c) @ Q)
+    G = dense_green(frame.nodes, params).reshape(n, 3, n, 3)
+    h = n // 2
+    block = G[:h, :, :h] + sign * G[:h, :, ::-1][:, :, :h] * eps
+    block = block.reshape(3 * h, 3 * h)
+    packed, _ = assemble_system(frame, params, (eps, sign))
+    assert np.array_equal(np.triu(rfp_to_dense(packed)), np.triu(block))
+
+
+@pytest.mark.parametrize("p, q", [(0, 28), (9, 27), (3, 20)])
 def test_duplicate_nodes_in_different_strips_raise(monkeypatch, params, p, q):
     # nodes p and q sit in different strips; the pair is met in p's strip
     n = 29
@@ -306,13 +404,13 @@ def test_symmetric_assembly_peak_memory(helix_spec, params):
         tracemalloc.stop()
     assert R.blocks == (3 * n // 2,) * 2
     # one packed block of order 3N/2 at a time, 9 N^2 bytes, plus one
-    # strip's temporaries and the 3N x 6 right-hand sides: measured 12.6 N^2,
-    # bounded with a margin of about 1 N^2 (0.6 MB)
+    # strip's temporaries and the 3N x 6 right-hand sides: measured 12.7 N^2,
+    # bounded with a margin of about 0.8 N^2 (0.5 MB)
     assert peak <= 13.5 * n * n
 
 
 def test_memory_guard_counts_packed_matrix(monkeypatch, params):
-    # N = 1000 needs 36 N^2 bytes for the packed matrix plus about 1.6 MB of
+    # N = 1000 needs 36 N^2 bytes for the packed matrix plus about 1.4 MB of
     # strip temporaries: 40 N^2 bytes of RAM suffice, where the 72 N^2 of the
     # full square would not, and 30 N^2 do not
     n = 1000
@@ -323,7 +421,7 @@ def test_memory_guard_counts_packed_matrix(monkeypatch, params):
     with pytest.raises(ConfigError):
         mobility._check_fits(n)
     # a reversal-symmetric body of N = 1000 factors one block of order 1500
-    # at a time, 9 N^2 bytes, plus about 2.4 MB of strip temporaries: it is
+    # at a time, 9 N^2 bytes, plus about 1.8 MB of strip temporaries: it is
     # solved in 12 N^2 bytes of RAM, where an asymmetric body is refused
     ram["SC_PHYS_PAGES"] = 12 * n * n
     ring = discretize(CurveSpec(kind="ring", radius=1.0), panels=250, order=4)
