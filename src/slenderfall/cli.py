@@ -20,13 +20,13 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .dynamics import DynamicsParams, FallState, detect_steady, integrate
+from .dynamics import DynamicsParams, FallState, detect_steady, integrate, max_stable_dt
 from .errors import ConfigError, ConvergenceError, GeometryError, SlenderFallError
 from .freefall import steady_states
 from .geometry import (CurveSpec, discretize, load_polyline_csv, mass_properties,
-                       validate_geometry)
+                       panel_counts, validate_geometry)
 from .kernel import KernelParams, fourier_oracle, kernel_scalars
-from .mobility import resistance_set
+from .mobility import require_memory, resistance_set
 
 MODES = ("mobility", "steady", "fall", "kernel-check", "convergence")
 
@@ -223,12 +223,18 @@ def _parse_config(raw):
 
     try:
         spec = _build_spec(body, density)
+        nodes = order * sum(panel_counts([L for _, L in spec.segments()], panels))
     except SlenderFallError as exc:
         raise ConfigError(f"cli.parse_config: {exc}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cli.parse_config: bad body block: {exc}")
     except OSError as exc:
         raise ConfigError(f"cli.parse_config: cannot read the polyline CSV: {exc}")
+    # Refuse, before its nodes are made, a body that cannot be solved: every
+    # path allocates at least the smaller block of a reversal-symmetric
+    # body, a packed matrix of order 3N/2 (assemble_system checks the exact
+    # need of the body as discretized).
+    require_memory(3 * nodes // 2, f"cli.parse_config: {nodes} nodes")
 
     return RunConfig(spec=spec, ell=ell, re=re, mu=mu, m=m, m_c=m_c,
                      panels=panels, order=order, dynamics=dyn,
@@ -400,12 +406,21 @@ def run(cfg, mode, out_dir="."):
         if mode == "fall":
             if cfg.dynamics is None:
                 raise ConfigError("cli.run: fall mode needs a 'dynamics' block")
+            dt, dt_max = cfg.dynamics.dt, max_stable_dt(R, mp)
+            if dt > dt_max:
+                raise ConfigError(
+                    f"cli.run: dt = {dt:.6g} exceeds dt_max = {dt_max:.6g}, the "
+                    f"largest step RK4 keeps stable under this body's drag "
+                    f"(2.785 / its fastest decay rate)")
             s0 = FallState.from_rest(cfg.g_direction)
             traj = integrate(s0, R, mp, cfg.dynamics, steady_states=states)
             traj.to_csv(out / "trajectory.csv")
             report["dynamics"] = {
                 "trajectory_csv": "trajectory.csv",
                 "n_samples": len(traj),
+                "dt_max": dt_max,
+                "steps": round(traj.final.t / dt),   # from rest at t = 0
+                "halt": "steady" if traj.halted_steady else "t_end",
                 "halted_steady": traj.halted_steady,
                 "steady_detection": detect_steady(traj, states,
                                                   cfg.dynamics.steady_tol,

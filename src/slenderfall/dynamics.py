@@ -13,15 +13,21 @@ Reynolds number as a prefactor:
 
 At Re = 0 only (xi, omega) evolve; G, Q, c are frozen.
 
-The constants of the closure (the grand resistance matrix, J and its
-restricted inverse, the masses, r and Re) are gathered once per integration
-into a private operator whose one derivative does the 3-vector arithmetic
-above, with the cross products written out on Python floats: numpy's
+The constants of the quasi-steady closure (the grand resistance matrix, J
+and its restricted inverse, the masses, r and Re) are read once per
+integration into Python floats, the local constants of one derivative
+function. It forms each RK4 stage state y + c k itself and does the
+3-vector arithmetic above with the cross products written out: numpy's
 per-call overhead on 3-vectors costs far more than the arithmetic. The RK4
 loop keeps the state as a list of 21 floats; arrays and FallState objects
-are built only at samples. After every step G is renormalized and Q is
-replaced by its orthogonal polar factor, computed by Newton's iteration
-with the cofactor matrix (no SVD).
+are built only at samples, and the steady check there compares floats too.
+After every step G is renormalized and Q is replaced by its orthogonal
+polar factor, computed by Newton's iteration with the cofactor matrix (no
+SVD).
+
+``max_stable_dt`` gives the largest step RK4 keeps stable under the linear
+drag, 2.785 / lambda_max with lambda_max the largest decay rate of
+(xi, omega); the command line refuses a larger dt before the first step.
 """
 
 import math
@@ -36,6 +42,7 @@ from .freefall import residual
 _BLOWUP_NORM = 1e12
 _POLAR_TOL = 1e-8          # largest entry of a polar update at convergence
 _POLAR_MAX_ITER = 8
+_RK4_REAL_STABILITY = 2.785293563405282   # RK4 is stable on [-2.785..., 0]
 
 
 @dataclass(frozen=True)
@@ -110,34 +117,38 @@ def _inertia_pinv(mass_props, resistance, rtol=1e-12):
     return (evecs * inv) @ evecs.T
 
 
-class _Operator:
-    """Constants of the quasi-steady closure as Python floats, and the time
-    derivative of the packed state.
+def _derivative(resistance, mass_props, re):
+    """The time derivative of the packed state, a function whose constants
+    (those of the quasi-steady closure) are held as Python floats.
 
-    Raises MassModelError when J is singular in a torque-carrying direction.
+    ``deriv(y, k, c)`` is the derivative at the stage state y + c k (21
+    floats each; c = 0 with k = y gives y itself, bit for bit), formed entry
+    by entry; it returns 21 floats as a list. Raises MassModelError when J
+    is singular in a torque-carrying direction.
     """
+    ((a11, a12, a13, a14, a15, a16), (a21, a22, a23, a24, a25, a26),
+     (a31, a32, a33, a34, a35, a36), (a41, a42, a43, a44, a45, a46),
+     (a51, a52, a53, a54, a55, a56), (a61, a62, a63, a64, a65, a66)) = \
+        resistance.grand.tolist()
+    (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = \
+        np.asarray(mass_props.inertia, dtype=float).tolist()
+    (p11, p12, p13), (p21, p22, p23), (p31, p32, p33) = \
+        _inertia_pinv(mass_props, resistance).tolist()
+    r1, r2, r3 = np.asarray(mass_props.r, dtype=float).tolist()
+    m, m_e, m_c = float(mass_props.m), float(mass_props.m_e), float(mass_props.m_c)
+    re = float(re)
+    re_m = re * m
 
-    __slots__ = ("grand", "J", "J_pinv", "m", "m_e", "m_c", "r", "re")
+    def deriv(y, k, c):
+        # the stage state; c (the inertial position) does not enter
+        x1, x2, x3 = y[0] + c * k[0], y[1] + c * k[1], y[2] + c * k[2]
+        w1, w2, w3 = y[3] + c * k[3], y[4] + c * k[4], y[5] + c * k[5]
+        g1, g2, g3 = y[6] + c * k[6], y[7] + c * k[7], y[8] + c * k[8]
+        q11, q12, q13 = y[9] + c * k[9], y[10] + c * k[10], y[11] + c * k[11]
+        q21, q22, q23 = y[12] + c * k[12], y[13] + c * k[13], y[14] + c * k[14]
+        q31, q32, q33 = y[15] + c * k[15], y[16] + c * k[16], y[17] + c * k[17]
 
-    def __init__(self, resistance, mass_props, re):
-        self.grand = resistance.grand.tolist()
-        self.J = np.asarray(mass_props.inertia, dtype=float).tolist()
-        self.J_pinv = _inertia_pinv(mass_props, resistance).tolist()
-        self.m = float(mass_props.m)
-        self.m_e = float(mass_props.m_e)
-        self.m_c = float(mass_props.m_c)
-        self.r = np.asarray(mass_props.r, dtype=float).tolist()
-        self.re = float(re)
-
-    def deriv(self, y):
-        """Time derivative of the packed state y (21 floats) as a list."""
-        (x1, x2, x3, w1, w2, w3, g1, g2, g3,
-         q11, q12, q13, q21, q22, q23, q31, q32, q33, _, _, _) = y
-        re, m, m_c = self.re, self.m, self.m_c
         # hydrodynamic loads: (f, t) = -grand (xi, omega)
-        ((a11, a12, a13, a14, a15, a16), (a21, a22, a23, a24, a25, a26),
-         (a31, a32, a33, a34, a35, a36), (a41, a42, a43, a44, a45, a46),
-         (a51, a52, a53, a54, a55, a56), (a61, a62, a63, a64, a65, a66)) = self.grand
         f1 = -(a11 * x1 + a12 * x2 + a13 * x3 + a14 * w1 + a15 * w2 + a16 * w3)
         f2 = -(a21 * x1 + a22 * x2 + a23 * x3 + a24 * w1 + a25 * w2 + a26 * w3)
         f3 = -(a31 * x1 + a32 * x2 + a33 * x3 + a34 * w1 + a35 * w2 + a36 * w3)
@@ -146,21 +157,17 @@ class _Operator:
         t3 = -(a61 * x1 + a62 * x2 + a63 * x3 + a64 * w1 + a65 * w2 + a66 * w3)
 
         # m dxi/dt = m_e G + f - Re m (omega x xi)
-        m_e, re_m = self.m_e, re * m
         dxi1 = (m_e * g1 + f1 - re_m * (w2 * x3 - w3 * x2)) / m
         dxi2 = (m_e * g2 + f2 - re_m * (w3 * x1 - w1 * x3)) / m
         dxi3 = (m_e * g3 + f3 - re_m * (w1 * x2 - w2 * x1)) / m
 
         # J domega/dt = -m_c (r x G) + t - Re (omega x J omega)
-        r1, r2, r3 = self.r
-        (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = self.J
         j1 = b11 * w1 + b12 * w2 + b13 * w3
         j2 = b21 * w1 + b22 * w2 + b23 * w3
         j3 = b31 * w1 + b32 * w2 + b33 * w3
         u1 = -m_c * (r2 * g3 - r3 * g2) + t1 - re * (w2 * j3 - w3 * j2)
         u2 = -m_c * (r3 * g1 - r1 * g3) + t2 - re * (w3 * j1 - w1 * j3)
         u3 = -m_c * (r1 * g2 - r2 * g1) + t3 - re * (w1 * j2 - w2 * j1)
-        (p11, p12, p13), (p21, p22, p23), (p31, p32, p33) = self.J_pinv
 
         return [dxi1, dxi2, dxi3,
                 p11 * u1 + p12 * u2 + p13 * u3,
@@ -181,14 +188,38 @@ class _Operator:
                 re * (q21 * x1 + q22 * x2 + q23 * x3),
                 re * (q31 * x1 + q32 * x2 + q33 * x3)]
 
+    return deriv
+
 
 def rhs(state, resistance, mass_props, re):
     """Time derivative of the packed state under the quasi-steady closure.
 
     Evaluates the same float derivative that ``integrate`` steps with.
     """
-    op = _Operator(resistance, mass_props, re)
-    return np.array(op.deriv(state.pack().tolist()))
+    y = state.pack().tolist()
+    return np.array(_derivative(resistance, mass_props, re)(y, y, 0.0))
+
+
+def max_stable_dt(resistance, mass_props):
+    """Largest RK4 step that the linear drag leaves stable: 2.785 / lambda_max.
+
+    lambda_max is the largest eigenvalue of diag(I / m, J^+) A6, the decay
+    rates of (xi, omega) under the drag alone (real and >= 0, as for any
+    product of two positive semidefinite matrices); J^+ is J's restricted
+    inverse. RK4 damps a rate lambda only while dt lambda <= 2.785..., the
+    real root of 1 + z/2 + z^2/6 + z^3/24, where its amplification factor
+    1 + z + z^2/2 + z^3/6 + z^4/24 at z = -dt lambda returns to 1. Returns
+    0 when the rates overflow and inf when none is positive.
+    """
+    scale = np.zeros((6, 6))
+    scale[range(3), range(3)] = 1.0 / float(mass_props.m)
+    scale[3:, 3:] = _inertia_pinv(mass_props, resistance)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = scale @ resistance.grand
+    if not np.all(np.isfinite(rates)):
+        return 0.0          # rates beyond the float range: no step is stable
+    lam = float(np.abs(np.linalg.eigvals(rates)).max())
+    return _RK4_REAL_STABILITY / lam if lam > 0 else math.inf
 
 
 def _polar_factor(q, step):
@@ -261,46 +292,65 @@ class Trajectory:
                   "xi1", "xi2", "xi3", "omega1", "omega2", "omega3",
                   "G1", "G2", "G3", "c1", "c2", "c3",
                   "Q11", "Q12", "Q13", "Q21", "Q22", "Q23", "Q31", "Q32", "Q33"]
+        row = ",".join(["%.17g"] * len(header)) + "\n"
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
-            for s in self.states:
-                row = np.concatenate([[s.t], s.xi, s.omega, s.G, s.c, s.Q.ravel()])
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.writelines(row % (s.t, *s.xi.tolist(), *s.omega.tolist(),
+                                 *s.G.tolist(), *s.c.tolist(), *s.Q.ravel().tolist())
+                          for s in self.states)
 
 
-def _family_target(state, steady, resistance, mass_props):
-    """Member of a steady family closest in orientation to the given state.
+def _target(steady, resistance, mass_props):
+    """The comparison target (g, xi, omega) of a steady state, float
+    triples, as a function of the current gravity direction G.
 
     Symmetric bodies report a whole eigenspace of steady orientations; the
-    comparison target is the member whose g is the projection of the current
-    gravity direction onto that eigenspace, with xi rebuilt from the
-    resistance relation. Simple states are returned as-is.
+    target is then the member whose g is the projection of G onto that
+    eigenspace, with xi rebuilt from the resistance relation. A simple
+    state is the same target for every G.
     """
+    fixed = steady.g.tolist(), steady.xi.tolist(), steady.omega.tolist()
     if (steady.eigenbasis is None or steady.multiplicity < 2
             or resistance is None or mass_props is None):
-        return steady.g, steady.xi, steady.omega
+        return lambda G: fixed
     P = np.asarray(steady.eigenbasis)
-    coef = P @ state.G
-    if np.linalg.norm(coef) < 1e-12:
-        return steady.g, steady.xi, steady.omega
-    g = coef @ P
-    g = g / np.linalg.norm(g)
-    xi = np.linalg.solve(resistance.k_tt,
-                         mass_props.m_e * g - steady.lam * (resistance.k_tr @ g))
-    return g, xi, steady.lam * g
+
+    def member(G):
+        coef = P @ G
+        if np.linalg.norm(coef) < 1e-12:
+            return fixed
+        g = coef @ P
+        g = g / np.linalg.norm(g)
+        xi = np.linalg.solve(resistance.k_tt,
+                             mass_props.m_e * g - steady.lam * (resistance.k_tr @ g))
+        return g.tolist(), xi.tolist(), (steady.lam * g).tolist()
+
+    return member
 
 
-def _state_mismatch(state, steady, resistance=None, mass_props=None):
-    """max(|xi - xi*|, |omega - omega*|, angle(G, +-g*)) against one state."""
-    g_s, xi_s, om_s = _family_target(state, steady, resistance, mass_props)
-    best = np.inf
+def _state_mismatch(xi, omega, G, target):
+    """max(|xi - xi*|, |omega - omega*|, angle(G, +-g*)), the smaller over
+    the two signs of the target (g*, xi*, omega*); all float triples."""
+    x1, x2, x3 = xi
+    w1, w2, w3 = omega
+    g1, g2, g3 = G
+    (h1, h2, h3), (y1, y2, y3), (o1, o2, o3) = target
+    best = math.inf
     for sign in (1.0, -1.0):
-        dxi = math.hypot(*(state.xi - sign * xi_s))   # hypot: no overflow
-        dom = math.hypot(*(state.omega - sign * om_s))
-        cosang = np.clip(state.G @ (sign * g_s), -1.0, 1.0)
-        ang = float(np.arccos(cosang))
+        dxi = math.hypot(x1 - sign * y1, x2 - sign * y2, x3 - sign * y3)   # no overflow
+        dom = math.hypot(w1 - sign * o1, w2 - sign * o2, w3 - sign * o3)
+        cosang = g1 * (sign * h1) + g2 * (sign * h2) + g3 * (sign * h3)
+        ang = math.acos(min(max(cosang, -1.0), 1.0))
         best = min(best, max(dxi, dom, ang))
     return best
+
+
+def _steady_index(xi, omega, G, targets, tol):
+    """Index of the first target within tol of (xi, omega, G), or None."""
+    for i, target in enumerate(targets):
+        if _state_mismatch(xi, omega, G, target(G)) < tol:
+            return i
+    return None
 
 
 def integrate(state0, resistance, mass_props, params, steady_states=None):
@@ -308,35 +358,52 @@ def integrate(state0, resistance, mass_props, params, steady_states=None):
 
     After every step G is renormalized and Q is replaced by its polar
     factor. A state whose norm is not finite or exceeds _BLOWUP_NORM, or a
-    Q that is not near a rotation, raises InstabilityError. Sampling happens every ``params.stride`` steps. When a
-    list of steady states is supplied, integration halts early once the
-    current (xi, omega, G) is within ``params.steady_tol`` of one of them.
+    Q that is not near a rotation, raises InstabilityError. Sampling
+    happens every ``params.stride`` steps. When a list of steady states is
+    supplied, integration halts early once the current (xi, omega, G) is
+    within ``params.steady_tol`` of one of them, at the start or at a
+    sample.
     """
     t = state0.t
     n_steps = int(np.ceil((params.t_end - t) / params.dt - 1e-12))
     out = [state0]
-    halted = False
-    steady_index = None
-    if steady_states:
-        for i, st in enumerate(steady_states):
-            if _state_mismatch(state0, st, resistance, mass_props) < params.steady_tol:
-                halted = True
-                steady_index = i
-        if halted:
-            return Trajectory(states=out, halted_steady=True,
-                              steady_index=steady_index)
+    targets = [_target(st, resistance, mass_props) for st in steady_states or ()]
+    tol = params.steady_tol
+    y = state0.pack().tolist()
+    steady_index = _steady_index(y[0:3], y[3:6], y[6:9], targets, tol)
+    if steady_index is not None:
+        return Trajectory(states=out, halted_steady=True, steady_index=steady_index)
 
-    deriv = _Operator(resistance, mass_props, params.re).deriv
+    deriv = _derivative(resistance, mass_props, params.re)
     h = params.dt
     h2, h6 = h / 2, h / 6
-    y = state0.pack().tolist()
     for step in range(1, n_steps + 1):
-        k1 = deriv(y)
-        k2 = deriv([a + h2 * b for a, b in zip(y, k1)])
-        k3 = deriv([a + h2 * b for a, b in zip(y, k2)])
-        k4 = deriv([a + h * b for a, b in zip(y, k3)])
-        y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        k1 = deriv(y, y, 0.0)
+        k2 = deriv(y, k1, h2)
+        k3 = deriv(y, k2, h2)
+        k4 = deriv(y, k3, h)
+        # written out: a list comprehension over zip costs a third more
+        y = [y[0] + h6 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+             y[1] + h6 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+             y[2] + h6 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
+             y[3] + h6 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
+             y[4] + h6 * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4]),
+             y[5] + h6 * (k1[5] + 2.0 * k2[5] + 2.0 * k3[5] + k4[5]),
+             y[6] + h6 * (k1[6] + 2.0 * k2[6] + 2.0 * k3[6] + k4[6]),
+             y[7] + h6 * (k1[7] + 2.0 * k2[7] + 2.0 * k3[7] + k4[7]),
+             y[8] + h6 * (k1[8] + 2.0 * k2[8] + 2.0 * k3[8] + k4[8]),
+             y[9] + h6 * (k1[9] + 2.0 * k2[9] + 2.0 * k3[9] + k4[9]),
+             y[10] + h6 * (k1[10] + 2.0 * k2[10] + 2.0 * k3[10] + k4[10]),
+             y[11] + h6 * (k1[11] + 2.0 * k2[11] + 2.0 * k3[11] + k4[11]),
+             y[12] + h6 * (k1[12] + 2.0 * k2[12] + 2.0 * k3[12] + k4[12]),
+             y[13] + h6 * (k1[13] + 2.0 * k2[13] + 2.0 * k3[13] + k4[13]),
+             y[14] + h6 * (k1[14] + 2.0 * k2[14] + 2.0 * k3[14] + k4[14]),
+             y[15] + h6 * (k1[15] + 2.0 * k2[15] + 2.0 * k3[15] + k4[15]),
+             y[16] + h6 * (k1[16] + 2.0 * k2[16] + 2.0 * k3[16] + k4[16]),
+             y[17] + h6 * (k1[17] + 2.0 * k2[17] + 2.0 * k3[17] + k4[17]),
+             y[18] + h6 * (k1[18] + 2.0 * k2[18] + 2.0 * k3[18] + k4[18]),
+             y[19] + h6 * (k1[19] + 2.0 * k2[19] + 2.0 * k3[19] + k4[19]),
+             y[20] + h6 * (k1[20] + 2.0 * k2[20] + 2.0 * k3[20] + k4[20])]
         t += h
         # "not <=" also catches NaN and Inf, which the projection cannot take
         if not math.hypot(*y) <= _BLOWUP_NORM:
@@ -345,17 +412,12 @@ def integrate(state0, resistance, mass_props, params, steady_states=None):
                 f"{_BLOWUP_NORM:.0e} at step {step}", step=step)
         _project(y, step)
         if step % params.stride == 0 or step == n_steps:
-            s = FallState.unpack(t, np.array(y))
-            out.append(s)
-            if steady_states:
-                for i, st in enumerate(steady_states):
-                    if _state_mismatch(s, st, resistance, mass_props) < params.steady_tol:
-                        halted = True
-                        steady_index = i
-                        break
-            if halted:
+            out.append(FallState.unpack(t, np.array(y)))
+            steady_index = _steady_index(y[0:3], y[3:6], y[6:9], targets, tol)
+            if steady_index is not None:
                 break
-    return Trajectory(states=out, halted_steady=halted, steady_index=steady_index)
+    return Trajectory(states=out, halted_steady=steady_index is not None,
+                      steady_index=steady_index)
 
 
 def detect_steady(trajectory, steady_states, tol, resistance=None, mass_props=None):
@@ -366,7 +428,8 @@ def detect_steady(trajectory, steady_states, tol, resistance=None, mass_props=No
     (when resistance and mass properties are supplied).
     """
     final = trajectory.final
-    mismatches = [_state_mismatch(final, st, resistance, mass_props)
+    xi, omega, G = final.xi.tolist(), final.omega.tolist(), final.G.tolist()
+    mismatches = [_state_mismatch(xi, omega, G, _target(st, resistance, mass_props)(G))
                   for st in steady_states]
     best = int(np.argmin(mismatches)) if mismatches else None
     converged = bool(mismatches and mismatches[best] < tol)

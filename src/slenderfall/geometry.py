@@ -174,6 +174,19 @@ def _segment_distance(p1, p2, q1, q2):
     return float(np.linalg.norm(p1 + s * d1 - (q1 + t * d2)))
 
 
+def panel_counts(lengths, panels):
+    """Panels per segment of the given lengths: all of them on a single
+    segment; over several, in proportion to length, at least one each.
+    Raises GeometryError unless the total length is positive and finite."""
+    total = np.sum(lengths)
+    if not 0 < total < np.inf:
+        raise GeometryError("geometry.panel_counts: curve length must be "
+                            "positive and finite")
+    if len(lengths) == 1:
+        return [panels]
+    return [max(1, round(panels * L / total)) for L in lengths]
+
+
 def discretize(spec, panels, order):
     """Composite Gauss-Legendre discretization of a curve.
 
@@ -187,17 +200,7 @@ def discretize(spec, panels, order):
     if not (2 <= order <= 16):
         raise GeometryError("geometry.discretize: order must be in 2..16")
     segs = spec.segments()
-    lengths = np.array([L for _, L in segs])
-    if not 0 < lengths.sum() < np.inf:
-        raise GeometryError("geometry.discretize: curve length must be positive "
-                            "and finite")
-
-    # distribute panels over segments, >= 1 each
-    if len(segs) == 1:
-        counts = [panels]
-    else:
-        counts = np.maximum(1, np.round(panels * lengths / lengths.sum()).astype(int))
-
+    counts = panel_counts([L for _, L in segs], panels)
     xg, wg = np.polynomial.legendre.leggauss(order)
     nodes, weights, arcs = [], [], []
     s0 = 0.0

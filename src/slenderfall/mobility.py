@@ -76,18 +76,23 @@ _STRIP_TEMPORARIES = 21
 _MIRROR_TEMPORARIES = 7
 
 
+def require_memory(m, where, temporaries=0):
+    """Raise ConfigError, naming `where`, when a packed m x m Green matrix
+    plus `temporaries` doubles exceeds the physical RAM."""
+    need = 8 * (m * (m + 1) // 2 + temporaries)
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > ram:
+        raise ConfigError(f"{where}: a packed Green matrix of order {m} needs "
+                          f"about {need / 2**30:.1f} GiB, more than the "
+                          f"{ram / 2**30:.1f} GiB of physical memory")
+
+
 def _check_fits(n, mirrored=False):
     """Refuse an assembly whose peak memory exceeds the physical RAM: the
     packed 3n x 3n matrix and one strip's temporaries, more of them when
     the blocks carry the mirror term."""
-    m = 3 * n
     strip = _STRIP_TEMPORARIES + mirrored * _MIRROR_TEMPORARIES
-    need = 8 * (m * (m + 1) // 2 + strip * max(_STRIP_PAIRS, n))
-    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > ram:
-        raise ConfigError(f"mobility.assemble_system: a packed Green matrix of "
-                          f"order {m} needs about {need / 2**30:.1f} GiB, more "
-                          f"than the {ram / 2**30:.1f} GiB of physical memory")
+    require_memory(3 * n, "mobility.assemble_system", strip * max(_STRIP_PAIRS, n))
 
 
 def _rfp_diagonal(m):

@@ -527,3 +527,82 @@ def test_huge_gravity_direction_runs_as_its_unit_direction(tmp_path, capsys):
     for report in (big, unit):
         del report["config"], report["timestamp"]
     assert big == unit
+
+
+def test_unsolvable_discretization_refused_at_parse():
+    # 4e9 nodes: refused before a node is made, in every mode
+    cfg = base_config(discretization={"panels": 10 ** 9, "order": 4})
+    with pytest.raises(ConfigError, match="physical memory"):
+        cli.parse_config(cfg)
+
+
+@pytest.mark.parametrize("body, panels", [
+    ({"kind": "ring", "radius": 1.0}, 12),
+    # three equal edges share 4 panels as 1 + 1 + 1
+    ({"kind": "polyline", "vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 1]]}, 4),
+], ids=["ring", "polyline"])
+def test_parse_time_memory_guard_is_a_lower_bound(monkeypatch, body, panels):
+    # the guard counts only the packed matrix of order 3N/2 of the N nodes
+    # discretize will make: RAM for exactly that passes, one byte less does not
+    from slenderfall import geometry, mobility
+    cfg = base_config(body=body, discretization={"panels": panels, "order": 4})
+    n = geometry.discretize(cli.parse_config(cfg).spec, panels, 4).n_nodes
+    assert n == (48 if body["kind"] == "ring" else 12)
+    m = 3 * n // 2
+    ram = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 4 * m * (m + 1)}
+    monkeypatch.setattr(mobility.os, "sysconf", ram.__getitem__)
+    cli.parse_config(cfg)
+    ram["SC_PHYS_PAGES"] -= 1
+    with pytest.raises(ConfigError, match=f"order {m} needs"):
+        cli.parse_config(cfg)
+
+
+def fall_long_helix(dt, t_end):
+    """The benchmark's fall helix: N = 192, Re = 0.05, m = 1."""
+    return base_config(body={"kind": "helix", "radius": 1.0, "pitch": 1.0, "turns": 2.0},
+                       fluid={"nondimensional": {"ell": 0.1, "re": 0.05}},
+                       discretization={"panels": 32, "order": 6},
+                       dynamics={"dt": dt, "t_end": t_end, "g_direction": [0.5, 0.5, 0.7]})
+
+
+@pytest.mark.parametrize("dt", [0.065, 0.1])
+def test_fall_refuses_dt_above_stability_bound(tmp_path, capsys, dt):
+    # the helix's fastest drag rate is 44.0, so RK4 needs dt <= 2.785 / 44.0:
+    # dt = 0.065 ran with a growing mode and dt = 0.1 failed at step 8 in
+    # the polar iteration
+    path = write_config(tmp_path, fall_long_helix(dt, 1.0))
+    out = tmp_path / "out"
+    assert main_printing_warnings(["fall", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "dt_max = 0.06324" in err
+    assert not (out / "report.json").exists()
+    path = write_config(tmp_path, fall_long_helix(0.06, 0.3))
+    assert cli.main(["fall", "--config", str(path), "--out", str(out)]) == 0
+    dynamics = json.loads((out / "report.json").read_text())["dynamics"]
+    assert dynamics["dt_max"] == pytest.approx(2.785 / 44.0, rel=1e-3)
+    assert dynamics["steps"] == 5 and dynamics["halt"] == "t_end"
+
+
+@pytest.mark.parametrize("body, dynamics, record", [
+    # the ring reaches its steady fall at a sample, the helix runs to t_end
+    ({"kind": "ring", "radius": 1.0},
+     {"dt": 0.005, "t_end": 2.0, "stride": 10}, {"steps": 150, "halt": "steady"}),
+    ({"kind": "helix", "radius": 1.0, "pitch": 1.0, "turns": 2.0},
+     {"dt": 0.01, "t_end": 0.05}, {"steps": 5, "halt": "t_end"}),
+], ids=["ring", "helix"])
+def test_fall_run_record(tmp_path, body, dynamics, record):
+    cfg = base_config(body=body, discretization={"panels": 8, "order": 4},
+                      dynamics=dynamics)
+    path = write_config(tmp_path, cfg)
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert cli.main(["fall", "--config", str(path), "--out", str(out)]) == 0
+        runs.append(json.loads((out / "report.json").read_text())["dynamics"])
+    assert runs[0] == runs[1]
+    got = runs[0]
+    assert {k: got[k] for k in record} == record
+    assert got["halted_steady"] == (record["halt"] == "steady")
+    stride = dynamics.get("stride", 1)
+    assert got["n_samples"] == -(-record["steps"] // stride) + 1
+    assert got["steady_detection"]["t_final"] == pytest.approx(record["steps"] * dynamics["dt"])

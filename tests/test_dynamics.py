@@ -1,5 +1,7 @@
 """Dynamics module: quasi-steady ODE, RK4 integration, steady detection."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,7 +9,8 @@ from scipy.linalg import expm
 from slenderfall import (CurveSpec, DynamicsParams, FallState, KernelParams,
                          MassProperties, detect_steady, discretize, integrate,
                          mass_properties, resistance_set, rhs, steady_states)
-from slenderfall.dynamics import _polar_factor
+from slenderfall.dynamics import (_derivative, _polar_factor, _state_mismatch,
+                                  _target, max_stable_dt)
 from slenderfall.errors import InstabilityError, MassModelError
 
 
@@ -331,3 +334,135 @@ def test_energy_identity_fourth_order():
     d1, d2, d3 = discrepancy(0.04), discrepancy(0.02), discrepancy(0.01)
     assert 12.0 <= d1 / d2 <= 20.0 and 12.0 <= d2 / d3 <= 20.0
     assert abs(d3) <= 1e-7 * mp.m_e
+
+
+def test_stage_derivative_matches_rhs(helix_R, helix_mp):
+    # deriv(y, k, c) forms the stage state y + c k itself, as the RK4 stage
+    # list comprehension did; rhs evaluates it at the stage state
+    R, mp, re = helix_R, helix_mp, 0.5
+    deriv = _derivative(R, mp, re)
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        G = rng.normal(size=3)
+        s = FallState(t=0.0, xi=rng.normal(size=3), omega=rng.normal(size=3),
+                      G=G / np.linalg.norm(G), Q=_random_rotation(rng),
+                      c=rng.normal(size=3))
+        y, k = s.pack().tolist(), rng.normal(size=21).tolist()
+        for c in (0.0025, 0.005, -0.3):
+            stage = FallState.unpack(0.0, np.array([a + c * b for a, b in zip(y, k)]))
+            assert np.array_equal(deriv(y, k, c), rhs(stage, R, mp, re))
+        assert np.array_equal(deriv(y, k, 0.0), rhs(s, R, mp, re))
+
+
+def _numpy_family_target(G, steady, resistance, mass_props):
+    # the comparison target as the numpy steady check computed it
+    if steady.eigenbasis is None or steady.multiplicity < 2:
+        return steady.g, steady.xi, steady.omega
+    P = np.asarray(steady.eigenbasis)
+    coef = P @ G
+    if np.linalg.norm(coef) < 1e-12:
+        return steady.g, steady.xi, steady.omega
+    g = coef @ P
+    g = g / np.linalg.norm(g)
+    xi = np.linalg.solve(resistance.k_tt,
+                         mass_props.m_e * g - steady.lam * (resistance.k_tr @ g))
+    return g, xi, steady.lam * g
+
+
+def _numpy_mismatch(xi, omega, G, target):
+    # the steady mismatch as the numpy steady check computed it
+    g_s, xi_s, om_s = target
+    best = np.inf
+    for sign in (1.0, -1.0):
+        dxi = math.hypot(*(xi - sign * xi_s))
+        dom = math.hypot(*(omega - sign * om_s))
+        cosang = np.clip(G @ (sign * g_s), -1.0, 1.0)
+        best = min(best, max(dxi, dom, float(np.arccos(cosang))))
+    return best
+
+
+def _float_mismatch(xi, omega, G, steady, R, mp):
+    G = G.tolist()
+    return _state_mismatch(xi.tolist(), omega.tolist(), G, _target(steady, R, mp)(G))
+
+
+def test_float_mismatch_matches_numpy_formula(ring_R, ring_mp, helix_R, helix_mp):
+    # A family's target g* is G normalized, so its angle is read by acos at
+    # the clip: the two cosines (numpy's dot is a fused multiply-add chain
+    # with some BLAS) may differ by an ulp or two below 1, where acos turns
+    # one ulp into 1.5e-8. Where that angle is the largest term, both
+    # mismatches sit below acos(1 - 4 ulp); elsewhere they agree to 1e-15.
+    rng = np.random.default_rng(29)
+    cases = ((ring_R, ring_mp, math.acos(1.0 - 2.0 ** -51)), (helix_R, helix_mp, 0.0))
+    assert [steady_states(R, mp)[0].multiplicity for R, mp, _ in cases] == [3, 1]
+    for R, mp, clip_floor in cases:
+        st = steady_states(R, mp)[0]
+        for i in range(400):
+            # random states near +-(xi*, omega*), at distances 1e-10 to 1,
+            # and exactly at +-(g*, xi*, omega*)
+            sign, size = (-1.0) ** i, 10.0 ** rng.uniform(-10, 0)
+            G = rng.normal(size=3)
+            G /= np.linalg.norm(G)
+            target = _numpy_family_target(G, st, R, mp)
+            g, x, o = target
+            for xi, omega, G in ((sign * x + size * rng.normal(size=3),
+                                  sign * o + size * rng.normal(size=3), G),
+                                 (sign * x, sign * o, sign * g)):
+                old = _numpy_mismatch(xi, omega, G, target)
+                new = _float_mismatch(xi, omega, G, st, R, mp)
+                if max(new, old) > clip_floor:
+                    assert abs(new - old) <= 1e-15
+        if st.multiplicity == 1:
+            # g*.g* = 1 in floats: exactly at +-g* both read 0
+            assert g @ g == 1.0 and new == old == 0.0
+    # a cosine that rounds above 1 is clipped, and the angle reads 0
+    while True:
+        g = rng.normal(size=3)
+        g = (g / np.linalg.norm(g)).tolist()
+        if g[0] * g[0] + g[1] * g[1] + g[2] * g[2] > 1.0:
+            break
+    for sign in (1.0, -1.0):
+        G = [sign * v for v in g]
+        assert _state_mismatch([0.0] * 3, [0.0] * 3, G, (g, [0.0] * 3, [0.0] * 3)) == 0.0
+
+
+def _fstring_csv(traj, path):
+    # the trajectory CSV as the f-string writer wrote it
+    header = ["t", "xi1", "xi2", "xi3", "omega1", "omega2", "omega3",
+              "G1", "G2", "G3", "c1", "c2", "c3",
+              "Q11", "Q12", "Q13", "Q21", "Q22", "Q23", "Q31", "Q32", "Q33"]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for s in traj.states:
+            row = np.concatenate([[s.t], s.xi, s.omega, s.G, s.c, s.Q.ravel()])
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def test_trajectory_csv_matches_fstring_writer(tmp_path, ring_R, ring_mp):
+    # tilted and at Re > 0, every column moves; zeros and negatives included
+    params = DynamicsParams(re=0.5, dt=0.01, t_end=1.0, stride=3)
+    traj = integrate(FallState.from_rest([0.3, -0.2, 1.0]), ring_R, ring_mp, params)
+    traj.to_csv(tmp_path / "floats.csv")
+    _fstring_csv(traj, tmp_path / "fstring.csv")
+    data = (tmp_path / "floats.csv").read_bytes()
+    assert data == (tmp_path / "fstring.csv").read_bytes()
+    assert data.count(b"\n") == len(traj) + 1 == 36
+
+
+def test_rk4_stability_bound_is_sharp(helix_R, helix_mp):
+    # At Re = 0 the drag is linear: just below dt_max the fastest mode
+    # decays, just above it RK4 amplifies it every step until the state
+    # norm passes the blow-up bound.
+    dt_max = max_stable_dt(helix_R, helix_mp)
+    rates = np.linalg.eigvals(np.block(
+        [[np.eye(3) / helix_mp.m, np.zeros((3, 3))],
+         [np.zeros((3, 3)), np.linalg.inv(helix_mp.inertia)]]) @ helix_R.grand)
+    assert np.abs(rates.imag).max() <= 1e-12 * rates.real.max()
+    assert dt_max == pytest.approx(2.785293563405282 / rates.real.max(), rel=1e-12)
+    s0 = FallState.from_rest([0.3, 0.2, 1.0])
+    stable = integrate(s0, helix_R, helix_mp,
+                       DynamicsParams(dt=0.98 * dt_max, t_end=600 * dt_max))
+    assert np.linalg.norm(stable.final.xi) < 10.0
+    with pytest.raises(InstabilityError):
+        integrate(s0, helix_R, helix_mp,
+                  DynamicsParams(dt=1.02 * dt_max, t_end=1000 * dt_max))
