@@ -330,7 +330,10 @@ def _target(steady, resistance, mass_props):
 
 def _state_mismatch(xi, omega, G, target):
     """max(|xi - xi*|, |omega - omega*|, angle(G, +-g*)), the smaller over
-    the two signs of the target (g*, xi*, omega*); all float triples."""
+    the two signs of the target (g*, xi*, omega*); all float triples. The
+    angle between the unit vectors is 2 atan2(|G - g*|, |G + g*|), which
+    keeps its accuracy at 0, where the acos of their dot product reads one
+    ulp below 1 as 1.5e-8."""
     x1, x2, x3 = xi
     w1, w2, w3 = omega
     g1, g2, g3 = G
@@ -339,8 +342,8 @@ def _state_mismatch(xi, omega, G, target):
     for sign in (1.0, -1.0):
         dxi = math.hypot(x1 - sign * y1, x2 - sign * y2, x3 - sign * y3)   # no overflow
         dom = math.hypot(w1 - sign * o1, w2 - sign * o2, w3 - sign * o3)
-        cosang = g1 * (sign * h1) + g2 * (sign * h2) + g3 * (sign * h3)
-        ang = math.acos(min(max(cosang, -1.0), 1.0))
+        ang = 2.0 * math.atan2(math.hypot(g1 - sign * h1, g2 - sign * h2, g3 - sign * h3),
+                               math.hypot(g1 + sign * h1, g2 + sign * h2, g3 + sign * h3))
         best = min(best, max(dxi, dom, ang))
     return best
 

@@ -235,14 +235,18 @@ def steady_states(resistance, mass_props, residual_rtol=1e-8):
         xi = np.linalg.solve(resistance.k_tt,
                              mass_props.m_e * g - lam * resistance.k_tr @ g)
         omega = lam * g
-        mom = residual(xi, omega, g, resistance, mass_props)
+        force, torque = _balance(xi, omega, g, resistance, mass_props)
+        mom = max(force, torque)
         # hypot: |K_tt| or |xi| alone may under- or overflow as a sum of squares
         scale = max(abs(mass_props.m_e),
                     math.hypot(*resistance.k_tt.ravel()) * math.hypot(*xi), 1e-300)
         if mom > residual_rtol * scale:
+            over = [name for name, value in (("force", force), ("torque", torque))
+                    if value > residual_rtol * scale]
             raise InternalConsistencyError(
-                f"freefall.steady_states: momentum residual {mom:.3e} exceeds "
-                f"{residual_rtol:.1e} * scale ({scale:.3e})")
+                f"freefall.steady_states: {' and '.join(over)} residual exceeds "
+                f"{residual_rtol:.1e} * scale ({scale:.3e}): force residual "
+                f"{force:.3e}, torque residual {torque:.3e}")
         states.append(SteadyState(
             lam=lam, g=g, xi=xi, omega=omega, multiplicity=mult,
             degenerate=op.degenerate,
@@ -257,8 +261,14 @@ def residual(xi, omega, g, resistance, mass_props):
     Recomputes f and t from the resistance relation and returns
     max(|m_e g + f|, |m_c r x g - t|).
     """
+    return max(_balance(xi, omega, g, resistance, mass_props))
+
+
+def _balance(xi, omega, g, resistance, mass_props):
+    """The force and torque residuals |m_e g + f| and |m_c r x g - t| of
+    the motion (xi, omega) under gravity g."""
     f = -(resistance.k_tt @ xi + resistance.k_tr @ omega)
     t = -(resistance.k_rt @ xi + resistance.k_rr @ omega)
     res_force = math.hypot(*(mass_props.m_e * g + f))   # hypot: no overflow
     res_torque = math.hypot(*(mass_props.m_c * np.cross(mass_props.r, g) - t))
-    return max(res_force, res_torque)
+    return res_force, res_torque

@@ -11,13 +11,15 @@ psi_q = w_q phi_q the collocation system is
 where G is the symmetric 3N x 3N Green matrix, block (p,q) = G(x_p - x_q).
 Only one triangle of G is stored, in LAPACK's rectangular full packed (RFP)
 format: m(m+1)/2 doubles for m = 3N, half the square (Gustavson, Wasniewski,
-Dongarra & Langou, ACM TOMS 2010). It is assembled straight into that array
-in row strips of nodes, so the kernel is evaluated once per node pair and the
-pairwise temporaries stay one strip in size at any N. That pass is the only
-one over the node pairs: its squared distances also give the smallest node
-separation (ResistanceSet.min_separation). The hyperviscous symbol is
-positive, so G is positive definite and is factored once, in place, by the
-RFP Cholesky dpftrf, G = L L^T. The quadrature weights cancel from the
+Dongarra & Langou, ACM TOMS 2010). It is assembled straight into that
+array, in row strips of nodes, so the kernel is evaluated once per node pair
+and the pairwise temporaries stay one strip in size at any N, or, for a
+panel-periodic body (below), from the generators of its block-Toeplitz
+structure. That pass is the only one over the node pairs: its squared
+distances also give the smallest node separation
+(ResistanceSet.min_separation). The hyperviscous symbol is positive, so G
+is positive definite and is factored once, in place, by the RFP Cholesky
+dpftrf, G = L L^T. The quadrature weights cancel from the
 resistance: with U the 3N x 6 matrix of the six unit rigid motions,
 the grand resistance matrix is A6 = U^T G^-1 U = Y^T Y with Y = L^-1 U (the
 RFP triangular solve dtfsm), and
@@ -47,6 +49,34 @@ per axis: the far term's component (a,b) is the near term's formula at
 d = x_p - x_{N-1-q} times +-eps_b, written with the near term in one pass.
 The rigid motions are rotated into that frame by Q^T, and the point forces
 back by Q.
+
+The same identity makes G block Toeplitz for a panel-periodic body: one
+whose panels of k Gauss nodes are images of one another under one screw
+motion S, x_{i+1,a} = S(x_{i,a}) = W_1 x_{i,a} + t for node a of panel i,
+which holds for every rod, ring and helix that geometry.discretize makes
+(not for polylines, whose edges turn). With W_i the rotation of S^i (by
+i phi about W_1's axis, the identity for a straight body),
+x_{i,a} - x_{j,b} = W_j (x_{i-j,a} - x_{0,b}), so in per-panel frames,
+node components of panel i turned by W_i^T, block (i, j) of D^T G D,
+D the block diagonal of the W_i of each node's panel, is
+
+    T'(i - j),   T'(delta) = W_delta^T G(x_{delta,a} - x_{0,b}),
+
+(rows (a, alpha), columns (b, beta)) for i >= j and T'(j - i)^T for i < j.
+The reversal of such a body reverses the screw, R W_j R = W_j^T, so that
+W_i^T G(x_p - x_{N-1-q}) R W_j = H'(i + j) for node p of panel i and q of
+panel j, and
+
+    D^T G+- D = T'(i - j) +- H'(i + j),
+    H'(sigma) = W_sigma^T G(x_{sigma,a} - x_{P-1,k-1-b}) R.
+
+The kernel then runs once, on the k^2 node pairs of each generator, about
+P k^2 in all for one block and 1.5 P k^2 for both diagonal blocks (13,788
+pairs for the README helix at N = 1536, in place of 1,181,184), and every
+row of the packed matrix is copied from a window of the generators. The
+rigid motions are rotated into the panel frames by W_i^T per node and the
+point forces back by W_i. Which fill runs is decided by the fit of S
+(_panel_frames); any other body is assembled in strips.
 """
 
 import math
@@ -74,6 +104,11 @@ _STRIP_TEMPORARIES = 21
 # and the near term's A and B kept while the far kernel runs (2), plus one
 # for the near-field subsets
 _MIRROR_TEMPORARIES = 7
+# float64 arrays per generator pair of a panel-periodic body: its
+# differences and squared distances (4), the kernel's arrays (7), the Green
+# tensor (9) and its rotation into the panel frames (9), and about 18 for
+# the generator windows Z and Y
+_GENERATOR_TEMPORARIES = 47
 
 
 def require_memory(m, where, temporaries=0):
@@ -87,12 +122,17 @@ def require_memory(m, where, temporaries=0):
                           f"{ram / 2**30:.1f} GiB of physical memory")
 
 
-def _check_fits(n, mirrored=False):
+def _check_fits(n, mirrored=False, pairs=None):
     """Refuse an assembly whose peak memory exceeds the physical RAM: the
     packed 3n x 3n matrix and one strip's temporaries, more of them when
-    the blocks carry the mirror term."""
-    strip = _STRIP_TEMPORARIES + mirrored * _MIRROR_TEMPORARIES
-    require_memory(3 * n, "mobility.assemble_system", strip * max(_STRIP_PAIRS, n))
+    the blocks carry the mirror term, or, for a panel-periodic body, the
+    arrays of its `pairs` generator pairs."""
+    if pairs is None:
+        strip = _STRIP_TEMPORARIES + mirrored * _MIRROR_TEMPORARIES
+        temporaries = strip * max(_STRIP_PAIRS, n)
+    else:
+        temporaries = _GENERATOR_TEMPORARIES * pairs
+    require_memory(3 * n, "mobility.assemble_system", temporaries)
 
 
 def _rfp_diagonal(m):
@@ -104,7 +144,7 @@ def _rfp_diagonal(m):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def assemble_system(body, params, mirror=None):
+def assemble_system(body, params, mirror=None, panels=None):
     """Green matrix G, block (p,q) = G(x_p - x_q), no weights, packed RFP,
     and the smallest distance between two distinct nodes.
 
@@ -115,18 +155,18 @@ def assemble_system(body, params, mirror=None):
     s = 1 if m is even else 0: the upper entry G[i, c], c >= i, is
 
         P[i, c + s]              for i < h,
-        P[c - h + 1 - s, i - h]  for i >= h.
+        P[c - h + 1 - s, i - h]  for i >= h
 
-    The kernel is evaluated once per node pair, in row strips of nodes
-    p0 <= p < p1 against q >= p0 (rows i0 <= i < i1 of G). Each strip is
-    written as one slice right of its own square block, plainly for rows
-    above h and transposed for rows below it, plus the upper triangle of
-    the square block, whose lower entries would overwrite the other half of
-    the RFP array; a strip that straddles row h is written in two parts.
-    The diagonal blocks are A(0) I. The strips' squared distances also give
-    the smallest node separation, and a zero one is refused. An entry that
-    overflows stays inf or NaN, without a floating-point warning;
-    _factorize refuses its factor.
+    (_rfp_block). Without `panels`, the kernel is evaluated once per node
+    pair, in row strips of nodes p0 <= p < p1 against q >= p0 (rows
+    i0 <= i < i1 of G). Each strip is written as one slice right of its own
+    square block, plainly for rows above h and transposed for rows below
+    it, plus the upper triangle of the square block, whose lower entries
+    would overwrite the other half of the RFP array; a strip that straddles
+    row h is written in two parts. The diagonal blocks are A(0) I. The
+    strips' squared distances also give the smallest node separation, and a
+    zero one is refused. An entry that overflows stays inf or NaN, without
+    a floating-point warning; _factorize refuses its factor.
 
     With mirror = (eps, sign), the body's nodes given in the eigenframe of
     its reversal involution (see the module docstring), so that node N-1-p
@@ -136,7 +176,17 @@ def assemble_system(body, params, mirror=None):
     whose component (a,b) is the near term's formula at d = x_p - x_{N-1-q}
     times sign eps_b. The strips pair the first N/2 nodes with the first
     N/2 and with the last N/2 in reverse order; the separation covers both.
+
+    With `panels` (_panel_frames) of a panel-periodic body, the result is
+    the same matrix in the per-panel frames, D^T G D or D^T G+- D, filled
+    from the generators of _generators: row i of it, node p of panel I and
+    component (a, alpha) = i mod 3k, is the window of row i mod 3k of Z
+    starting at column 3k (reach - I), plus sign the window of Y starting at
+    3k I. Every RFP row is two such windows: row r < h of G from its
+    diagonal on, and row r + h - 1 + s from column h to its diagonal.
     """
+    if panels is not None:
+        return _fill_periodic(body, params, mirror, panels)
     x, far, flip = body.nodes, repeat(None), None
     if mirror is not None:
         eps, sign = mirror
@@ -161,18 +211,118 @@ def assemble_system(body, params, mirror=None):
         S = S4.reshape(3 * k, 3 * (n - p0))
         i0, i1 = 3 * p0, 3 * p1
         for lo, hi in ((i0, min(i1, h)), (max(i0, h), i1)):
+            if lo < hi:
+                _rfp_block(P, s, lo, hi, hi, m)[...] = S[lo - i0:hi - i0, hi - i0:]
+                np.copyto(_rfp_block(P, s, lo, hi, lo, hi),
+                          S[lo - i0:hi - i0, lo - i0:hi - i0],
+                          where=upper[:hi - lo, :hi - lo])
+    return P, float(np.sqrt(sep2))
+
+
+def _rfp_block(P, s, i0, i1, c0, c1):
+    """The view of the RFP array P of assemble_system (h rows) whose entry
+    (i - i0, c - c0) holds G[i, c], i0 <= i < i1, c0 <= c < c1, wherever
+    c >= i; rows i0 to i1 lie on one side of row h. Entries with c < i
+    alias other entries of G and must not be written."""
+    h = P.shape[0]
+    if i0 < h:
+        return P[i0:i1, c0 + s:c1 + s]
+    return P[c0 - h + 1 - s:c1 - h + 1 - s, i0 - h:i1 - h].T
+
+
+def _fill_periodic(body, params, mirror, panels):
+    """assemble_system for a panel-periodic body: the packed matrix of its
+    nodes, or of its first N/2 with the mirror term, in the per-panel
+    frames, written from the generators one panel of rows at a time. Rows
+    above h are written from the diagonal on, as on the strip path; each
+    row below h is written from column h to the diagonal, which is a plain
+    row of the RFP array."""
+    k, n = body.order, body.n_nodes // (1 if mirror is None else 2)
+    w, reach = 3 * k, (n - 1) // k   # the largest panel difference of the block
+    eps, sign = (None, 1.0) if mirror is None else mirror
+    generators = reach + 1 + (0 if eps is None else 2 * reach + 1)
+    _check_fits(n, pairs=generators * k * k)
+    if panels.generators is None:
+        panels.generators = _generators(body.nodes, k, panels.W, reach, eps, params)
+    Z, Y, sep = panels.generators
+    m = 3 * n
+    h, s = (m + 1) // 2, 1 - m % 2
+    P = np.empty((h, m + s))
+    upper = np.triu(np.ones((w, w), dtype=bool))
+    combine = np.add if sign > 0 else np.subtract
+    for i0 in range(0, m, w):
+        i1 = min(i0 + w, m)
+        z = w * (reach - i0 // w)   # G[i0:i1, c] = Zi[:, c] + sign Yi[:, c]
+        Zi, Yi = Z[:i1 - i0, z:z + m], None if Y is None else Y[:i1 - i0, i0:i0 + m]
+        for lo, hi in ((i0, min(i1, h)), (max(i0, h), i1)):
             if lo >= hi:
                 continue
-            right = S[lo - i0:hi - i0, hi - i0:]
-            square = S[lo - i0:hi - i0, lo - i0:hi - i0]
+            square = _rfp_block(P, s, lo, hi, lo, hi)
             if hi <= h:
-                P[lo:hi, hi + s:] = right
-                dst = P[lo:hi, lo + s:hi + s]
+                parts = ((_rfp_block(P, s, lo, hi, hi, m), hi, m, True),
+                         (square, lo, hi, upper[:hi - lo, :hi - lo]))
             else:
-                P[hi - h + 1 - s:, lo - h:hi - h] = right.T
-                dst = P[lo - h + 1 - s:hi - h + 1 - s, lo - h:hi - h].T
-            np.copyto(dst, square, where=upper[:hi - lo, :hi - lo])
-    return P, float(np.sqrt(sep2))
+                parts = ((_rfp_block(P, s, h, lo, lo, hi).T, h, lo, True),
+                         (square.T, lo, hi, upper[:hi - lo, :hi - lo].T))
+            for dst, c0, c1, where in parts:
+                if Yi is None:
+                    np.copyto(dst, Zi[lo - i0:hi - i0, c0:c1], where=where)
+                else:
+                    combine(Zi[lo - i0:hi - i0, c0:c1], Yi[lo - i0:hi - i0, c0:c1],
+                            out=dst, where=where)
+    return P, sep
+
+
+def _generators(x, k, W, reach, eps, params):
+    """The generators of the Green blocks of a panel-periodic body in its
+    per-panel frames (module docstring), from one kernel call, and the
+    smallest distance between two distinct nodes.
+
+    Z (3k, 3k (2 reach + 1)) holds block (I, J), |I - J| <= reach, of
+    D^T G D at columns 3k (J - I + reach): T'(I - J) for I >= J and
+    T'(J - I)^T for I < J, with T'(delta)[(a, alpha), (b, beta)] =
+    (W_delta^T G(x_{delta,a} - x_{0,b}))[alpha, beta]. With eps (the
+    reversal's signs), Y (3k, 3k (2 reach + 1)) holds H'(sigma) at columns
+    3k sigma, H'(sigma)[(a, alpha), (b, beta)] =
+    (W_sigma^T G(x_{sigma,a} - x_{P-1,k-1-b}))[alpha, beta] eps_beta; else
+    Y is None.
+    The pairs cover every node pair up to the body's symmetries, so their
+    least distance is the body's; the two that pair a node with itself are
+    left out of it, and a zero distance of any other is refused.
+    """
+    n = x.shape[0]
+    rows = [x[:(reach + 1) * k]] + [x[:(2 * reach + 1) * k]] * (eps is not None)
+    cols = [x[:k]] + [x[::-1][:k]] * (eps is not None)   # x_{0,b}, x_{P-1,k-1-b}
+    d = [np.concatenate([u[:, a].reshape(-1, k, 1) - v[:, a]
+                         for u, v in zip(rows, cols)]) for a in range(3)]
+    r2 = d[0] * d[0]
+    r2 += d[1] * d[1]
+    r2 += d[2] * d[2]
+    A, B = kernel_scalars(np.sqrt(r2), params)
+    diag = np.arange(k)
+    r2[0, diag, diag] = np.inf                   # node (0, a) with itself
+    if eps is not None and 2 * reach + 1 == n // k:  # node (P-1, a) with itself
+        r2[-1, diag, k - 1 - diag] = np.inf
+    least = _least(r2)
+    B /= r2
+    g = r2.shape[0]
+    T, out = np.empty((g, 3, k, k, 3)), np.empty_like(r2)   # G: axes (g, row, a, b, col)
+    for a in range(3):
+        for b in range(a, 3):
+            _component(A, B, d, a, b, out)
+            T[:, a, :, :, b] = T[:, b, :, :, a] = out
+    del A, B, d, r2, out
+    frames = np.concatenate([W[:len(u) // k] for u in rows]).transpose(0, 2, 1)
+    T = (frames @ T.reshape(g, 3, -1)).reshape(g, 3, k, k, 3)   # W^T G
+    Z = np.empty((k, 3, 2 * reach + 1, k, 3))
+    Z[:, :, :reach + 1] = T[reach::-1].transpose(2, 1, 0, 3, 4)
+    Z[:, :, reach + 1:] = T[1:reach + 1].transpose(3, 4, 0, 2, 1)
+    Y = None
+    if eps is not None:
+        Y = np.empty((k, 3, 2 * reach + 1, k, 3))
+        np.multiply(T[reach + 1:].transpose(2, 1, 0, 3, 4), eps, out=Y)
+        Y = Y.reshape(3 * k, -1)
+    return Z.reshape(3 * k, -1), Y, float(np.sqrt(least))
 
 
 def _block_rows(S4, d, r2, far, flip, params):
@@ -280,6 +430,82 @@ def _reversal_symmetry(x):
     return c, Q, eps
 
 
+class _Panels:
+    """The per-panel rotations W (P, 3, 3) of a panel-periodic body with k
+    nodes per panel (_panel_frames). assemble_system keeps its generators
+    here, so that both diagonal blocks of a reversal-symmetric body are
+    filled from one kernel call."""
+
+    def __init__(self, W, k):
+        self.W, self.k, self.generators = W, k, None
+
+
+def _into_panels(v, panels, back=False):
+    """The per-node (rows, 3, 6) array v in the panel frames, W_i^T v_p for
+    node p of panel i, or with back=True out of them, W_i v_p; v itself
+    when `panels` is None."""
+    if panels is None:
+        return v
+    W = panels.W[np.arange(v.shape[0]) // panels.k]
+    return (W if back else W.transpose(0, 2, 1)) @ v
+
+
+def _panel_frames(body, eps=None):
+    """_Panels of a body of two or more panels that are images of one
+    another under one screw motion S, x_{i+1,a} = S(x_{i,a}) for node
+    a < k of panel i, to _SYMMETRY_RTOL of the body's extent; None for any
+    other body.
+
+    S(y) = W_1 y + t is fitted by least squares over the N - k node pairs
+    x_{i,a} -> x_{i+1,a}: W_1 is the rotation whose quaternion is the top
+    eigenvector of Horn's symmetric 4 x 4 matrix of
+    sum (x_{i,a} - mean)(x_{i+1,a} - mean')^T (J. Opt. Soc. Am. A 1987),
+    which gives its angle phi and axis n to roundoff; W_1 = I when that
+    eigenvalue is not simple, as for a straight body, whose rotation about
+    its own line is arbitrary. W_i is the rotation by i phi about n, and
+    the body is accepted when every node lies within the tolerance of
+    S^i(x_{0,a}) = W_i x_{0,a} + sum_{j<i} W_j t. With eps, the signs of
+    the reversal involution R = diag(eps) of the body's nodes (the body
+    given in its eigenframe), R W_1 R = W_1^T must hold as well, so that
+    R reverses the screw.
+    """
+    k, P = body.order, body.panels
+    x = body.nodes
+    if P < 2 or P * k != x.shape[0]:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):   # inf or NaN: no period
+        y = x - x.mean(axis=0)
+        extent = np.abs(y).max()
+    if not 0.0 < extent < np.inf:
+        return None
+    y = (y / extent).reshape(P, k, 3)
+    a, b = y[:-1].reshape(-1, 3), y[1:].reshape(-1, 3)
+    a0, b0 = a.mean(axis=0), b.mean(axis=0)
+    (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = (a - a0).T @ (b - b0)
+    lam, V = np.linalg.eigh(np.array([
+        [xx + yy + zz, yz - zy, zx - xz, xy - yx],
+        [yz - zy, xx - yy - zz, xy + yx, zx + xz],
+        [zx - xz, xy + yx, yy - xx - zz, yz + zy],
+        [xy - yx, zx + xz, yz + zy, zz - xx - yy]]))
+    q = V[:, 3] if V[0, 3] >= 0.0 else -V[:, 3]   # the quaternion, angle <= pi
+    phi, (n1, n2, n3) = 0.0, (0.0, 0.0, 0.0)
+    if lam[3] - lam[2] > _SYMMETRY_RTOL * lam[3] and np.any(q[1:]):
+        vec = np.linalg.norm(q[1:])
+        phi, (n1, n2, n3) = 2.0 * math.atan2(vec, q[0]), q[1:] / vec
+    K = np.array([[0.0, -n3, n2], [n3, 0.0, -n1], [-n2, n1, 0.0]])   # K y = n x y
+    theta = phi * np.arange(P)[:, None, None]
+    W = np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
+    shift = np.cumsum(W[:-1] @ (b0 - W[1] @ a0), axis=0)   # sum_{j<i} W_j t
+    images = y[0] @ W.transpose(0, 2, 1)
+    images[1:] += shift[:, None]
+    if np.abs(images - y).max() > _SYMMETRY_RTOL:
+        return None
+    W1 = W[1]
+    if eps is not None and np.abs(eps[:, None] * W1 * eps - W1.T).max() > _SYMMETRY_RTOL:
+        return None   # R does not reverse the screw
+    return _Panels(W, k)
+
+
 def _solve(packed, U):
     """Y^T Y and L^-T Y for Y = L^-1 U, L the Cholesky factor of the packed
     matrix, which it overwrites."""
@@ -300,6 +526,7 @@ class ResistanceSet:
     grand: np.ndarray        # (6,6) symmetrized
     densities: np.ndarray    # (N,3,6) column j: density of unit motion j
     blocks: tuple            # orders of the factored diagonal blocks of G
+    panel_periodic: bool     # filled from the generators of _generators
     asymmetry: float         # relative asymmetry before symmetrization
     min_separation: float    # smallest distance between two distinct nodes
     ell: float
@@ -314,6 +541,7 @@ class ResistanceSet:
             "k_rt": self.k_rt.tolist(),
             "k_rr": self.k_rr.tolist(),
             "blocks": list(self.blocks),
+            "panel_periodic": self.panel_periodic,
             "asymmetry": self.asymmetry,
             "ell": self.ell,
             "mu": self.mu,
@@ -344,10 +572,18 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
     (psi+_p + psi-_p) / 2 at node p and eps (psi+_p - psi-_p) / 2 at N-1-p,
     rotated back by Q.
 
+    A panel-periodic body (module docstring), on either path, is solved in
+    its per-panel frames: the right-hand sides are turned by W_i^T at each
+    node of panel i, the blocks D^T G D or D^T G+- D are filled from the
+    generators T' and H', and the point forces are turned back by W_i. An
+    orthogonal change of frame leaves A6 as it is. `panel_periodic` says
+    which fill ran.
+
     `min_separation` is the smallest distance between two distinct nodes,
     found by the assembly; on the two-block path it covers the pairs within
     the first N/2 nodes and between the halves, and the others are their
-    mirror images.
+    mirror images; on the periodic fill it covers the generators' pairs,
+    every node pair up to the screw and the reversal.
     """
     n = body.n_nodes
     eye = np.eye(3)
@@ -362,22 +598,27 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
 
     sym = _reversal_symmetry(body.nodes)
     if sym is None:
-        packed, sep = assemble_system(body, params)
-        A6, psi = _solve(packed, U)
+        panels = _panel_frames(body)
+        packed, sep = assemble_system(body, params, panels=panels)
+        U3 = _into_panels(U.reshape(n, 3, 6), panels)
+        A6, psi = _solve(packed, U3.reshape(3 * n, 6))
+        psi = _into_panels(psi.reshape(n, 3, 6), panels, back=True)
         blocks = (3 * n,)
     else:
         c, Q, eps = sym
         h = n // 2
         frame = replace(body, nodes=(body.nodes - c) @ Q)
+        panels = _panel_frames(frame, eps)
         U3 = Q.T @ U.reshape(n, 3, 6)
         near, far = U3[:h], eps[:, None] * U3[h:][::-1]
         A6, parts = np.zeros((6, 6)), []
         for sign in (1.0, -1.0):
-            packed, sep = assemble_system(frame, params, (eps, sign))
-            A, p = _solve(packed, (near + sign * far).reshape(3 * h, 6))
+            packed, sep = assemble_system(frame, params, (eps, sign), panels)
+            rhs = _into_panels(near + sign * far, panels)
+            A, p = _solve(packed, rhs.reshape(3 * h, 6))
             del packed   # one block alive at a time
             A6 += 0.5 * A
-            parts.append(p.reshape(h, 3, 6))
+            parts.append(_into_panels(p.reshape(h, 3, 6), panels, back=True))
         plus, minus = parts
         psi = Q @ (0.5 * np.concatenate([plus + minus,
                                          (eps[:, None] * (plus - minus))[::-1]]))
@@ -394,6 +635,7 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
     A6 = 0.5 * (A6 + A6.T)
     return ResistanceSet(k_tt=A6[:3, :3], k_tr=A6[:3, 3:], k_rt=A6[3:, :3],
                          k_rr=A6[3:, 3:], grand=A6, densities=densities,
-                         blocks=blocks, asymmetry=asym, min_separation=sep,
+                         blocks=blocks, panel_periodic=panels is not None,
+                         asymmetry=asym, min_separation=sep,
                          ell=params.ell,
                          mu=params.mu, n_nodes=n, shape_hash=body.shape_hash())

@@ -131,6 +131,35 @@ def test_steady_mode_ring(tmp_path):
     assert 0 < density["l2"] < np.inf and 0 < density["max"] < np.inf
 
 
+@pytest.mark.parametrize("body, periodic", [
+    ({"kind": "helix", "radius": 1.0, "pitch": 1.0, "turns": 2.0}, True),
+    ({"kind": "ring", "radius": 1.0}, True),
+    ({"kind": "rod", "length": 2.0}, True),
+    ({"kind": "polyline", "vertices": [[0.0, 0.0, 0.0], [0.9, 0.3, -0.2], [1.2, 1.1, 0.5],
+                                       [0.4, 1.8, 1.1], [-0.3, 1.2, 1.7]]}, False),
+    ({"kind": "polyline", "vertices": [[-1.0, 1.5, 0.0], [0.0, 0.0, 0.0], [1.0, 1.5, 0.0]]},
+     False),
+], ids=["README-helix", "ring", "rod", "random-polyline", "V"])
+def test_report_says_whether_the_body_is_panel_periodic(tmp_path, body, periodic):
+    cfg = base_config(body=body, discretization={"panels": 16, "order": 4})
+    out = tmp_path / "out"
+    assert cli.main(["mobility", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["resistance"]["panel_periodic"] is periodic
+
+
+def test_momentum_gate_names_the_torque_residual(tmp_path, capsys):
+    # the helix of radius 1e100 balances its forces, but the roundoff of its
+    # torque terms, of order |K_rr| |omega|, exceeds the force-scaled gate
+    cfg = base_config(body={"kind": "helix", "radius": 1e100, "pitch": 1.0, "turns": 2.0},
+                      discretization={"panels": 4, "order": 4})
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["steady", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "freefall.steady_states: torque residual exceeds 1.0e-08 * scale" in err
+
+
 def test_config_roundtrip(tmp_path):
     path = write_config(tmp_path, base_config())
     out = tmp_path / "out"

@@ -376,8 +376,8 @@ def _numpy_mismatch(xi, omega, G, target):
     for sign in (1.0, -1.0):
         dxi = math.hypot(*(xi - sign * xi_s))
         dom = math.hypot(*(omega - sign * om_s))
-        cosang = np.clip(G @ (sign * g_s), -1.0, 1.0)
-        best = min(best, max(dxi, dom, float(np.arccos(cosang))))
+        ang = 2.0 * np.arctan2(np.linalg.norm(G - sign * g_s), np.linalg.norm(G + sign * g_s))
+        best = min(best, max(dxi, dom, float(ang)))
     return best
 
 
@@ -387,15 +387,12 @@ def _float_mismatch(xi, omega, G, steady, R, mp):
 
 
 def test_float_mismatch_matches_numpy_formula(ring_R, ring_mp, helix_R, helix_mp):
-    # A family's target g* is G normalized, so its angle is read by acos at
-    # the clip: the two cosines (numpy's dot is a fused multiply-add chain
-    # with some BLAS) may differ by an ulp or two below 1, where acos turns
-    # one ulp into 1.5e-8. Where that angle is the largest term, both
-    # mismatches sit below acos(1 - 4 ulp); elsewhere they agree to 1e-15.
+    # the written-out mismatch agrees with the numpy formula to 1e-15 near
+    # and exactly at the targets of a family (ring) and of a simple state
     rng = np.random.default_rng(29)
-    cases = ((ring_R, ring_mp, math.acos(1.0 - 2.0 ** -51)), (helix_R, helix_mp, 0.0))
-    assert [steady_states(R, mp)[0].multiplicity for R, mp, _ in cases] == [3, 1]
-    for R, mp, clip_floor in cases:
+    cases = ((ring_R, ring_mp), (helix_R, helix_mp))
+    assert [steady_states(R, mp)[0].multiplicity for R, mp in cases] == [3, 1]
+    for R, mp in cases:
         st = steady_states(R, mp)[0]
         for i in range(400):
             # random states near +-(xi*, omega*), at distances 1e-10 to 1,
@@ -410,12 +407,11 @@ def test_float_mismatch_matches_numpy_formula(ring_R, ring_mp, helix_R, helix_mp
                                  (sign * x, sign * o, sign * g)):
                 old = _numpy_mismatch(xi, omega, G, target)
                 new = _float_mismatch(xi, omega, G, st, R, mp)
-                if max(new, old) > clip_floor:
-                    assert abs(new - old) <= 1e-15
+                assert abs(new - old) <= 1e-15
         if st.multiplicity == 1:
-            # g*.g* = 1 in floats: exactly at +-g* both read 0
-            assert g @ g == 1.0 and new == old == 0.0
-    # a cosine that rounds above 1 is clipped, and the angle reads 0
+            # exactly at +-g* both read 0
+            assert new == old == 0.0
+    # a g* whose squared norm rounds above 1: exactly at +-g* the angle is 0
     while True:
         g = rng.normal(size=3)
         g = (g / np.linalg.norm(g)).tolist()
@@ -424,6 +420,23 @@ def test_float_mismatch_matches_numpy_formula(ring_R, ring_mp, helix_R, helix_mp
     for sign in (1.0, -1.0):
         G = [sign * v for v in g]
         assert _state_mismatch([0.0] * 3, [0.0] * 3, G, (g, [0.0] * 3, [0.0] * 3)) == 0.0
+
+
+def test_mismatch_at_family_target_is_roundoff(ring_R, ring_mp):
+    # a ring's family target g* is G normalized, one or two ulps from G: the
+    # angle between them is roundoff, where an acos of G.g* reads 1.5e-8 to
+    # 2.1e-8 for about one direction in eight
+    st = steady_states(ring_R, ring_mp)[0]
+    assert st.multiplicity == 3
+    target = _target(st, ring_R, ring_mp)
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for _ in range(400):
+        G = rng.normal(size=3)
+        G = (G / np.linalg.norm(G)).tolist()
+        g, xi, omega = target(G)
+        worst = max(worst, _state_mismatch(xi, omega, G, (g, xi, omega)))
+    assert worst <= 1e-15
 
 
 def _fstring_csv(traj, path):

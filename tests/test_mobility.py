@@ -299,8 +299,8 @@ def test_readme_helix_min_separation(helix_spec, params):
     body = discretize(helix_spec, panels=256, order=6)   # N = 1536
     ref, _ = dense_min_separation(body.nodes)
     R = resistance_set(body, params)
-    assert R.blocks == (2304, 2304)
-    assert abs(R.min_separation - ref) <= 1e-12 * ref
+    assert R.blocks == (2304, 2304) and R.panel_periodic
+    assert abs(R.min_separation - ref) <= 1e-12 * ref   # measured 2.0e-14
 
 
 def mirror_body(n, seed=0, close=None, gap=1e-3):
@@ -402,11 +402,28 @@ def test_symmetric_assembly_peak_memory(helix_spec, params):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert R.blocks == (3 * n // 2,) * 2
-    # one packed block of order 3N/2 at a time, 9 N^2 bytes, plus one
-    # strip's temporaries and the 3N x 6 right-hand sides: measured 12.7 N^2,
-    # bounded with a margin of about 0.8 N^2 (0.5 MB)
+    assert R.blocks == (3 * n // 2,) * 2 and R.panel_periodic
+    # one packed block of order 3N/2 at a time, 9 N^2 bytes, plus the
+    # generators and the 3N x 6 right-hand sides: measured 11.3 N^2 (12.7
+    # N^2 with one strip's temporaries in place of the generators)
     assert peak <= 13.5 * n * n
+
+
+def test_mirror_strip_assembly_peak_memory(params):
+    # the V is reversal-symmetric but not panel-periodic: its blocks are
+    # assembled in strips, whose temporaries replace the generators
+    spec = CurveSpec(kind="polyline",
+                     vertices=np.array([[-1.0, 1.5, 0], [0, 0, 0], [1, 1.5, 0]]))
+    body = discretize(spec, panels=192, order=4)   # N = 768
+    n = body.n_nodes
+    tracemalloc.start()
+    try:
+        R = resistance_set(body, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert R.blocks == (3 * n // 2,) * 2 and not R.panel_periodic
+    assert peak <= 13.5 * n * n   # measured 12.8 N^2
 
 
 def test_memory_guard_counts_packed_matrix(monkeypatch, params):
@@ -457,36 +474,100 @@ def _one_node_moved(x):
 
 README_HELIX = CurveSpec(kind="helix", radius=1.0, pitch=1.0, turns=2.0)
 SYMMETRY_CASES = {
+    # (body, diagonal blocks, filled from the panel generators)
     # two blocks: straight (rank-1 nodes), planar (rank 2) and chiral bodies
-    "rod": (lambda: discretize(CurveSpec(kind="rod", length=2.0), 16, 4), 2),
-    "ring": (lambda: discretize(CurveSpec(kind="ring", radius=1.0), 16, 4), 2),
+    "rod": (lambda: discretize(CurveSpec(kind="rod", length=2.0), 16, 4), 2, True),
+    "ring": (lambda: discretize(CurveSpec(kind="ring", radius=1.0), 16, 4), 2, True),
     "V-polyline": (lambda: discretize(CurveSpec(
         kind="polyline", vertices=np.array([[-1.0, 1.5, 0], [0, 0, 0], [1, 1.5, 0]])),
-        16, 4), 2),
-    "README-helix": (lambda: discretize(README_HELIX, 32, 6), 2),
+        16, 4), 2, False),
+    "README-helix": (lambda: discretize(README_HELIX, 32, 6), 2, True),
     "moved-helix": (lambda: _moved(discretize(README_HELIX, 16, 4),
-                                   _rotated_and_translated), 2),
+                                   _rotated_and_translated), 2, True),
     "linear-density-rod": (lambda: discretize(CurveSpec(
-        kind="rod", length=2.0, density=lambda s: 1.0 + s), 16, 4), 2),
+        kind="rod", length=2.0, density=lambda s: 1.0 + s), 16, 4), 2, True),
+    # odd P, even k: node N/2 = 30 falls inside panel 7
+    "odd-P-rod": (lambda: discretize(CurveSpec(kind="rod", length=2.0), 15, 4), 2, True),
     # one block
-    "odd-N-rod": (lambda: discretize(CurveSpec(kind="rod", length=2.0), 15, 3), 1),
+    "odd-N-rod": (lambda: discretize(CurveSpec(kind="rod", length=2.0), 15, 3), 1, True),
+    "odd-N-helix": (lambda: discretize(README_HELIX, 13, 3), 1, True),
     "random-polyline": (lambda: discretize(
-        random_polyline_spec(np.random.default_rng(7), n_vertices=5), 16, 4), 1),
+        random_polyline_spec(np.random.default_rng(7), n_vertices=5), 16, 4), 1, False),
     "helix-one-node-moved": (lambda: _moved(discretize(README_HELIX, 16, 4),
-                                            _one_node_moved), 1),
+                                            _one_node_moved), 1, False),
 }
 
 
 @pytest.mark.parametrize("name", SYMMETRY_CASES)
 def test_reversal_symmetry_selects_the_path(name, params):
     # reversal-symmetric bodies are solved on two half-size blocks, every
-    # other body on one; both give the dense Cholesky solution
-    make, n_blocks = SYMMETRY_CASES[name]
+    # other body on one, and panel-periodic bodies fill them from the
+    # generators; every path gives the dense Cholesky solution
+    make, n_blocks, periodic = SYMMETRY_CASES[name]
     body = make()
     n = body.n_nodes
     R = resistance_set(body, params)
     assert R.blocks == ((3 * n // 2,) * 2 if n_blocks == 2 else (3 * n,))
+    assert R.panel_periodic == periodic
     grand, densities = cholesky_reference(body, params)
     assert np.linalg.norm(R.grand - grand) <= 1e-13 * np.linalg.norm(grand)
     assert (np.linalg.norm(R.densities - densities)
             <= 1e-13 * np.linalg.norm(densities))
+
+
+def periodic_blocks(body, params):
+    """The Green blocks a panel-periodic body is solved on, as dense
+    references in the frame the assembly uses (the eigenframe of the
+    reversal, if any), their nodes' panel rotations W_i, and the
+    assemble_system calls that fill them."""
+    n, sym = body.n_nodes, mobility._reversal_symmetry(body.nodes)
+    if sym is None:
+        panels = mobility._panel_frames(body)
+        G = dense_green(body.nodes, params).reshape(n, 3, n, 3)
+        blocks = [(G, lambda: assemble_system(body, params, panels=panels))]
+        rows = n
+    else:
+        c, Q, eps = sym
+        body = replace(body, nodes=(body.nodes - c) @ Q)
+        panels = mobility._panel_frames(body, eps)
+        G = dense_green(body.nodes, params).reshape(n, 3, n, 3)
+        rows = n // 2
+        near, far = G[:rows, :, :rows], G[:rows, :, ::-1][:, :, :rows] * eps
+        blocks = [(near + sign * far,
+                   lambda sign=sign: assemble_system(body, params, (eps, sign), panels))
+                  for sign in (1.0, -1.0)]
+    return blocks, panels.W[np.arange(rows) // body.order]
+
+
+@pytest.mark.parametrize("name", ["rod", "ring", "README-helix", "odd-P-rod",
+                                  "odd-N-rod", "odd-N-helix"])
+def test_panel_generators_match_dense_reference(name, params):
+    # the blocks filled from the generators are W^T G W, or W^T G+- W in the
+    # eigenframe of the reversal, with W_i the rotation of panel i
+    blocks, W = periodic_blocks(SYMMETRY_CASES[name][0](), params)
+    rows = W.shape[0]
+    for block, assemble in blocks:
+        ref = np.einsum("pca,pcqd,qdb->paqb", W, block, W).reshape(3 * rows, 3 * rows)
+        got = rfp_to_dense(assemble()[0])
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("panels, order", [(64, 6), (15, 4), (13, 3), (100, 2)])
+def test_memory_guard_bounds_the_periodic_fill(monkeypatch, params, panels, order):
+    # the guard counts the packed matrix and the generators' arrays, an
+    # upper bound on what the periodic fill allocates (measured 14 to 29
+    # doubles a generator pair against the 47 counted)
+    counted = []
+    require = mobility.require_memory
+    monkeypatch.setattr(mobility, "require_memory",
+                        lambda m, where, temps=0: counted.append((m, temps)) or
+                        require(m, where, temps))
+    blocks, _ = periodic_blocks(discretize(README_HELIX, panels, order), params)
+    tracemalloc.start()
+    try:
+        blocks[0][1]()   # the first block's fill evaluates the generators
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (m, temporaries), = counted
+    assert 0 < peak <= 8 * (m * (m + 1) // 2 + temporaries)
