@@ -77,14 +77,19 @@ def nondimensionalize(rho, mu, L, d, gravity):
 
 def _density_from_config(block):
     kind = block.get("type")
-    if kind == "uniform":
-        v = float(block["value"])
-        if v <= 0:
-            raise ConfigError("cli: uniform density must be positive")
-        return lambda s: np.full_like(np.asarray(s, float), v)
-    if kind == "linear":
-        a, b = float(block["a"]), float(block.get("b", 0.0))
-        return lambda s: a + b * np.asarray(s, float)
+    try:
+        if kind == "uniform":
+            v = float(block["value"])
+            _require_finite(value=v)
+            if v <= 0:
+                raise ConfigError("cli: uniform density must be positive")
+            return lambda s: np.full_like(np.asarray(s, float), v)
+        if kind == "linear":
+            a, b = float(block["a"]), float(block.get("b", 0.0))
+            _require_finite(a=a, b=b)
+            return lambda s: a + b * np.asarray(s, float)
+    except KeyError as exc:
+        raise ConfigError(f"cli.parse_config: rho_line of type {kind!r} needs {exc}")
     raise ConfigError(f"cli: unknown density profile type {kind!r}")
 
 
@@ -230,10 +235,10 @@ def _parse_config(raw):
         raise ConfigError(f"cli.parse_config: bad body block: {exc}")
     except OSError as exc:
         raise ConfigError(f"cli.parse_config: cannot read the polyline CSV: {exc}")
-    # Refuse, before its nodes are made, a body that cannot be solved: every
-    # path allocates at least the smaller block of a reversal-symmetric
-    # body, a packed matrix of order 3N/2 (assemble_system checks the exact
-    # need of the body as discretized).
+    # Refuse, before its nodes are made, a body that cannot be solved: each
+    # path allocates at least one packed matrix of order 3N/2, one block of
+    # the two-block path (assemble_system checks the exact need of the body
+    # as discretized, which is order 3N on the one-block path).
     require_memory(3 * nodes // 2, f"cli.parse_config: {nodes} nodes")
 
     return RunConfig(spec=spec, ell=ell, re=re, mu=mu, m=m, m_c=m_c,

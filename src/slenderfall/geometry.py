@@ -257,23 +257,22 @@ def _strip_rows(cols):
     return max(1, _STRIP_PAIRS // cols)
 
 
-def pair_strips(x, y=None):
+def pair_strips(x):
     """Node differences over the upper triangle, one row strip at a time.
 
     Yields (p0, p1, d, r2) for consecutive strips of rows p0 <= p < p1
-    against the columns q >= p0, with d[a][i, j] = x[p0 + i, a] - y[p0 + j, a]
-    and r2 = d[0]^2 + d[1]^2 + d[2]^2; y (as many nodes as x) defaults to x.
-    For y = x, entry (i, i) is the pair (p, p), so the strip's own square
-    block d[a][:, :p1 - p0] is complete. Each strip holds about _STRIP_PAIRS
-    pairs, at most max(_STRIP_PAIRS, N): the rows grow as the columns
-    shrink, so every strip but the last costs the same per numpy call.
+    against the columns q >= p0, with d[a][i, j] = x[p0 + i, a] - x[p0 + j, a]
+    and r2 = d[0]^2 + d[1]^2 + d[2]^2. Entry (i, i) is the pair (p, p), so
+    the strip's own square block d[a][:, :p1 - p0] is complete. Each strip
+    holds about _STRIP_PAIRS pairs, at most max(_STRIP_PAIRS, N): the rows
+    grow as the columns shrink, so every strip but the last costs the same
+    per numpy call.
     """
     n = x.shape[0]
-    y = x if y is None else y
     p0 = 0
     while p0 < n:
         p1 = min(p0 + _strip_rows(n - p0), n)
-        d = [x[p0:p1, None, a] - y[None, p0:, a] for a in range(3)]
+        d = [x[p0:p1, None, a] - x[None, p0:, a] for a in range(3)]
         r2 = d[0] * d[0]
         r2 += d[1] * d[1]
         r2 += d[2] * d[2]

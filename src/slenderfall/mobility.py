@@ -13,10 +13,10 @@ Only one triangle of G is stored, in LAPACK's rectangular full packed (RFP)
 format: m(m+1)/2 doubles for m = 3N, half the square (Gustavson, Wasniewski,
 Dongarra & Langou, ACM TOMS 2010). It is assembled straight into that
 array, in row strips of nodes, so the kernel is evaluated once per node pair
-and the pairwise temporaries stay one strip in size at any N, or, for a
-panel-periodic body (below), from the generators of its block-Toeplitz
-structure. That pass is the only one over the node pairs: its squared
-distances also give the smallest node separation
+and the pairwise temporaries stay one strip in size at any N; the two
+blocks of the symmetric path (below) are filled from the generators of
+their block-Toeplitz structure instead. That pass is the only one over the
+node pairs: its squared distances also give the smallest node separation
 (ResistanceSet.min_separation). The hyperviscous symbol is positive, so G
 is positive definite and is factored once, in place, by the RFP Cholesky
 dpftrf, G = L L^T. The quadrature weights cancel from the
@@ -31,30 +31,26 @@ solve on the same factor gives the six basis force densities
 Phi = W^-1 L^-T Y = W^-1 G^-1 U, so the line force density of any rigid
 motion z = (xi, omega) is Phi z.
 
-The Green tensor is isotropic, G(R d) = R G(d) R^T for every orthogonal R.
-Rods, rings and helices (and their composite Gauss nodes) are mapped onto
-themselves by reversing the node order and applying a symmetric orthogonal
-R, R^2 = I: x_{N-1-p} - c = R (x_p - c). The Green matrix then commutes
-with that node map, and in the basis of its even and odd vectors it is
-block diagonal (Allgower, Boehmer, Georg & Miranda, SIAM J. Numer. Anal.
-1992). For such a body of even N, the two diagonal blocks of order 3N/2,
+The Green tensor is isotropic, G(R d) = R G(d) R^T for every orthogonal R,
+and resistance_set uses that on the bodies geometry.discretize makes of
+rods, rings and helices. Two identities hold for them. First, reversing
+the node order and applying a symmetric orthogonal R, R^2 = I, maps the
+body onto itself: x_{N-1-p} - c = R (x_p - c). The Green matrix then
+commutes with that node map, and in the basis of its even and odd vectors
+it is block diagonal (Allgower, Boehmer, Georg & Miranda, SIAM J. Numer.
+Anal. 1992). For even N, the two diagonal blocks of order 3N/2 are
 
     G+-(p, q) = G(x_p - x_q) +- G(x_p - x_{N-1-q}) R,    p, q < N/2,
 
-are assembled, factored and solved one at a time, in place of G: a quarter
-of the factor's work and a quarter of its memory. Any other body takes the
-one-block path. R = Q diag(eps) Q^T has the eigenvalues eps_a = +-1, so in
-the eigenframe of R, on the rotated nodes (x - c) Q, the mirror is a sign
-per axis: the far term's component (a,b) is the near term's formula at
-d = x_p - x_{N-1-q} times +-eps_b, written with the near term in one pass.
-The rigid motions are rotated into that frame by Q^T, and the point forces
-back by Q.
+assembled, factored and solved one at a time, in place of G: a quarter of
+the factor's work and a quarter of its memory. R = Q diag(eps) Q^T has the
+eigenvalues eps_a = +-1, so the blocks are formed in the eigenframe of R,
+on the rotated nodes (x - c) Q, where R is a sign per axis; the rigid
+motions are rotated into that frame by Q^T, and the point forces back by Q.
 
-The same identity makes G block Toeplitz for a panel-periodic body: one
-whose panels of k Gauss nodes are images of one another under one screw
-motion S, x_{i+1,a} = S(x_{i,a}) = W_1 x_{i,a} + t for node a of panel i,
-which holds for every rod, ring and helix that geometry.discretize makes
-(not for polylines, whose edges turn). With W_i the rotation of S^i (by
+Second, the body is panel-periodic: its panels of k Gauss nodes are
+images of one another under one screw motion S, x_{i+1,a} = S(x_{i,a}) =
+W_1 x_{i,a} + t for node a of panel i. With W_i the rotation of S^i (by
 i phi about W_1's axis, the identity for a straight body),
 x_{i,a} - x_{j,b} = W_j (x_{i-j,a} - x_{0,b}), so in per-panel frames,
 node components of panel i turned by W_i^T, block (i, j) of D^T G D,
@@ -63,7 +59,7 @@ D the block diagonal of the W_i of each node's panel, is
     T'(i - j),   T'(delta) = W_delta^T G(x_{delta,a} - x_{0,b}),
 
 (rows (a, alpha), columns (b, beta)) for i >= j and T'(j - i)^T for i < j.
-The reversal of such a body reverses the screw, R W_j R = W_j^T, so that
+When the reversal reverses the screw, R W_j R = W_j^T, then
 W_i^T G(x_p - x_{N-1-q}) R W_j = H'(i + j) for node p of panel i and q of
 panel j, and
 
@@ -71,18 +67,23 @@ panel j, and
     H'(sigma) = W_sigma^T G(x_{sigma,a} - x_{P-1,k-1-b}) R.
 
 The kernel then runs once, on the k^2 node pairs of each generator, about
-P k^2 in all for one block and 1.5 P k^2 for both diagonal blocks (13,788
-pairs for the README helix at N = 1536, in place of 1,181,184), and every
-row of the packed matrix is copied from a window of the generators. The
-rigid motions are rotated into the panel frames by W_i^T per node and the
-point forces back by W_i. Which fill runs is decided by the fit of S
-(_panel_frames); any other body is assembled in strips.
+1.5 P k^2 in all for both diagonal blocks (13,788 pairs for the README
+helix at N = 1536, in place of 1,181,184), and every row of the packed
+matrix is copied from a window of the generators. The rigid motions are
+rotated into the panel frames by W_i^T per node and the point forces back
+by W_i.
+
+So there are two paths, and one selector in resistance_set: a body whose
+reversal involution R exists (_reversal_symmetry) and whose eigenframe
+passes the screw fit with R reversing the screw (_panel_frames) is filled
+from the generators and solved as two blocks; every other body, a
+polyline, an odd-N body or a single panel, is assembled in strips and
+solved as one block.
 """
 
 import math
 import os
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 from scipy.linalg import lapack
@@ -92,18 +93,14 @@ from .geometry import _STRIP_PAIRS, pair_strips
 from .kernel import kernel_scalars
 
 _ZERO_DATA_TOL = 1e-12
-# largest distance of a node from the image of its mirror node, relative to
-# the body's extent, for the two-block path
+# largest distance of a node from its image under the reversal or the
+# screw, relative to the body's extent, for the two-block path
 _SYMMETRY_RTOL = 1e-12
 # strip-sized float64 arrays alive at the peak of assembly, inside
 # kernel_scalars: the strip's differences and squared distances (4), its
 # nine components (9), the distances and kernel_scalars' own arrays with its
 # near-field mask (7) and the square blocks' triangle mask (1)
 _STRIP_TEMPORARIES = 21
-# and, with the mirror term, the far differences and squared distances (4)
-# and the near term's A and B kept while the far kernel runs (2), plus one
-# for the near-field subsets
-_MIRROR_TEMPORARIES = 7
 # float64 arrays per generator pair of a panel-periodic body: its
 # differences and squared distances (4), the kernel's arrays (7), the Green
 # tensor (9) and its rotation into the panel frames (9), and about 18 for
@@ -122,14 +119,13 @@ def require_memory(m, where, temporaries=0):
                           f"{ram / 2**30:.1f} GiB of physical memory")
 
 
-def _check_fits(n, mirrored=False, pairs=None):
+def _check_fits(n, pairs=None):
     """Refuse an assembly whose peak memory exceeds the physical RAM: the
-    packed 3n x 3n matrix and one strip's temporaries, more of them when
-    the blocks carry the mirror term, or, for a panel-periodic body, the
-    arrays of its `pairs` generator pairs."""
+    packed 3n x 3n matrix and one strip's temporaries or, for a block
+    filled from the generators, the arrays of its `pairs` generator
+    pairs."""
     if pairs is None:
-        strip = _STRIP_TEMPORARIES + mirrored * _MIRROR_TEMPORARIES
-        temporaries = strip * max(_STRIP_PAIRS, n)
+        temporaries = _STRIP_TEMPORARIES * max(_STRIP_PAIRS, n)
     else:
         temporaries = _GENERATOR_TEMPORARIES * pairs
     require_memory(3 * n, "mobility.assemble_system", temporaries)
@@ -144,7 +140,7 @@ def _rfp_diagonal(m):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def assemble_system(body, params, mirror=None, panels=None):
+def assemble_system(body, params, panels=None, sign=1.0):
     """Green matrix G, block (p,q) = G(x_p - x_q), no weights, packed RFP,
     and the smallest distance between two distinct nodes.
 
@@ -168,33 +164,21 @@ def assemble_system(body, params, mirror=None, panels=None):
     zero one is refused. An entry that overflows stays inf or NaN, without
     a floating-point warning; _factorize refuses its factor.
 
-    With mirror = (eps, sign), the body's nodes given in the eigenframe of
-    its reversal involution (see the module docstring), so that node N-1-p
-    is node p with its coordinates times eps, the result is instead the
-    diagonal block G+ (sign 1) or G- (sign -1) of order 3N/2, in the same
-    layout: block (p,q), p, q < N/2, gains sign G(x_p - x_{N-1-q}) diag(eps),
-    whose component (a,b) is the near term's formula at d = x_p - x_{N-1-q}
-    times sign eps_b. The strips pair the first N/2 nodes with the first
-    N/2 and with the last N/2 in reverse order; the separation covers both.
-
-    With `panels` (_panel_frames) of a panel-periodic body, the result is
-    the same matrix in the per-panel frames, D^T G D or D^T G+- D, filled
-    from the generators of _generators: row i of it, node p of panel I and
+    With `panels` (_panel_frames) of a body on the symmetric path, given
+    in the eigenframe of its reversal (module docstring), the result is
+    instead the diagonal block G+ (sign 1) or G- (sign -1) of order 3N/2
+    in the per-panel frames, D^T G+- D, in the same layout, filled from the
+    generators of _generators: row i of it, node p of panel I and
     component (a, alpha) = i mod 3k, is the window of row i mod 3k of Z
     starting at column 3k (reach - I), plus sign the window of Y starting at
     3k I. Every RFP row is two such windows: row r < h of G from its
     diagonal on, and row r + h - 1 + s from column h to its diagonal.
     """
     if panels is not None:
-        return _fill_periodic(body, params, mirror, panels)
-    x, far, flip = body.nodes, repeat(None), None
-    if mirror is not None:
-        eps, sign = mirror
-        flip = sign * np.asarray(eps) > 0   # the far term's sign, per column b
-        half = body.n_nodes // 2
-        x, far = x[:half], pair_strips(x[:half], x[half:][::-1])
+        return _fill_periodic(body, params, panels, sign)
+    x = body.nodes
     n = x.shape[0]
-    _check_fits(n, mirror is not None)
+    _check_fits(n)
     m = 3 * n
     h, s = (m + 1) // 2, 1 - m % 2
     P = np.empty((h, m + s))
@@ -204,10 +188,10 @@ def assemble_system(body, params, mirror=None, panels=None):
     tall = 3 * min(n, math.isqrt(_STRIP_PAIRS))
     upper = np.triu(np.ones((tall, tall), dtype=bool))
     sep2 = np.inf
-    for (p0, p1, d, r2), far_strip in zip(pair_strips(x), far):
+    for p0, p1, d, r2 in pair_strips(x):
         k = p1 - p0
         S4 = buf[:9 * r2.size].reshape(k, 3, n - p0, 3)
-        sep2 = min(sep2, _block_rows(S4, d, r2, far_strip, flip, params))
+        sep2 = min(sep2, _block_rows(S4, d, r2, params))
         S = S4.reshape(3 * k, 3 * (n - p0))
         i0, i1 = 3 * p0, 3 * p1
         for lo, hi in ((i0, min(i1, h)), (max(i0, h), i1)):
@@ -230,20 +214,18 @@ def _rfp_block(P, s, i0, i1, c0, c1):
     return P[c0 - h + 1 - s:c1 - h + 1 - s, i0 - h:i1 - h].T
 
 
-def _fill_periodic(body, params, mirror, panels):
-    """assemble_system for a panel-periodic body: the packed matrix of its
-    nodes, or of its first N/2 with the mirror term, in the per-panel
-    frames, written from the generators one panel of rows at a time. Rows
-    above h are written from the diagonal on, as on the strip path; each
-    row below h is written from column h to the diagonal, which is a plain
-    row of the RFP array."""
-    k, n = body.order, body.n_nodes // (1 if mirror is None else 2)
+def _fill_periodic(body, params, panels, sign):
+    """assemble_system on the symmetric path: the packed block G+- of the
+    first N/2 nodes in the per-panel frames, written from the generators
+    one panel of rows at a time. Rows above h are written from the
+    diagonal on, as on the strip path; each row below h is written from
+    column h to the diagonal, which is a plain row of the RFP array."""
+    k, n = body.order, body.n_nodes // 2
     w, reach = 3 * k, (n - 1) // k   # the largest panel difference of the block
-    eps, sign = (None, 1.0) if mirror is None else mirror
-    generators = reach + 1 + (0 if eps is None else 2 * reach + 1)
-    _check_fits(n, pairs=generators * k * k)
+    _check_fits(n, pairs=(3 * reach + 2) * k * k)   # reach + 1 T', 2 reach + 1 H'
     if panels.generators is None:
-        panels.generators = _generators(body.nodes, k, panels.W, reach, eps, params)
+        panels.generators = _generators(body.nodes, k, panels.W, reach, panels.eps,
+                                        params)
     Z, Y, sep = panels.generators
     m = 3 * n
     h, s = (m + 1) // 2, 1 - m % 2
@@ -253,7 +235,7 @@ def _fill_periodic(body, params, mirror, panels):
     for i0 in range(0, m, w):
         i1 = min(i0 + w, m)
         z = w * (reach - i0 // w)   # G[i0:i1, c] = Zi[:, c] + sign Yi[:, c]
-        Zi, Yi = Z[:i1 - i0, z:z + m], None if Y is None else Y[:i1 - i0, i0:i0 + m]
+        Zi, Yi = Z[:i1 - i0, z:z + m], Y[:i1 - i0, i0:i0 + m]
         for lo, hi in ((i0, min(i1, h)), (max(i0, h), i1)):
             if lo >= hi:
                 continue
@@ -265,11 +247,8 @@ def _fill_periodic(body, params, mirror, panels):
                 parts = ((_rfp_block(P, s, h, lo, lo, hi).T, h, lo, True),
                          (square.T, lo, hi, upper[:hi - lo, :hi - lo].T))
             for dst, c0, c1, where in parts:
-                if Yi is None:
-                    np.copyto(dst, Zi[lo - i0:hi - i0, c0:c1], where=where)
-                else:
-                    combine(Zi[lo - i0:hi - i0, c0:c1], Yi[lo - i0:hi - i0, c0:c1],
-                            out=dst, where=where)
+                combine(Zi[lo - i0:hi - i0, c0:c1], Yi[lo - i0:hi - i0, c0:c1],
+                        out=dst, where=where)
     return P, sep
 
 
@@ -281,18 +260,17 @@ def _generators(x, k, W, reach, eps, params):
     Z (3k, 3k (2 reach + 1)) holds block (I, J), |I - J| <= reach, of
     D^T G D at columns 3k (J - I + reach): T'(I - J) for I >= J and
     T'(J - I)^T for I < J, with T'(delta)[(a, alpha), (b, beta)] =
-    (W_delta^T G(x_{delta,a} - x_{0,b}))[alpha, beta]. With eps (the
-    reversal's signs), Y (3k, 3k (2 reach + 1)) holds H'(sigma) at columns
-    3k sigma, H'(sigma)[(a, alpha), (b, beta)] =
-    (W_sigma^T G(x_{sigma,a} - x_{P-1,k-1-b}))[alpha, beta] eps_beta; else
-    Y is None.
+    (W_delta^T G(x_{delta,a} - x_{0,b}))[alpha, beta]. Y (3k, 3k (2 reach +
+    1)) holds H'(sigma) at columns 3k sigma, H'(sigma)[(a, alpha), (b,
+    beta)] = (W_sigma^T G(x_{sigma,a} - x_{P-1,k-1-b}))[alpha, beta]
+    eps_beta, with eps the reversal's signs.
     The pairs cover every node pair up to the body's symmetries, so their
     least distance is the body's; the two that pair a node with itself are
     left out of it, and a zero distance of any other is refused.
     """
     n = x.shape[0]
-    rows = [x[:(reach + 1) * k]] + [x[:(2 * reach + 1) * k]] * (eps is not None)
-    cols = [x[:k]] + [x[::-1][:k]] * (eps is not None)   # x_{0,b}, x_{P-1,k-1-b}
+    rows = x[:(reach + 1) * k], x[:(2 * reach + 1) * k]
+    cols = x[:k], x[::-1][:k]   # x_{0,b}, x_{P-1,k-1-b}
     d = [np.concatenate([u[:, a].reshape(-1, k, 1) - v[:, a]
                          for u, v in zip(rows, cols)]) for a in range(3)]
     r2 = d[0] * d[0]
@@ -301,7 +279,7 @@ def _generators(x, k, W, reach, eps, params):
     A, B = kernel_scalars(np.sqrt(r2), params)
     diag = np.arange(k)
     r2[0, diag, diag] = np.inf                   # node (0, a) with itself
-    if eps is not None and 2 * reach + 1 == n // k:  # node (P-1, a) with itself
+    if 2 * reach + 1 == n // k:                  # node (P-1, a) with itself
         r2[-1, diag, k - 1 - diag] = np.inf
     least = _least(r2)
     B /= r2
@@ -317,39 +295,26 @@ def _generators(x, k, W, reach, eps, params):
     Z = np.empty((k, 3, 2 * reach + 1, k, 3))
     Z[:, :, :reach + 1] = T[reach::-1].transpose(2, 1, 0, 3, 4)
     Z[:, :, reach + 1:] = T[1:reach + 1].transpose(3, 4, 0, 2, 1)
-    Y = None
-    if eps is not None:
-        Y = np.empty((k, 3, 2 * reach + 1, k, 3))
-        np.multiply(T[reach + 1:].transpose(2, 1, 0, 3, 4), eps, out=Y)
-        Y = Y.reshape(3 * k, -1)
-    return Z.reshape(3 * k, -1), Y, float(np.sqrt(least))
+    Y = np.empty((k, 3, 2 * reach + 1, k, 3))
+    np.multiply(T[reach + 1:].transpose(2, 1, 0, 3, 4), eps, out=Y)
+    return Z.reshape(3 * k, -1), Y.reshape(3 * k, -1), float(np.sqrt(least))
 
 
-def _block_rows(S4, d, r2, far, flip, params):
-    """Write a strip's block rows into S4, each component once, its far
-    term (if any) added or subtracted as flip says; return the strip's
-    least squared distance between two distinct nodes. Once the kernel has
-    run, r2 and f2 serve as the component buffers; the kernel values are
-    dropped on return, before the next strip is formed."""
+def _block_rows(S4, d, r2, params):
+    """Write a strip's block rows into S4, each component once; return the
+    strip's least squared distance between two distinct nodes. Once the
+    kernel has run, r2 serves as the component buffer; the kernel values
+    are dropped on return, before the next strip is formed."""
     A, B = kernel_scalars(np.sqrt(r2), params)
     np.fill_diagonal(r2, np.inf)  # B(0) = 0, so the diagonal of B / r^2 is 0
     least = _least(r2)
     B /= r2
-    if far is not None:
-        _, _, e, f2 = far
-        least = min(least, _least(f2))
-        Af, Bf = kernel_scalars(np.sqrt(f2), params)
-        Bf /= f2
     for a in range(3):
         for b in range(a, 3):
             _component(A, B, d, a, b, r2)
-            if far is not None:
-                _component(Af, Bf, e, a, b, f2)
-            for i, j in ((a, b), (b, a)) if a != b else ((a, b),):
-                if far is None:
-                    S4[:, i, :, j] = r2
-                else:
-                    (np.add if flip[j] else np.subtract)(r2, f2, out=S4[:, i, :, j])
+            S4[:, a, :, b] = r2
+            if a != b:
+                S4[:, b, :, a] = r2
     return least
 
 
@@ -432,29 +397,27 @@ def _reversal_symmetry(x):
 
 class _Panels:
     """The per-panel rotations W (P, 3, 3) of a panel-periodic body with k
-    nodes per panel (_panel_frames). assemble_system keeps its generators
-    here, so that both diagonal blocks of a reversal-symmetric body are
-    filled from one kernel call."""
+    nodes per panel and the signs eps of its reversal (_panel_frames).
+    assemble_system keeps its generators here, so that both diagonal
+    blocks are filled from one kernel call."""
 
-    def __init__(self, W, k):
-        self.W, self.k, self.generators = W, k, None
+    def __init__(self, W, k, eps):
+        self.W, self.k, self.eps, self.generators = W, k, eps, None
 
 
 def _into_panels(v, panels, back=False):
     """The per-node (rows, 3, 6) array v in the panel frames, W_i^T v_p for
-    node p of panel i, or with back=True out of them, W_i v_p; v itself
-    when `panels` is None."""
-    if panels is None:
-        return v
+    node p of panel i, or with back=True out of them, W_i v_p."""
     W = panels.W[np.arange(v.shape[0]) // panels.k]
     return (W if back else W.transpose(0, 2, 1)) @ v
 
 
-def _panel_frames(body, eps=None):
+def _panel_frames(body, eps):
     """_Panels of a body of two or more panels that are images of one
     another under one screw motion S, x_{i+1,a} = S(x_{i,a}) for node
-    a < k of panel i, to _SYMMETRY_RTOL of the body's extent; None for any
-    other body.
+    a < k of panel i, to _SYMMETRY_RTOL of the body's extent, a screw that
+    R reverses; None for any other body. The body is given in the
+    eigenframe of its reversal involution R = diag(eps).
 
     S(y) = W_1 y + t is fitted by least squares over the N - k node pairs
     x_{i,a} -> x_{i+1,a}: W_1 is the rotation whose quaternion is the top
@@ -464,10 +427,8 @@ def _panel_frames(body, eps=None):
     eigenvalue is not simple, as for a straight body, whose rotation about
     its own line is arbitrary. W_i is the rotation by i phi about n, and
     the body is accepted when every node lies within the tolerance of
-    S^i(x_{0,a}) = W_i x_{0,a} + sum_{j<i} W_j t. With eps, the signs of
-    the reversal involution R = diag(eps) of the body's nodes (the body
-    given in its eigenframe), R W_1 R = W_1^T must hold as well, so that
-    R reverses the screw.
+    S^i(x_{0,a}) = W_i x_{0,a} + sum_{j<i} W_j t, and when
+    R W_1 R = W_1^T, so that R reverses the screw.
     """
     k, P = body.order, body.panels
     x = body.nodes
@@ -501,9 +462,9 @@ def _panel_frames(body, eps=None):
     if np.abs(images - y).max() > _SYMMETRY_RTOL:
         return None
     W1 = W[1]
-    if eps is not None and np.abs(eps[:, None] * W1 * eps - W1.T).max() > _SYMMETRY_RTOL:
+    if np.abs(eps[:, None] * W1 * eps - W1.T).max() > _SYMMETRY_RTOL:
         return None   # R does not reverse the screw
-    return _Panels(W, k)
+    return _Panels(W, k, eps)
 
 
 def _solve(packed, U):
@@ -526,7 +487,6 @@ class ResistanceSet:
     grand: np.ndarray        # (6,6) symmetrized
     densities: np.ndarray    # (N,3,6) column j: density of unit motion j
     blocks: tuple            # orders of the factored diagonal blocks of G
-    panel_periodic: bool     # filled from the generators of _generators
     asymmetry: float         # relative asymmetry before symmetrization
     min_separation: float    # smallest distance between two distinct nodes
     ell: float
@@ -541,7 +501,6 @@ class ResistanceSet:
             "k_rt": self.k_rt.tolist(),
             "k_rr": self.k_rr.tolist(),
             "blocks": list(self.blocks),
-            "panel_periodic": self.panel_periodic,
             "asymmetry": self.asymmetry,
             "ell": self.ell,
             "mu": self.mu,
@@ -565,25 +524,20 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
     the largest entry; as Y^T Y is symmetric by construction, it can no
     longer fail.
 
-    A reversal-symmetric body is solved on the two blocks G+- of the module
-    docstring instead, in the eigenframe of R, where R = diag(eps): with
-    U_p rotated by Q^T, U+-_p = U_p +- eps U_{N-1-p} and psi+- = G+-^-1 U+-,
-    A6 = (Y+^T Y+ + Y-^T Y-) / 2, and the nodal point forces are
-    (psi+_p + psi-_p) / 2 at node p and eps (psi+_p - psi-_p) / 2 at N-1-p,
-    rotated back by Q.
-
-    A panel-periodic body (module docstring), on either path, is solved in
-    its per-panel frames: the right-hand sides are turned by W_i^T at each
-    node of panel i, the blocks D^T G D or D^T G+- D are filled from the
-    generators T' and H', and the point forces are turned back by W_i. An
-    orthogonal change of frame leaves A6 as it is. `panel_periodic` says
-    which fill ran.
+    This is the one-block path, G assembled in strips. The one selector
+    of the module docstring sends a reversal-symmetric, panel-periodic body
+    to the two blocks G+- instead, in the eigenframe of R, where
+    R = diag(eps), and in its per-panel frames: with U_p rotated by Q^T,
+    U+-_p = U_p +- eps U_{N-1-p}, turned by W_i^T at each node of panel i,
+    and psi+- = (D^T G+- D)^-1 U+-, A6 = (Y+^T Y+ + Y-^T Y-) / 2, and the
+    nodal point forces, turned back by W_i, are (psi+_p + psi-_p) / 2 at
+    node p and eps (psi+_p - psi-_p) / 2 at N-1-p, rotated back by Q. An
+    orthogonal change of frame leaves A6 as it is. `blocks` says which path
+    ran.
 
     `min_separation` is the smallest distance between two distinct nodes,
-    found by the assembly; on the two-block path it covers the pairs within
-    the first N/2 nodes and between the halves, and the others are their
-    mirror images; on the periodic fill it covers the generators' pairs,
-    every node pair up to the screw and the reversal.
+    found by the assembly; on the two-block path it covers the generators'
+    pairs, every node pair up to the screw and the reversal.
     """
     n = body.n_nodes
     eye = np.eye(3)
@@ -596,24 +550,22 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
             if np.linalg.norm(u) >= _ZERO_DATA_TOL * (1 + body.length):
                 U[:, j] = u  # else straight-body axial rotation: zero column
 
-    sym = _reversal_symmetry(body.nodes)
-    if sym is None:
-        panels = _panel_frames(body)
-        packed, sep = assemble_system(body, params, panels=panels)
-        U3 = _into_panels(U.reshape(n, 3, 6), panels)
-        A6, psi = _solve(packed, U3.reshape(3 * n, 6))
-        psi = _into_panels(psi.reshape(n, 3, 6), panels, back=True)
-        blocks = (3 * n,)
-    else:
+    sym, panels = _reversal_symmetry(body.nodes), None
+    if sym is not None:
         c, Q, eps = sym
-        h = n // 2
         frame = replace(body, nodes=(body.nodes - c) @ Q)
         panels = _panel_frames(frame, eps)
+    if panels is None:
+        packed, sep = assemble_system(body, params)
+        A6, psi = _solve(packed, U)
+        blocks = (3 * n,)
+    else:
+        h = n // 2
         U3 = Q.T @ U.reshape(n, 3, 6)
         near, far = U3[:h], eps[:, None] * U3[h:][::-1]
         A6, parts = np.zeros((6, 6)), []
         for sign in (1.0, -1.0):
-            packed, sep = assemble_system(frame, params, (eps, sign), panels)
+            packed, sep = assemble_system(frame, params, panels, sign)
             rhs = _into_panels(near + sign * far, panels)
             A, p = _solve(packed, rhs.reshape(3 * h, 6))
             del packed   # one block alive at a time
@@ -635,7 +587,6 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
     A6 = 0.5 * (A6 + A6.T)
     return ResistanceSet(k_tt=A6[:3, :3], k_tr=A6[:3, 3:], k_rt=A6[3:, :3],
                          k_rr=A6[3:, 3:], grand=A6, densities=densities,
-                         blocks=blocks, panel_periodic=panels is not None,
-                         asymmetry=asym, min_separation=sep,
+                         blocks=blocks, asymmetry=asym, min_separation=sep,
                          ell=params.ell,
                          mu=params.mu, n_nodes=n, shape_hash=body.shape_hash())

@@ -141,12 +141,15 @@ def test_steady_mode_ring(tmp_path):
      False),
 ], ids=["README-helix", "ring", "rod", "random-polyline", "V"])
 def test_report_says_whether_the_body_is_panel_periodic(tmp_path, body, periodic):
+    # two blocks, filled from the panel generators, for a panel-periodic
+    # body; one block, assembled in strips, for any other, the V included
     cfg = base_config(body=body, discretization={"panels": 16, "order": 4})
     out = tmp_path / "out"
     assert cli.main(["mobility", "--config", str(write_config(tmp_path, cfg)),
                      "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["resistance"]["panel_periodic"] is periodic
+    resistance = json.loads((out / "report.json").read_text())["resistance"]
+    assert "panel_periodic" not in resistance
+    assert resistance["blocks"] == ([96, 96] if periodic else [192])
 
 
 def test_momentum_gate_names_the_torque_residual(tmp_path, capsys):
@@ -286,8 +289,9 @@ def test_polyline_csv_body(tmp_path):
     assert cli.main(["steady", "--config", str(path), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert len(report["steady_states"]) >= 1
-    # the equal-legged L is its own mirror image, in reverse order
-    assert report["resistance"]["blocks"] == [36, 36]
+    # the equal-legged L is its own mirror image, in reverse order, but not
+    # panel-periodic: it takes one block
+    assert report["resistance"]["blocks"] == [72]
 
 
 def test_missing_polyline_csv_exits_2(tmp_path, capsys):
@@ -509,6 +513,12 @@ MALFORMED = {
     "dynamics-list": (("dynamics", None, []), 2),
     "discretization-list": (("discretization", None, []), 2),
     "rho_line-list": (("masses", "rho_line", []), 2),
+    "rho_line-uniform-no-value": (("masses", "rho_line", {"type": "uniform"}), 2),
+    "rho_line-linear-no-a": (("masses", "rho_line", {"type": "linear", "b": 0.1}), 2),
+    "rho_line-value-1e400": (("masses", "rho_line", {"type": "uniform",
+                                                     "value": float("1e400")}), 2),
+    "rho_line-b-1e400": (("masses", "rho_line", {"type": "linear", "a": 1.0,
+                                                 "b": float("1e400")}), 2),
     # t_end / dt overflows to an infinite step count
     "dt-1e-300": (("dynamics", None, {"dt": 1e-300, "t_end": 1e300}), 2),
     "ell-1e300": (("fluid", "ell", 1e300), 3),

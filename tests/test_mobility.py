@@ -7,6 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from slenderfall import (CurveSpec, DiscreteBody, KernelParams, assemble_system,
@@ -299,7 +301,7 @@ def test_readme_helix_min_separation(helix_spec, params):
     body = discretize(helix_spec, panels=256, order=6)   # N = 1536
     ref, _ = dense_min_separation(body.nodes)
     R = resistance_set(body, params)
-    assert R.blocks == (2304, 2304) and R.panel_periodic
+    assert R.blocks == (2304, 2304)
     assert abs(R.min_separation - ref) <= 1e-12 * ref   # measured 2.0e-14
 
 
@@ -327,42 +329,22 @@ def mirror_body(n, seed=0, close=None, gap=1e-3):
 
 @pytest.mark.parametrize("close", [(3, 20), (5, 29)], ids=["same-half", "across-halves"])
 def test_symmetric_min_separation_across_strips(monkeypatch, params, close):
-    # N = 48: the first 24 nodes in strips of 8 rows; nodes 3 and 20 sit in
-    # different strips, and node 29 is the mirror of node 18
+    # a reversal-symmetric body that is not panel-periodic takes the
+    # one-block strip path. N = 48 in strips of 8 rows: nodes 3 and 20 sit
+    # in different strips, and node 29, the mirror of node 18, in a
+    # different strip from node 5
     n = 48
-    with_strip_rows(monkeypatch, n // 2, 8)
+    with_strip_rows(monkeypatch, n, 8)
     body = mirror_body(n, close=close)
     ref, pair = dense_min_separation(body.nodes)
     p, q = close
     assert sorted(pair) in (sorted(close), sorted((n - 1 - p, n - 1 - q)))  # or its mirror
     R = resistance_set(body, params)
-    assert R.blocks == (3 * n // 2,) * 2
-    assert abs(R.min_separation - ref) <= 1e-12 * ref
+    assert R.blocks == (3 * n,) and R.min_separation == ref
     body = mirror_body(n, close=close, gap=0.0)
     assert mobility._reversal_symmetry(body.nodes) is not None
     with pytest.raises(AssemblyError):
         resistance_set(body, params)
-
-
-@pytest.mark.parametrize("rows", [8, None])
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_mirror_blocks_match_dense_reference(monkeypatch, params, sign, rows):
-    # G+- in the eigenframe of the mirror: block (p,q) is
-    # G(x_p - x_q) + sign G(x_p - x_{N-1-q}) diag(eps), whose upper triangle
-    # is stored; the dense Green matrix of the rotated nodes gives both terms
-    n = 40
-    if rows is not None:
-        with_strip_rows(monkeypatch, n // 2, rows)
-    body = mirror_body(n, seed=3)
-    c, Q, eps = mobility._reversal_symmetry(body.nodes)
-    assert sorted(eps) == [-1.0, -1.0, 1.0]
-    frame = replace(body, nodes=(body.nodes - c) @ Q)
-    G = dense_green(frame.nodes, params).reshape(n, 3, n, 3)
-    h = n // 2
-    block = G[:h, :, :h] + sign * G[:h, :, ::-1][:, :, :h] * eps
-    block = block.reshape(3 * h, 3 * h)
-    packed, _ = assemble_system(frame, params, (eps, sign))
-    assert np.array_equal(np.triu(rfp_to_dense(packed)), np.triu(block))
 
 
 @pytest.mark.parametrize("p, q", [(0, 28), (9, 27), (3, 20)])
@@ -402,28 +384,10 @@ def test_symmetric_assembly_peak_memory(helix_spec, params):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert R.blocks == (3 * n // 2,) * 2 and R.panel_periodic
+    assert R.blocks == (3 * n // 2,) * 2
     # one packed block of order 3N/2 at a time, 9 N^2 bytes, plus the
-    # generators and the 3N x 6 right-hand sides: measured 11.3 N^2 (12.7
-    # N^2 with one strip's temporaries in place of the generators)
+    # generators and the 3N x 6 right-hand sides: measured 11.3 N^2
     assert peak <= 13.5 * n * n
-
-
-def test_mirror_strip_assembly_peak_memory(params):
-    # the V is reversal-symmetric but not panel-periodic: its blocks are
-    # assembled in strips, whose temporaries replace the generators
-    spec = CurveSpec(kind="polyline",
-                     vertices=np.array([[-1.0, 1.5, 0], [0, 0, 0], [1, 1.5, 0]]))
-    body = discretize(spec, panels=192, order=4)   # N = 768
-    n = body.n_nodes
-    tracemalloc.start()
-    try:
-        R = resistance_set(body, params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert R.blocks == (3 * n // 2,) * 2 and not R.panel_periodic
-    assert peak <= 13.5 * n * n   # measured 12.8 N^2
 
 
 def test_memory_guard_counts_packed_matrix(monkeypatch, params):
@@ -437,9 +401,9 @@ def test_memory_guard_counts_packed_matrix(monkeypatch, params):
     ram["SC_PHYS_PAGES"] = 30 * n * n
     with pytest.raises(ConfigError):
         mobility._check_fits(n)
-    # a reversal-symmetric body of N = 1000 factors one block of order 1500
-    # at a time, 9 N^2 bytes, plus about 1.8 MB of strip temporaries: it is
-    # solved in 12 N^2 bytes of RAM, where an asymmetric body is refused
+    # a ring of N = 1000 factors one block of order 1500 at a time, 9 N^2
+    # bytes, plus about 2.3 MB of generator arrays: it is solved in 12 N^2
+    # bytes of RAM, where an asymmetric body is refused
     ram["SC_PHYS_PAGES"] = 12 * n * n
     ring = discretize(CurveSpec(kind="ring", radius=1.0), panels=250, order=4)
     assert resistance_set(ring, params).blocks == (1500, 1500)
@@ -474,73 +438,101 @@ def _one_node_moved(x):
 
 README_HELIX = CurveSpec(kind="helix", radius=1.0, pitch=1.0, turns=2.0)
 SYMMETRY_CASES = {
-    # (body, diagonal blocks, filled from the panel generators)
-    # two blocks: straight (rank-1 nodes), planar (rank 2) and chiral bodies
-    "rod": (lambda: discretize(CurveSpec(kind="rod", length=2.0), 16, 4), 2, True),
-    "ring": (lambda: discretize(CurveSpec(kind="ring", radius=1.0), 16, 4), 2, True),
+    # (body, diagonal blocks)
+    # two blocks, filled from the panel generators: straight (rank-1
+    # nodes), planar (rank 2) and chiral bodies
+    "rod": (lambda: discretize(CurveSpec(kind="rod", length=2.0), 16, 4), 2),
+    "ring": (lambda: discretize(CurveSpec(kind="ring", radius=1.0), 16, 4), 2),
+    "README-helix": (lambda: discretize(README_HELIX, 32, 6), 2),
+    "moved-helix": (lambda: _moved(discretize(README_HELIX, 16, 4),
+                                   _rotated_and_translated), 2),
+    "linear-density-rod": (lambda: discretize(CurveSpec(
+        kind="rod", length=2.0, density=lambda s: 1.0 + s), 16, 4), 2),
+    # odd P, even k: node N/2 = 30 falls inside panel 7
+    "odd-P-rod": (lambda: discretize(CurveSpec(kind="rod", length=2.0), 15, 4), 2),
+    # one block, assembled in strips: reversal-symmetric but not
+    # panel-periodic (the V), odd N, or neither symmetry
     "V-polyline": (lambda: discretize(CurveSpec(
         kind="polyline", vertices=np.array([[-1.0, 1.5, 0], [0, 0, 0], [1, 1.5, 0]])),
-        16, 4), 2, False),
-    "README-helix": (lambda: discretize(README_HELIX, 32, 6), 2, True),
-    "moved-helix": (lambda: _moved(discretize(README_HELIX, 16, 4),
-                                   _rotated_and_translated), 2, True),
-    "linear-density-rod": (lambda: discretize(CurveSpec(
-        kind="rod", length=2.0, density=lambda s: 1.0 + s), 16, 4), 2, True),
-    # odd P, even k: node N/2 = 30 falls inside panel 7
-    "odd-P-rod": (lambda: discretize(CurveSpec(kind="rod", length=2.0), 15, 4), 2, True),
-    # one block
-    "odd-N-rod": (lambda: discretize(CurveSpec(kind="rod", length=2.0), 15, 3), 1, True),
-    "odd-N-helix": (lambda: discretize(README_HELIX, 13, 3), 1, True),
+        16, 4), 1),
+    "odd-N-rod": (lambda: discretize(CurveSpec(kind="rod", length=2.0), 15, 3), 1),
+    "odd-N-helix": (lambda: discretize(README_HELIX, 13, 3), 1),
     "random-polyline": (lambda: discretize(
-        random_polyline_spec(np.random.default_rng(7), n_vertices=5), 16, 4), 1, False),
+        random_polyline_spec(np.random.default_rng(7), n_vertices=5), 16, 4), 1),
     "helix-one-node-moved": (lambda: _moved(discretize(README_HELIX, 16, 4),
-                                            _one_node_moved), 1, False),
+                                            _one_node_moved), 1),
 }
 
 
 @pytest.mark.parametrize("name", SYMMETRY_CASES)
 def test_reversal_symmetry_selects_the_path(name, params):
-    # reversal-symmetric bodies are solved on two half-size blocks, every
-    # other body on one, and panel-periodic bodies fill them from the
-    # generators; every path gives the dense Cholesky solution
-    make, n_blocks, periodic = SYMMETRY_CASES[name]
+    # reversal-symmetric, panel-periodic bodies are solved on two half-size
+    # blocks filled from the generators, every other body on one block
+    # assembled in strips; both paths give the dense Cholesky solution
+    make, n_blocks = SYMMETRY_CASES[name]
     body = make()
     n = body.n_nodes
     R = resistance_set(body, params)
     assert R.blocks == ((3 * n // 2,) * 2 if n_blocks == 2 else (3 * n,))
-    assert R.panel_periodic == periodic
     grand, densities = cholesky_reference(body, params)
     assert np.linalg.norm(R.grand - grand) <= 1e-13 * np.linalg.norm(grand)
     assert (np.linalg.norm(R.densities - densities)
             <= 1e-13 * np.linalg.norm(densities))
 
 
+def test_screw_fit_only_on_reversal_symmetric_bodies(monkeypatch, params):
+    # a polyline without reversal symmetry goes to the strip path without
+    # the screw fit; the README helix makes the one fit that selects its path
+    calls = []
+    fit = mobility._panel_frames
+    monkeypatch.setattr(mobility, "_panel_frames",
+                        lambda *args: calls.append(args) or fit(*args))
+    body = SYMMETRY_CASES["random-polyline"][0]()
+    assert resistance_set(body, params).blocks == (3 * body.n_nodes,)
+    assert calls == []
+    body = SYMMETRY_CASES["README-helix"][0]()
+    assert resistance_set(body, params).blocks == (3 * body.n_nodes // 2,) * 2
+    assert len(calls) == 1
+
+
+DIMENSION = st.floats(min_value=0.1, max_value=10.0)
+BUILT_IN_SPECS = st.one_of(
+    st.builds(CurveSpec, kind=st.just("rod"), length=DIMENSION),
+    st.builds(CurveSpec, kind=st.just("ring"), radius=DIMENSION),
+    st.builds(CurveSpec, kind=st.just("helix"), radius=st.floats(0.1, 3.0),
+              pitch=st.floats(0.1, 3.0), turns=st.floats(0.25, 4.0)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=BUILT_IN_SPECS, panels=st.integers(2, 40), order=st.sampled_from([2, 4, 6, 8]))
+def test_built_in_bodies_take_the_two_block_path(params, spec, panels, order):
+    # every rod, ring and helix of even N >= 8 passes both fits; one that
+    # failed would fall to the one-block factor, four times the work. The
+    # 4-node ring and helix (P = k = 2) fail Horn's simplicity test, and
+    # helices thinner than about 1e-3 of their length fail the screw fit
+    assume(panels * order >= 8)
+    body = discretize(spec, panels, order)
+    assert resistance_set(body, params).blocks == (3 * body.n_nodes // 2,) * 2
+
+
 def periodic_blocks(body, params):
-    """The Green blocks a panel-periodic body is solved on, as dense
-    references in the frame the assembly uses (the eigenframe of the
-    reversal, if any), their nodes' panel rotations W_i, and the
-    assemble_system calls that fill them."""
-    n, sym = body.n_nodes, mobility._reversal_symmetry(body.nodes)
-    if sym is None:
-        panels = mobility._panel_frames(body)
-        G = dense_green(body.nodes, params).reshape(n, 3, n, 3)
-        blocks = [(G, lambda: assemble_system(body, params, panels=panels))]
-        rows = n
-    else:
-        c, Q, eps = sym
-        body = replace(body, nodes=(body.nodes - c) @ Q)
-        panels = mobility._panel_frames(body, eps)
-        G = dense_green(body.nodes, params).reshape(n, 3, n, 3)
-        rows = n // 2
-        near, far = G[:rows, :, :rows], G[:rows, :, ::-1][:, :, :rows] * eps
-        blocks = [(near + sign * far,
-                   lambda sign=sign: assemble_system(body, params, (eps, sign), panels))
-                  for sign in (1.0, -1.0)]
+    """The two Green blocks a reversal-symmetric, panel-periodic body is
+    solved on, as dense references in the eigenframe of the reversal,
+    their nodes' panel rotations W_i, and the assemble_system calls that
+    fill them."""
+    n, (c, Q, eps) = body.n_nodes, mobility._reversal_symmetry(body.nodes)
+    body = replace(body, nodes=(body.nodes - c) @ Q)
+    panels = mobility._panel_frames(body, eps)
+    G = dense_green(body.nodes, params).reshape(n, 3, n, 3)
+    rows = n // 2
+    near, far = G[:rows, :, :rows], G[:rows, :, ::-1][:, :, :rows] * eps
+    blocks = [(near + sign * far,
+               lambda sign=sign: assemble_system(body, params, panels, sign))
+              for sign in (1.0, -1.0)]
     return blocks, panels.W[np.arange(rows) // body.order]
 
 
-@pytest.mark.parametrize("name", ["rod", "ring", "README-helix", "odd-P-rod",
-                                  "odd-N-rod", "odd-N-helix"])
+@pytest.mark.parametrize("name", ["rod", "ring", "README-helix", "odd-P-rod"])
 def test_panel_generators_match_dense_reference(name, params):
     # the blocks filled from the generators are W^T G W, or W^T G+- W in the
     # eigenframe of the reversal, with W_i the rotation of panel i
@@ -552,7 +544,7 @@ def test_panel_generators_match_dense_reference(name, params):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("panels, order", [(64, 6), (15, 4), (13, 3), (100, 2)])
+@pytest.mark.parametrize("panels, order", [(64, 6), (15, 4), (100, 2)])
 def test_memory_guard_bounds_the_periodic_fill(monkeypatch, params, panels, order):
     # the guard counts the packed matrix and the generators' arrays, an
     # upper bound on what the periodic fill allocates (measured 14 to 29
