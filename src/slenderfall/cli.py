@@ -26,7 +26,7 @@ from .freefall import steady_states
 from .geometry import (CurveSpec, discretize, load_polyline_csv, mass_properties,
                        panel_counts, validate_geometry)
 from .kernel import KernelParams, fourier_oracle, kernel_scalars
-from .mobility import require_memory, resistance_set
+from .mobility import require_solvable, resistance_set
 
 MODES = ("mobility", "steady", "fall", "kernel-check", "convergence")
 
@@ -235,11 +235,10 @@ def _parse_config(raw):
         raise ConfigError(f"cli.parse_config: bad body block: {exc}")
     except OSError as exc:
         raise ConfigError(f"cli.parse_config: cannot read the polyline CSV: {exc}")
-    # Refuse, before its nodes are made, a body that cannot be solved: each
-    # path allocates at least one packed matrix of order 3N/2, one block of
-    # the two-block path (assemble_system checks the exact need of the body
-    # as discretized, which is order 3N on the one-block path).
-    require_memory(3 * nodes // 2, f"cli.parse_config: {nodes} nodes")
+    # a rod, ring or helix is panel-periodic; a polyline is only in special
+    # cases (one edge, or one panel per edge of a regular polygon)
+    require_solvable(nodes, order, spec.kind != "polyline",
+                     f"cli.parse_config: {nodes} nodes")
 
     return RunConfig(spec=spec, ell=ell, re=re, mu=mu, m=m, m_c=m_c,
                      panels=panels, order=order, dynamics=dyn,

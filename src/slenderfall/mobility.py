@@ -73,12 +73,30 @@ matrix is copied from a window of the generators. The rigid motions are
 rotated into the panel frames by W_i^T per node and the point forces back
 by W_i.
 
-So there are two paths, and one selector in resistance_set: a body whose
-reversal involution R exists (_reversal_symmetry) and whose eigenframe
-passes the screw fit with R reversing the screw (_panel_frames) is filled
-from the generators and solved as two blocks; every other body, a
-polyline, an odd-N body or a single panel, is assembled in strips and
-solved as one block.
+The whole of D^T G D is block Toeplitz, block (i, j) = T'(i - j) for
+i >= j and T'(j - i)^T for i < j, and for a closed body block circulant,
+T'(P - delta) = T'(delta)^T. Block-Toeplitz PCG solves it without
+forming it (R. Chan & Ng, SIAM Review 1996). The product applies the
+circulant of 2P blocks that embeds it, generator T'(0), ..., T'(P - 1),
+0, T'(P - 1)^T, ..., T'(1)^T, through real FFTs along the panels, as P + 1
+Hermitian 3k x 3k symbols. The preconditioner is T. Chan's optimal
+circulant of P blocks (SIAM J. Sci. Stat. Comput. 1988), generator
+((P - delta) T'(delta) + delta T'(P - delta)^T) / P: it is real, so its
+P/2 + 1 distinct symbols are factored by Cholesky, once each, and for a
+closed body it is the matrix itself. Conjugate gradients run on the six
+right-hand sides at once, each column with its own steps, until each
+column's residual is at most _PCG_RTOL of its right-hand side. The kernel
+runs once, on the P k^2 pairs of T', and the memory grows like N.
+
+So there are three paths, and one selector in resistance_set. A body
+whose reversal involution R exists (_reversal_symmetry) and whose
+eigenframe passes the screw fit with R reversing the screw (_panel_frames)
+is panel-periodic. If it is closed, or has at least N_x =
+_TOEPLITZ_MIN_NODES nodes, it is solved by block-Toeplitz PCG, and by the
+two blocks if PCG reaches its iteration cap; otherwise it is filled from
+the generators and solved as two blocks, which is faster below N_x. Every
+other body, a polyline, an odd-N body or a single panel, is assembled in
+strips and solved as one block.
 """
 
 import math
@@ -106,17 +124,42 @@ _STRIP_TEMPORARIES = 21
 # tensor (9) and its rotation into the panel frames (9), and about 18 for
 # the generator windows Z and Y
 _GENERATOR_TEMPORARIES = 47
+# the least node count at which an open panel-periodic body is solved by
+# block-Toeplitz PCG instead of the two dense blocks (N_x, the measured
+# break-even; closed bodies take PCG at every N)
+_TOEPLITZ_MIN_NODES = 600
+# PCG stops when every column's relative residual is at most _PCG_RTOL, or
+# falls back to the two dense blocks after _PCG_MAX_ITER iterations
+_PCG_RTOL = 1e-14
+_PCG_MAX_ITER = 100
+# float64 values per generator pair (N k pairs) and per node held by the
+# block-Toeplitz solve at its peak, upper bounds (tests measure them)
+_TOEPLITZ_PER_PAIR = 120
+_TOEPLITZ_PER_NODE = 400
 
 
 def require_memory(m, where, temporaries=0):
     """Raise ConfigError, naming `where`, when a packed m x m Green matrix
-    plus `temporaries` doubles exceeds the physical RAM."""
+    plus `temporaries` doubles exceeds the physical RAM; m = 0 counts the
+    arrays of the block-Toeplitz solve alone."""
     need = 8 * (m * (m + 1) // 2 + temporaries)
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > ram:
-        raise ConfigError(f"{where}: a packed Green matrix of order {m} needs "
-                          f"about {need / 2**30:.1f} GiB, more than the "
-                          f"{ram / 2**30:.1f} GiB of physical memory")
+        what = f"a packed Green matrix of order {m}" if m else "the block-Toeplitz solve"
+        raise ConfigError(f"{where}: {what} needs about {need / 2**30:.1f} GiB, "
+                          f"more than the {ram / 2**30:.1f} GiB of physical memory")
+
+
+def require_solvable(n, k, periodic, where):
+    """Refuse N nodes, k to a panel, that no solve path fits in memory,
+    before they are made: a body that may be panel-periodic can take
+    block-Toeplitz PCG, whose arrays grow like N; any other needs at least
+    one packed block of order 3N/2. resistance_set checks the exact need
+    of the path the discretized body takes."""
+    if periodic:
+        require_memory(0, where, _toeplitz_doubles(n, k))
+    else:
+        require_memory(3 * n // 2, where)
 
 
 def _check_fits(n, pairs=None):
@@ -253,9 +296,9 @@ def _fill_periodic(body, params, panels, sign):
 
 
 def _generators(x, k, W, reach, eps, params):
-    """The generators of the Green blocks of a panel-periodic body in its
-    per-panel frames (module docstring), from one kernel call, and the
-    smallest distance between two distinct nodes.
+    """The generators of the two Green blocks G+- of a panel-periodic body
+    in its per-panel frames (module docstring), from one kernel call, and
+    the smallest distance between two distinct nodes.
 
     Z (3k, 3k (2 reach + 1)) holds block (I, J), |I - J| <= reach, of
     D^T G D at columns 3k (J - I + reach): T'(I - J) for I >= J and
@@ -264,23 +307,40 @@ def _generators(x, k, W, reach, eps, params):
     1)) holds H'(sigma) at columns 3k sigma, H'(sigma)[(a, alpha), (b,
     beta)] = (W_sigma^T G(x_{sigma,a} - x_{P-1,k-1-b}))[alpha, beta]
     eps_beta, with eps the reversal's signs.
-    The pairs cover every node pair up to the body's symmetries, so their
-    least distance is the body's; the two that pair a node with itself are
-    left out of it, and a zero distance of any other is refused.
     """
-    n = x.shape[0]
-    rows = x[:(reach + 1) * k], x[:(2 * reach + 1) * k]
-    cols = x[:k], x[::-1][:k]   # x_{0,b}, x_{P-1,k-1-b}
-    d = [np.concatenate([u[:, a].reshape(-1, k, 1) - v[:, a]
-                         for u, v in zip(rows, cols)]) for a in range(3)]
+    n, diag = x.shape[0], np.arange(k)
+    selves = np.zeros(k, dtype=int), diag, diag   # node (0, a) with itself
+    if 2 * reach + 1 == n // k:                     # node (P-1, a) with itself
+        selves = (np.r_[selves[0], np.full(k, -1)], np.r_[diag, diag],
+                  np.r_[diag, k - 1 - diag])
+    T, sep = _panel_green(((x[:(reach + 1) * k], x[:k]),
+                           (x[:(2 * reach + 1) * k], x[::-1][:k])),
+                          k, W, params, selves)
+    Z = np.empty((k, 3, 2 * reach + 1, k, 3))
+    Z[:, :, :reach + 1] = T[reach::-1].transpose(2, 1, 0, 3, 4)
+    Z[:, :, reach + 1:] = T[1:reach + 1].transpose(3, 4, 0, 2, 1)
+    Y = np.empty((k, 3, 2 * reach + 1, k, 3))
+    np.multiply(T[reach + 1:].transpose(2, 1, 0, 3, 4), eps, out=Y)
+    return Z.reshape(3 * k, -1), Y.reshape(3 * k, -1), sep
+
+
+def _panel_green(spans, k, W, params, selves):
+    """The rotated Green tensors W_g^T G(u_{g,a} - v_b) of the node pairs
+    of each span (u, v), u whole panels of k nodes and v k nodes, with
+    generator g counting the panels of u, from one kernel call: an array of
+    axes (g, alpha, a, b, beta) over the spans in turn. Also the least
+    distance between two distinct nodes among the pairs: the pairs (g, a,
+    b) of `selves` pair a node with itself and are left out, and a zero
+    distance of any other is refused. The generators of a panel-periodic
+    body cover every node pair up to its symmetries, so their least
+    distance is the body's."""
+    d = [np.concatenate([u[:, a].reshape(-1, k, 1) - v[:, a] for u, v in spans])
+         for a in range(3)]
     r2 = d[0] * d[0]
     r2 += d[1] * d[1]
     r2 += d[2] * d[2]
     A, B = kernel_scalars(np.sqrt(r2), params)
-    diag = np.arange(k)
-    r2[0, diag, diag] = np.inf                   # node (0, a) with itself
-    if 2 * reach + 1 == n // k:                  # node (P-1, a) with itself
-        r2[-1, diag, k - 1 - diag] = np.inf
+    r2[selves] = np.inf   # B(0) = 0, so B / r^2 is 0 there
     least = _least(r2)
     B /= r2
     g = r2.shape[0]
@@ -290,14 +350,9 @@ def _generators(x, k, W, reach, eps, params):
             _component(A, B, d, a, b, out)
             T[:, a, :, :, b] = T[:, b, :, :, a] = out
     del A, B, d, r2, out
-    frames = np.concatenate([W[:len(u) // k] for u in rows]).transpose(0, 2, 1)
+    frames = np.concatenate([W[:len(u) // k] for u, _ in spans]).transpose(0, 2, 1)
     T = (frames @ T.reshape(g, 3, -1)).reshape(g, 3, k, k, 3)   # W^T G
-    Z = np.empty((k, 3, 2 * reach + 1, k, 3))
-    Z[:, :, :reach + 1] = T[reach::-1].transpose(2, 1, 0, 3, 4)
-    Z[:, :, reach + 1:] = T[1:reach + 1].transpose(3, 4, 0, 2, 1)
-    Y = np.empty((k, 3, 2 * reach + 1, k, 3))
-    np.multiply(T[reach + 1:].transpose(2, 1, 0, 3, 4), eps, out=Y)
-    return Z.reshape(3 * k, -1), Y.reshape(3 * k, -1), float(np.sqrt(least))
+    return T, float(np.sqrt(least))
 
 
 def _block_rows(S4, d, r2, params):
@@ -422,13 +477,18 @@ def _panel_frames(body, eps):
     S(y) = W_1 y + t is fitted by least squares over the N - k node pairs
     x_{i,a} -> x_{i+1,a}: W_1 is the rotation whose quaternion is the top
     eigenvector of Horn's symmetric 4 x 4 matrix of
-    sum (x_{i,a} - mean)(x_{i+1,a} - mean')^T (J. Opt. Soc. Am. A 1987),
-    which gives its angle phi and axis n to roundoff; W_1 = I when that
-    eigenvalue is not simple, as for a straight body, whose rotation about
-    its own line is arbitrary. W_i is the rotation by i phi about n, and
-    the body is accepted when every node lies within the tolerance of
-    S^i(x_{0,a}) = W_i x_{0,a} + sum_{j<i} W_j t, and when
-    R W_1 R = W_1^T, so that R reverses the screw.
+    sum (x_{i,a} - mean)(x_{i+1,a} - mean')^T (J. Opt. Soc. Am. A 1987);
+    W_1 = I when that eigenvalue is not simple, as for a straight body,
+    whose rotation about its own line is arbitrary. W_i is the rotation by
+    i phi about the axis n of W_1, and the body is accepted when every node
+    lies within the tolerance of S^i(x_{0,a}) = W_i x_{0,a} +
+    sum_{j<i} W_j t, and when R W_1 R = W_1^T, so that R reverses the
+    screw. For a thin helix the eigenvalue is nearly double, and the
+    eigenvector's angle can be off by up to 3e-8, which misses the nodes;
+    one Gauss-Newton step on the node residual then corrects W_1 to
+    roundoff (a linear least squares problem in the small rotation; t =
+    mean' - W_1 mean is the least squares translation for any W_1) before
+    the nodes are tried again.
     """
     k, P = body.order, body.panels
     x = body.nodes
@@ -448,23 +508,64 @@ def _panel_frames(body, eps):
         [yz - zy, xx - yy - zz, xy + yx, zx + xz],
         [zx - xz, xy + yx, yy - xx - zz, yz + zy],
         [xy - yx, zx + xz, yz + zy, zz - xx - yy]]))
-    q = V[:, 3] if V[0, 3] >= 0.0 else -V[:, 3]   # the quaternion, angle <= pi
-    phi, (n1, n2, n3) = 0.0, (0.0, 0.0, 0.0)
-    if lam[3] - lam[2] > _SYMMETRY_RTOL * lam[3] and np.any(q[1:]):
-        vec = np.linalg.norm(q[1:])
-        phi, (n1, n2, n3) = 2.0 * math.atan2(vec, q[0]), q[1:] / vec
-    K = np.array([[0.0, -n3, n2], [n3, 0.0, -n1], [-n2, n1, 0.0]])   # K y = n x y
-    theta = phi * np.arange(P)[:, None, None]
-    W = np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
-    shift = np.cumsum(W[:-1] @ (b0 - W[1] @ a0), axis=0)   # sum_{j<i} W_j t
-    images = y[0] @ W.transpose(0, 2, 1)
-    images[1:] += shift[:, None]
-    if np.abs(images - y).max() > _SYMMETRY_RTOL:
-        return None
+    simple = lam[3] - lam[2] > _SYMMETRY_RTOL * lam[3] and np.any(V[1:, 3])
+    q = V[:, 3] if simple else np.eye(4)[0]   # W_1 = I
+    for refined in (False, True):
+        W = _rotations(q, P)
+        shift = np.cumsum(W[:-1] @ (b0 - W[1] @ a0), axis=0)   # sum_{j<i} W_j t
+        images = y[0] @ W.transpose(0, 2, 1)
+        images[1:] += shift[:, None]
+        if np.abs(images - y).max() <= _SYMMETRY_RTOL:
+            break
+        if refined or not simple:
+            return None
+        # one Gauss-Newton step on the node residual: turn W_1 by the small
+        # rotation w that minimizes sum |u + w x u - (b - b0)|^2, u = W_1 (a -
+        # a0), from its normal equations sum (|u|^2 I - u u^T) w =
+        # sum u x (b - b0 - u), and q by the quaternion (1, w / 2)
+        u = (a - a0) @ W[1].T
+        C, uu = u.T @ (b - b0 - u), u.T @ u
+        w1, w2, w3 = np.linalg.solve(np.eye(3) * np.trace(uu) - uu,
+                                     [C[1, 2] - C[2, 1], C[2, 0] - C[0, 2],
+                                      C[0, 1] - C[1, 0]])
+        q = q + 0.5 * np.array([[0.0, -w1, -w2, -w3], [w1, 0.0, -w3, w2],
+                                [w2, w3, 0.0, -w1], [w3, -w2, w1, 0.0]]) @ q
     W1 = W[1]
     if np.abs(eps[:, None] * W1 * eps - W1.T).max() > _SYMMETRY_RTOL:
         return None   # R does not reverse the screw
     return _Panels(W, k, eps)
+
+
+def _rotations(q, P):
+    """W_i, i < P: the rotation of the quaternion q (any sign and norm),
+    by angle phi about the unit axis n, taken i times: by i phi about n."""
+    q = q if q[0] >= 0.0 else -q   # angle <= pi
+    vec = np.linalg.norm(q[1:])
+    phi, (n1, n2, n3) = 0.0, (0.0, 0.0, 0.0)
+    if vec > 0.0:
+        phi, (n1, n2, n3) = 2.0 * math.atan2(vec, q[0]), q[1:] / vec
+    K = np.array([[0.0, -n3, n2], [n3, 0.0, -n1], [-n2, n1, 0.0]])   # K y = n x y
+    theta = phi * np.arange(P)[:, None, None]
+    return np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
+
+
+def _two_blocks(frame, panels, params, U3, eps):
+    """A6, the nodal point forces in the eigenframe of the reversal and the
+    least node distance of a panel-periodic body, from its two dense
+    blocks G+- (resistance_set)."""
+    h = frame.n_nodes // 2
+    near, far = U3[:h], eps[:, None] * U3[h:][::-1]
+    A6, parts = np.zeros((6, 6)), []
+    for sign in (1.0, -1.0):
+        packed, sep = assemble_system(frame, params, panels, sign)
+        rhs = _into_panels(near + sign * far, panels)
+        A, p = _solve(packed, rhs.reshape(3 * h, 6))
+        del packed   # one block alive at a time
+        A6 += 0.5 * A
+        parts.append(_into_panels(p.reshape(h, 3, 6), panels, back=True))
+    plus, minus = parts
+    psi = 0.5 * np.concatenate([plus + minus, (eps[:, None] * (plus - minus))[::-1]])
+    return A6, psi, sep
 
 
 def _solve(packed, U):
@@ -473,6 +574,88 @@ def _solve(packed, U):
     L = _factorize(packed)
     Y = lapack.dtfsm(1.0, L, U, transr="N", side="L", uplo="L", trans="N")
     return Y.T @ Y, lapack.dtfsm(1.0, L, Y, transr="N", side="L", uplo="L", trans="T")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _toeplitz_pcg(frame, panels, params, U3):
+    """A6, the nodal point forces in the eigenframe of the reversal and the
+    least node distance of a panel-periodic body given in that frame,
+    solved by block-Toeplitz PCG (module docstring), with the `solver`
+    record of ResistanceSet; A6 and the forces are None when PCG stops at
+    its iteration cap. U3 (N, 3, 6) holds the six rigid motions."""
+    k, P = panels.k, len(panels.W)
+    b = 3 * k
+    require_memory(0, "mobility.resistance_set", _toeplitz_doubles(P * k, k))
+    diag = np.arange(k)
+    T, sep = _panel_green(((frame.nodes, frame.nodes[:k]),), k, panels.W, params,
+                          (np.zeros(k, dtype=int), diag, diag))
+    T = T.transpose(0, 2, 1, 3, 4).reshape(P, b, b)       # T'(delta)
+    back = T[:0:-1].transpose(0, 2, 1)                      # T'(P - delta)^T, delta >= 1
+    product = np.fft.rfft(np.concatenate((T, np.zeros((1, b, b)), back)), axis=0)
+    delta = np.arange(P)[:, None, None] / P
+    chan = (1.0 - delta) * T                                # Chan's generator
+    chan[1:] += delta[1:] * back
+    del T, back
+    chan = np.fft.rfft(chan, axis=0)
+    if not (np.isfinite(product).all() and np.isfinite(chan).all()):
+        raise SolverError("mobility: block-Toeplitz symbols have non-finite entries")
+    try:
+        L = np.linalg.cholesky(chan)
+    except np.linalg.LinAlgError:
+        raise SolverError("mobility: a symbol of the circulant preconditioner "
+                          "is not positive definite")
+    # numpy has no batched triangular solve: each factor is inverted once
+    Li = np.stack([lapack.ztrtri(f, lower=1)[0] for f in L])
+    inverse = Li.conj().transpose(0, 2, 1) @ Li
+    del chan, L, Li
+
+    def circulant(symbols, v, blocks):
+        """The first P blocks of C [v; 0], C the circulant of `blocks`
+        blocks with these symbols."""
+        return np.fft.irfft(symbols @ np.fft.rfft(v, n=blocks, axis=0), n=blocks,
+                            axis=0)[:P]
+
+    def dots(u, v):
+        return np.einsum("ijk,ijk->k", u, v)
+
+    rhs = _into_panels(U3, panels).reshape(P, b, 6)
+    norm = np.sqrt(dots(rhs, rhs))
+    active = norm > 0.0   # a zero column (a straight body's axial spin) stays zero
+    scale = np.where(active, norm, 1.0)
+    psi, r = np.zeros_like(rhs), rhs.copy()
+    p = z = circulant(inverse, r, P)
+    rz = dots(r, z)
+    for it in range(1, _PCG_MAX_ITER + 1):
+        q = circulant(product, p, 2 * P)
+        pq = dots(p, q)
+        if not np.all(pq[active] > 0.0):   # NaN included
+            raise SolverError(f"mobility: block-Toeplitz PCG met p^T A p = "
+                              f"{pq[active].min():.3e}, not positive")
+        alpha = np.divide(rz, pq, out=np.zeros(6), where=active)
+        psi += alpha * p
+        r -= alpha * q
+        residual = np.sqrt(dots(r, r)) / scale
+        active &= residual > _PCG_RTOL
+        if not active.any():
+            break
+        z = circulant(inverse, r, P)
+        rz, rz_old = dots(r, z), rz
+        p = z + np.divide(rz, rz_old, out=np.zeros(6), where=active) * p
+    solver = {"path": "toeplitz-pcg", "iterations": it,
+              "residual": float(residual.max()), "fallback": None}
+    if active.any():
+        solver.update(path="cholesky", fallback=f"block-Toeplitz PCG stopped at its "
+                                                f"cap of {_PCG_MAX_ITER} iterations")
+        return None, None, sep, solver
+    A6 = rhs.reshape(-1, 6).T @ psi.reshape(-1, 6)
+    return A6, _into_panels(psi.reshape(-1, 3, 6), panels, back=True), sep, solver
+
+
+def _toeplitz_doubles(n, k):
+    """An upper bound on the float64 values _toeplitz_pcg holds at once for
+    N nodes, k to a panel: the generator pairs' arrays (N k of them), the
+    symbols and the PCG vectors."""
+    return _TOEPLITZ_PER_PAIR * n * k + _TOEPLITZ_PER_NODE * n
 
 
 @dataclass(frozen=True)
@@ -487,6 +670,7 @@ class ResistanceSet:
     grand: np.ndarray        # (6,6) symmetrized
     densities: np.ndarray    # (N,3,6) column j: density of unit motion j
     blocks: tuple            # orders of the factored diagonal blocks of G
+    solver: dict             # path, PCG iterations and residual, fallback
     asymmetry: float         # relative asymmetry before symmetrization
     min_separation: float    # smallest distance between two distinct nodes
     ell: float
@@ -501,6 +685,7 @@ class ResistanceSet:
             "k_rt": self.k_rt.tolist(),
             "k_rr": self.k_rr.tolist(),
             "blocks": list(self.blocks),
+            "solver": dict(self.solver),
             "asymmetry": self.asymmetry,
             "ell": self.ell,
             "mu": self.mu,
@@ -511,7 +696,8 @@ class ResistanceSet:
 
 def resistance_set(body, params, asymmetry_tol=1e-6):
     """The grand resistance matrix A6 = U^T G^-1 U and the basis force
-    densities Phi = W^-1 G^-1 U from one Cholesky factor per diagonal block.
+    densities Phi = W^-1 G^-1 U, from one Cholesky factor per diagonal
+    block or from block-Toeplitz PCG.
 
     U holds the six unit rigid motions (three translations, three rotations
     about the center of mass) as columns of nodal velocities; with G = L L^T,
@@ -521,23 +707,29 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
     rotation of a straight body generates no boundary data and gives an
     exact zero row and column of A6 and an exact zero density. The
     reciprocity gate below compares A6 with its transpose, both scaled by
-    the largest entry; as Y^T Y is symmetric by construction, it can no
-    longer fail.
+    the largest entry. On the dense paths Y^T Y is symmetric by
+    construction and the gate cannot fail; on the block-Toeplitz path
+    A6 = U^T psi is symmetric only as far as PCG converged, and the gate
+    measures its error.
 
-    This is the one-block path, G assembled in strips. The one selector
-    of the module docstring sends a reversal-symmetric, panel-periodic body
-    to the two blocks G+- instead, in the eigenframe of R, where
-    R = diag(eps), and in its per-panel frames: with U_p rotated by Q^T,
-    U+-_p = U_p +- eps U_{N-1-p}, turned by W_i^T at each node of panel i,
-    and psi+- = (D^T G+- D)^-1 U+-, A6 = (Y+^T Y+ + Y-^T Y-) / 2, and the
-    nodal point forces, turned back by W_i, are (psi+_p + psi-_p) / 2 at
-    node p and eps (psi+_p - psi-_p) / 2 at N-1-p, rotated back by Q. An
-    orthogonal change of frame leaves A6 as it is. `blocks` says which path
-    ran.
+    This is the one-block path, G assembled in strips. The selector of the
+    module docstring sends a panel-periodic body to the two blocks G+- or
+    to block-Toeplitz PCG instead, in the eigenframe of R, where
+    R = diag(eps), and in its per-panel frames. With U_p rotated by Q^T and
+    turned by W_i^T at each node of panel i, PCG gives psi = (D^T G D)^-1 U
+    and A6 = U^T psi. On the two blocks, U+-_p = U_p +- eps U_{N-1-p},
+    psi+- = (D^T G+- D)^-1 U+-, A6 = (Y+^T Y+ + Y-^T Y-) / 2, and the nodal
+    point forces are (psi+_p + psi-_p) / 2 at node p and
+    eps (psi+_p - psi-_p) / 2 at N-1-p. Either way they are turned back by
+    W_i and rotated back by Q; an orthogonal change of frame leaves A6 as
+    it is. `blocks` lists the orders of the factored blocks, none on the
+    PCG path, and `solver` records the path ("cholesky" or
+    "toeplitz-pcg"), PCG's iterations and largest final relative column
+    residual, and the reason for a fallback from PCG to the two blocks.
 
     `min_separation` is the smallest distance between two distinct nodes,
-    found by the assembly; on the two-block path it covers the generators'
-    pairs, every node pair up to the screw and the reversal.
+    found by the assembly; on the panel-periodic paths it covers the
+    generators' pairs, every node pair up to the screw (and the reversal).
     """
     n = body.n_nodes
     eye = np.eye(3)
@@ -555,26 +747,26 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
         c, Q, eps = sym
         frame = replace(body, nodes=(body.nodes - c) @ Q)
         panels = _panel_frames(frame, eps)
+    solver = {"path": "cholesky", "iterations": 0, "residual": None, "fallback": None}
     if panels is None:
         packed, sep = assemble_system(body, params)
         A6, psi = _solve(packed, U)
         blocks = (3 * n,)
     else:
-        h = n // 2
-        U3 = Q.T @ U.reshape(n, 3, 6)
-        near, far = U3[:h], eps[:, None] * U3[h:][::-1]
-        A6, parts = np.zeros((6, 6)), []
-        for sign in (1.0, -1.0):
-            packed, sep = assemble_system(frame, params, panels, sign)
-            rhs = _into_panels(near + sign * far, panels)
-            A, p = _solve(packed, rhs.reshape(3 * h, 6))
-            del packed   # one block alive at a time
-            A6 += 0.5 * A
-            parts.append(_into_panels(p.reshape(h, 3, 6), panels, back=True))
-        plus, minus = parts
-        psi = Q @ (0.5 * np.concatenate([plus + minus,
-                                         (eps[:, None] * (plus - minus))[::-1]]))
-        blocks = (3 * h, 3 * h)
+        U3, A6 = Q.T @ U.reshape(n, 3, 6), None
+        if body.closed or n >= _TOEPLITZ_MIN_NODES:
+            A6, psi, sep, solver = _toeplitz_pcg(frame, panels, params, U3)
+            blocks = ()
+        if A6 is None:
+            try:
+                A6, psi, sep = _two_blocks(frame, panels, params, U3, eps)
+            except ConfigError as exc:   # the memory guard
+                if solver["fallback"] is None:
+                    raise
+                raise SolverError(f"mobility: {solver['fallback']}, and the dense "
+                                  f"fallback does not fit: {exc}") from exc
+            blocks = (3 * n // 2,) * 2
+        psi = Q @ psi
     densities = psi.reshape(n, 3, 6) / body.weights[:, None, None]
 
     scaled = A6 / (np.abs(A6).max() or 1.0)   # |A6|^2 may overflow
@@ -587,6 +779,7 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
     A6 = 0.5 * (A6 + A6.T)
     return ResistanceSet(k_tt=A6[:3, :3], k_tr=A6[:3, 3:], k_rt=A6[3:, :3],
                          k_rr=A6[3:, 3:], grand=A6, densities=densities,
-                         blocks=blocks, asymmetry=asym, min_separation=sep,
+                         blocks=blocks, solver=solver, asymmetry=asym,
+                         min_separation=sep,
                          ell=params.ell,
                          mu=params.mu, n_nodes=n, shape_hash=body.shape_hash())

@@ -125,7 +125,8 @@ def test_steady_mode_ring(tmp_path):
     assert states[0]["lambda"] == pytest.approx(0.0, abs=1e-12)
     assert states[0]["multiplicity"] == 3
     assert report["resistance"]["n_nodes"] == 48
-    assert report["resistance"]["blocks"] == [72, 72]   # reversal-symmetric
+    assert report["resistance"]["blocks"] == []   # closed: block-Toeplitz PCG
+    assert report["resistance"]["solver"]["path"] == "toeplitz-pcg"
     assert "diagnostics" in report and "version" in report
     density = states[0]["force_density"]
     assert 0 < density["l2"] < np.inf and 0 < density["max"] < np.inf
@@ -141,15 +142,25 @@ def test_steady_mode_ring(tmp_path):
      False),
 ], ids=["README-helix", "ring", "rod", "random-polyline", "V"])
 def test_report_says_whether_the_body_is_panel_periodic(tmp_path, body, periodic):
-    # two blocks, filled from the panel generators, for a panel-periodic
-    # body; one block, assembled in strips, for any other, the V included
+    # block-Toeplitz PCG and no dense block for a closed panel-periodic
+    # body; two blocks, filled from the panel generators, for an open one
+    # below N_x; one block, assembled in strips, for any other, the V
+    # included
     cfg = base_config(body=body, discretization={"panels": 16, "order": 4})
     out = tmp_path / "out"
     assert cli.main(["mobility", "--config", str(write_config(tmp_path, cfg)),
                      "--out", str(out)]) == 0
     resistance = json.loads((out / "report.json").read_text())["resistance"]
     assert "panel_periodic" not in resistance
-    assert resistance["blocks"] == ([96, 96] if periodic else [192])
+    pcg = body["kind"] == "ring"
+    assert resistance["blocks"] == ([] if pcg else [96, 96] if periodic else [192])
+    solver = resistance["solver"]
+    assert solver["path"] == ("toeplitz-pcg" if pcg else "cholesky")
+    assert solver["fallback"] is None
+    if pcg:
+        assert solver["iterations"] >= 1 and solver["residual"] <= 1e-14
+    else:
+        assert solver["iterations"] == 0 and solver["residual"] is None
 
 
 def test_momentum_gate_names_the_torque_residual(tmp_path, capsys):
@@ -407,14 +418,15 @@ def test_straight_rod_at_extreme_scales_runs_clean(tmp_path, capsys, block, key,
 
 
 def test_tiny_mu_fall_run_exits_3(tmp_path, capsys):
-    # mu = 1e-308 overflows the Green matrix; the factor's diagonal check stops it
+    # mu = 1e-308 overflows the Green matrix; the ring is solved by
+    # block-Toeplitz PCG, whose finiteness check of the symbols stops it
     cfg = base_config(dynamics={"dt": 0.01, "t_end": 0.05})
     cfg["fluid"]["nondimensional"]["mu"] = 1e-308
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
     assert main_printing_warnings(["fall", "--config", str(path), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "Cholesky factor has non-finite entries" in err and "Warning" not in err
+    assert "block-Toeplitz symbols have non-finite entries" in err and "Warning" not in err
     assert not (out / "report.json").exists()
 
 
@@ -581,19 +593,113 @@ def test_unsolvable_discretization_refused_at_parse():
     ({"kind": "polyline", "vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 1]]}, 4),
 ], ids=["ring", "polyline"])
 def test_parse_time_memory_guard_is_a_lower_bound(monkeypatch, body, panels):
-    # the guard counts only the packed matrix of order 3N/2 of the N nodes
-    # discretize will make: RAM for exactly that passes, one byte less does not
+    # the guard counts only the cheapest path for the N nodes discretize
+    # will make: the block-Toeplitz arrays for a ring, the packed matrix of
+    # order 3N/2 for a polyline. RAM for exactly that passes, one byte less
+    # does not
     from slenderfall import geometry, mobility
     cfg = base_config(body=body, discretization={"panels": panels, "order": 4})
     n = geometry.discretize(cli.parse_config(cfg).spec, panels, 4).n_nodes
-    assert n == (48 if body["kind"] == "ring" else 12)
     m = 3 * n // 2
-    ram = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 4 * m * (m + 1)}
+    if body["kind"] == "ring":
+        assert n == 48
+        need, match = 8 * mobility._toeplitz_doubles(n, 4), "block-Toeplitz solve needs"
+    else:
+        assert n == 12
+        need, match = 4 * m * (m + 1), f"order {m} needs"
+    ram = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need}
     monkeypatch.setattr(mobility.os, "sysconf", ram.__getitem__)
     cli.parse_config(cfg)
     ram["SC_PHYS_PAGES"] -= 1
-    with pytest.raises(ConfigError, match=f"order {m} needs"):
+    with pytest.raises(ConfigError, match=match):
         cli.parse_config(cfg)
+
+
+def open_rod_above_n_x(ell=0.1):
+    """A rod config of N >= N_x nodes, 1000 or more, order 4: an open body
+    that block-Toeplitz PCG solves."""
+    from slenderfall import mobility
+    panels = max(250, -(-mobility._TOEPLITZ_MIN_NODES // 4))
+    return base_config(body={"kind": "rod", "length": 4.0},
+                       fluid={"nondimensional": {"ell": ell}},
+                       discretization={"panels": panels, "order": 4}), 4 * panels
+
+
+def test_rod_too_large_for_a_dense_block_solves(tmp_path, monkeypatch):
+    # RAM between the block-Toeplitz need and one packed block of order
+    # 3N/2: the parse-time guard used to refuse the rod (exit 2), which
+    # PCG now solves
+    from slenderfall import mobility
+    cfg, n = open_rod_above_n_x()
+    m = 3 * n // 2
+    toeplitz, packed = 8 * mobility._toeplitz_doubles(n, 4), 4 * m * (m + 1)
+    assert toeplitz < packed
+    ram = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": (toeplitz + packed) // 2}
+    monkeypatch.setattr(mobility.os, "sysconf", ram.__getitem__)
+    out = tmp_path / "out"
+    assert cli.main(["steady", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+    resistance = json.loads((out / "report.json").read_text())["resistance"]
+    assert resistance["blocks"] == [] and resistance["solver"]["path"] == "toeplitz-pcg"
+
+
+def test_huge_ell_rod_on_the_toeplitz_path_exits_3(tmp_path, capsys):
+    # ell = 1e300 leaves the Green matrix at 1e-302 and below, subnormal:
+    # the dense factor refused it below N_x, and the Cholesky factor of a
+    # preconditioner symbol refuses it on the block-Toeplitz path
+    cfg, _ = open_rod_above_n_x(ell=1e300)
+    out = tmp_path / "out"
+    assert main_printing_warnings(["steady", "--config", str(write_config(tmp_path, cfg)),
+                                   "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "solver error" in err and "preconditioner" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (out / "report.json").exists()
+
+
+def test_pcg_cap_falls_back_to_the_dense_blocks(tmp_path, monkeypatch):
+    # with the cap at one iteration a helix above N_x (not solved in one)
+    # falls back to its two dense blocks, which report.json names; the
+    # answer is the block-Toeplitz one to roundoff
+    from slenderfall import mobility
+    panels = -(-mobility._TOEPLITZ_MIN_NODES // 6)
+    cfg = base_config(body={"kind": "helix", "radius": 1.0, "pitch": 1.0, "turns": 2.0},
+                      discretization={"panels": panels, "order": 6})
+    path = write_config(tmp_path, cfg)
+    reports = []
+    for cap in (mobility._PCG_MAX_ITER, 1):
+        monkeypatch.setattr(mobility, "_PCG_MAX_ITER", cap)
+        out = tmp_path / str(cap)
+        assert cli.main(["mobility", "--config", str(path), "--out", str(out)]) == 0
+        reports.append(json.loads((out / "report.json").read_text())["resistance"])
+    pcg, dense = reports
+    n = 6 * panels
+    assert pcg["blocks"] == [] and dense["blocks"] == [3 * n // 2] * 2
+    assert dense["solver"]["path"] == "cholesky" and dense["solver"]["iterations"] == 1
+    assert dense["solver"]["fallback"] == ("block-Toeplitz PCG stopped at its cap "
+                                           "of 1 iterations")
+    grand = [np.block([[np.array(r["k_tt"]), np.array(r["k_tr"])],
+                       [np.array(r["k_rt"]), np.array(r["k_rr"])]]) for r in reports]
+    assert np.linalg.norm(grand[0] - grand[1]) <= 1e-13 * np.linalg.norm(grand[1])
+
+
+def test_pcg_cap_on_a_body_too_large_for_the_dense_blocks_exits_3(tmp_path, monkeypatch,
+                                                                    capsys):
+    # the rod fits the block-Toeplitz arrays but not one dense block of
+    # order 3N/2: at the cap there is nothing to fall back to
+    from slenderfall import mobility
+    cfg, n = open_rod_above_n_x()
+    m = 3 * n // 2
+    toeplitz, packed = 8 * mobility._toeplitz_doubles(n, 4), 4 * m * (m + 1)
+    ram = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": (toeplitz + packed) // 2}
+    monkeypatch.setattr(mobility.os, "sysconf", ram.__getitem__)
+    monkeypatch.setattr(mobility, "_PCG_MAX_ITER", 1)
+    out = tmp_path / "out"
+    assert cli.main(["steady", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "cap of 1 iterations, and the dense fallback does not fit" in err
+    assert not (out / "report.json").exists()
 
 
 def fall_long_helix(dt, t_end):

@@ -301,8 +301,17 @@ def test_readme_helix_min_separation(helix_spec, params):
     body = discretize(helix_spec, panels=256, order=6)   # N = 1536
     ref, _ = dense_min_separation(body.nodes)
     R = resistance_set(body, params)
-    assert R.blocks == (2304, 2304)
+    assert R.blocks == () and R.solver["path"] == "toeplitz-pcg"
     assert abs(R.min_separation - ref) <= 1e-12 * ref   # measured 2.0e-14
+
+
+def test_reciprocity_gate_measures_pcg_on_the_readme_helix(helix_spec, params):
+    # on the block-Toeplitz path A6 = U^T psi is symmetric only as far as
+    # PCG converged: the asymmetry gate reads its error (measured 2.3e-15)
+    body = discretize(helix_spec, panels=256, order=6)   # N = 1536
+    R = resistance_set(body, params)
+    assert R.solver["path"] == "toeplitz-pcg"
+    assert 0.0 < R.asymmetry <= 1e-12
 
 
 def mirror_body(n, seed=0, close=None, gap=1e-3):
@@ -375,7 +384,9 @@ def test_assembly_peak_memory(params):
     assert peak <= 40 * n * n
 
 
-def test_symmetric_assembly_peak_memory(helix_spec, params):
+def test_symmetric_assembly_peak_memory(monkeypatch, helix_spec, params):
+    # an open body below N_x takes the two dense blocks
+    monkeypatch.setattr(mobility, "_TOEPLITZ_MIN_NODES", 10 ** 9)
     body = discretize(helix_spec, panels=128, order=6)   # N = 768
     n = body.n_nodes
     tracemalloc.start()
@@ -401,12 +412,12 @@ def test_memory_guard_counts_packed_matrix(monkeypatch, params):
     ram["SC_PHYS_PAGES"] = 30 * n * n
     with pytest.raises(ConfigError):
         mobility._check_fits(n)
-    # a ring of N = 1000 factors one block of order 1500 at a time, 9 N^2
-    # bytes, plus about 2.3 MB of generator arrays: it is solved in 12 N^2
-    # bytes of RAM, where an asymmetric body is refused
+    # a ring of N = 1000 is solved by block-Toeplitz PCG, in memory linear
+    # in N: it is solved in 12 N^2 bytes of RAM, where an asymmetric body
+    # is refused
     ram["SC_PHYS_PAGES"] = 12 * n * n
     ring = discretize(CurveSpec(kind="ring", radius=1.0), panels=250, order=4)
-    assert resistance_set(ring, params).blocks == (1500, 1500)
+    assert resistance_set(ring, params).blocks == ()
     with pytest.raises(ConfigError):
         resistance_set(random_walk_body(n), params)
 
@@ -440,9 +451,10 @@ README_HELIX = CurveSpec(kind="helix", radius=1.0, pitch=1.0, turns=2.0)
 SYMMETRY_CASES = {
     # (body, diagonal blocks)
     # two blocks, filled from the panel generators: straight (rank-1
-    # nodes), planar (rank 2) and chiral bodies
+    # nodes) and chiral open bodies below N_x
     "rod": (lambda: discretize(CurveSpec(kind="rod", length=2.0), 16, 4), 2),
-    "ring": (lambda: discretize(CurveSpec(kind="ring", radius=1.0), 16, 4), 2),
+    # none: a closed body is solved by block-Toeplitz PCG at every N
+    "ring": (lambda: discretize(CurveSpec(kind="ring", radius=1.0), 16, 4), 0),
     "README-helix": (lambda: discretize(README_HELIX, 32, 6), 2),
     "moved-helix": (lambda: _moved(discretize(README_HELIX, 16, 4),
                                    _rotated_and_translated), 2),
@@ -466,18 +478,56 @@ SYMMETRY_CASES = {
 
 @pytest.mark.parametrize("name", SYMMETRY_CASES)
 def test_reversal_symmetry_selects_the_path(name, params):
-    # reversal-symmetric, panel-periodic bodies are solved on two half-size
-    # blocks filled from the generators, every other body on one block
-    # assembled in strips; both paths give the dense Cholesky solution
+    # reversal-symmetric, panel-periodic bodies are solved by block-Toeplitz
+    # PCG when closed, else on two half-size blocks filled from the
+    # generators; every other body on one block assembled in strips. Every
+    # path gives the dense Cholesky solution
     make, n_blocks = SYMMETRY_CASES[name]
     body = make()
     n = body.n_nodes
     R = resistance_set(body, params)
-    assert R.blocks == ((3 * n // 2,) * 2 if n_blocks == 2 else (3 * n,))
+    assert R.blocks == {0: (), 1: (3 * n,), 2: (3 * n // 2,) * 2}[n_blocks]
     grand, densities = cholesky_reference(body, params)
     assert np.linalg.norm(R.grand - grand) <= 1e-13 * np.linalg.norm(grand)
     assert (np.linalg.norm(R.densities - densities)
             <= 1e-13 * np.linalg.norm(densities))
+
+
+@pytest.mark.parametrize("name", ["README-helix", "rod", "ring"])
+def test_toeplitz_path_matches_dense_reference(monkeypatch, name, params):
+    # with N_x lowered, open bodies take block-Toeplitz PCG too; it solves
+    # the same matrix to roundoff (measured: grand 3.7e-16 to 2.7e-15,
+    # densities 7.6e-15 to 3.5e-13, least node distance 8.1e-15)
+    monkeypatch.setattr(mobility, "_TOEPLITZ_MIN_NODES", 0)
+    body = SYMMETRY_CASES[name][0]()
+    R = resistance_set(body, params)
+    assert R.blocks == () and R.solver["path"] == "toeplitz-pcg"
+    assert 0 < R.solver["iterations"] and R.solver["residual"] <= mobility._PCG_RTOL
+    grand, densities = cholesky_reference(body, params)
+    assert np.linalg.norm(R.grand - grand) <= 1e-13 * np.linalg.norm(grand)
+    assert (np.linalg.norm(R.densities - densities)
+            <= 1e-10 * np.linalg.norm(densities))
+    ref, _ = dense_min_separation(body.nodes)
+    assert abs(R.min_separation - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("panels, order", [(256, 6), (15, 4), (2, 2), (3, 16)])
+def test_memory_guard_bounds_the_toeplitz_solve(params, panels, order):
+    # the guard's count is an upper bound on what the solve allocates
+    # (measured 0.34 to 0.74 of it)
+    body = discretize(README_HELIX, panels, order)
+    c, Q, eps = mobility._reversal_symmetry(body.nodes)
+    frame = replace(body, nodes=(body.nodes - c) @ Q)
+    panel_frames = mobility._panel_frames(frame, eps)
+    U3 = np.ones((body.n_nodes, 3, 6))
+    tracemalloc.start()
+    try:
+        A6 = mobility._toeplitz_pcg(frame, panel_frames, params, U3)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert A6 is not None
+    assert 0 < peak <= 8 * mobility._toeplitz_doubles(body.n_nodes, order)
 
 
 def test_screw_fit_only_on_reversal_symmetric_bodies(monkeypatch, params):
@@ -507,12 +557,26 @@ BUILT_IN_SPECS = st.one_of(
 @given(spec=BUILT_IN_SPECS, panels=st.integers(2, 40), order=st.sampled_from([2, 4, 6, 8]))
 def test_built_in_bodies_take_the_two_block_path(params, spec, panels, order):
     # every rod, ring and helix of even N >= 8 passes both fits; one that
-    # failed would fall to the one-block factor, four times the work. The
-    # 4-node ring and helix (P = k = 2) fail Horn's simplicity test, and
-    # helices thinner than about 1e-3 of their length fail the screw fit
+    # failed would fall to the one-block factor, four times the work. Open
+    # bodies below N_x (all of these) take the two blocks, rings PCG. The
+    # 4-node ring and helix (P = k = 2) fail Horn's simplicity test
     assume(panels * order >= 8)
     body = discretize(spec, panels, order)
-    assert resistance_set(body, params).blocks == (3 * body.n_nodes // 2,) * 2
+    R = resistance_set(body, params)
+    assert R.blocks == (() if spec.kind == "ring" else (3 * body.n_nodes // 2,) * 2)
+
+
+@pytest.mark.parametrize("radius", [0.003, 0.001])
+def test_thin_helices_take_the_panel_periodic_path(radius):
+    # Horn's top eigenvalue is nearly double for a thin helix, and its
+    # screw angle alone missed the node images by up to 5e-11 of the
+    # extent; the Gauss-Newton step after it brings them within 1e-12
+    for panels in range(2, 41):
+        body = discretize(CurveSpec(kind="helix", radius=radius, pitch=1.0, turns=4.0),
+                          panels, 6)
+        c, Q, eps = mobility._reversal_symmetry(body.nodes)
+        frame = replace(body, nodes=(body.nodes - c) @ Q)
+        assert mobility._panel_frames(frame, eps) is not None, panels
 
 
 def periodic_blocks(body, params):
