@@ -112,7 +112,7 @@ from .kernel import kernel_scalars
 
 _ZERO_DATA_TOL = 1e-12
 # largest distance of a node from its image under the reversal or the
-# screw, relative to the body's extent, for the two-block path
+# screw, relative to the body's extent, for the panel-periodic paths
 _SYMMETRY_RTOL = 1e-12
 # strip-sized float64 arrays alive at the peak of assembly, inside
 # kernel_scalars: the strip's differences and squared distances (4), its
@@ -124,12 +124,14 @@ _STRIP_TEMPORARIES = 21
 # tensor (9) and its rotation into the panel frames (9), and about 18 for
 # the generator windows Z and Y
 _GENERATOR_TEMPORARIES = 47
-# the least node count at which an open panel-periodic body is solved by
-# block-Toeplitz PCG instead of the two dense blocks (N_x, the measured
-# break-even; closed bodies take PCG at every N)
+# N_x, the least node count at which an open panel-periodic body is solved
+# by block-Toeplitz PCG, not on the two dense blocks: the measured
+# break-even, where PCG was at par or faster on every rod and helix timed
+# and at 480 nodes it was not (closed bodies take PCG at every N)
 _TOEPLITZ_MIN_NODES = 600
-# PCG stops when every column's relative residual is at most _PCG_RTOL, or
-# falls back to the two dense blocks after _PCG_MAX_ITER iterations
+# PCG stops when every column's relative residual is at most _PCG_RTOL; at
+# _PCG_MAX_ITER iterations, over three times the 13 to 31 measured, it gives
+# way to the two dense blocks
 _PCG_RTOL = 1e-14
 _PCG_MAX_ITER = 100
 # float64 values per generator pair (N k pairs) and per node held by the
@@ -753,11 +755,12 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
         A6, psi = _solve(packed, U)
         blocks = (3 * n,)
     else:
-        U3, A6 = Q.T @ U.reshape(n, 3, 6), None
+        U3 = Q.T @ U.reshape(n, 3, 6)
+        A6 = None
         if body.closed or n >= _TOEPLITZ_MIN_NODES:
             A6, psi, sep, solver = _toeplitz_pcg(frame, panels, params, U3)
             blocks = ()
-        if A6 is None:
+        if A6 is None:   # an open body below N_x, or PCG at its cap
             try:
                 A6, psi, sep = _two_blocks(frame, panels, params, U3, eps)
             except ConfigError as exc:   # the memory guard

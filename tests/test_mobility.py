@@ -511,6 +511,27 @@ def test_toeplitz_path_matches_dense_reference(monkeypatch, name, params):
     assert abs(R.min_separation - ref) <= 1e-13 * ref
 
 
+def test_indefinite_toeplitz_matrix_is_a_solver_error(monkeypatch, params):
+    # a large antisymmetric part of T'(1) leaves Chan's preconditioner of a
+    # two-panel rod, which sees only its symmetric part, positive definite
+    # but makes the matrix indefinite: PCG meets p^T A p < 0 and stops
+    green = mobility._panel_green
+
+    def skewed(*args):
+        T, sep = green(*args)
+        k = T.shape[2]
+        A = np.random.default_rng(0).normal(size=(3 * k, 3 * k))
+        A = (A - A.T).reshape(k, 3, k, 3).transpose(1, 0, 2, 3)   # (alpha, a, b, beta)
+        T[1] += 1e3 * np.abs(T[0]).max() * A
+        return T, sep
+
+    monkeypatch.setattr(mobility, "_panel_green", skewed)
+    monkeypatch.setattr(mobility, "_TOEPLITZ_MIN_NODES", 0)
+    body = discretize(CurveSpec(kind="rod", length=2.0), 2, 4)
+    with pytest.raises(SolverError, match="p\\^T A p = .* not positive"):
+        resistance_set(body, params)
+
+
 @pytest.mark.parametrize("panels, order", [(256, 6), (15, 4), (2, 2), (3, 16)])
 def test_memory_guard_bounds_the_toeplitz_solve(params, panels, order):
     # the guard's count is an upper bound on what the solve allocates
