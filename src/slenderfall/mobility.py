@@ -83,10 +83,19 @@ Hermitian 3k x 3k symbols. The preconditioner is T. Chan's optimal
 circulant of P blocks (SIAM J. Sci. Stat. Comput. 1988), generator
 ((P - delta) T'(delta) + delta T'(P - delta)^T) / P: it is real, so its
 P/2 + 1 distinct symbols are factored by Cholesky, once each, and for a
-closed body it is the matrix itself. Conjugate gradients run on the six
-right-hand sides at once, each column with its own steps, until each
-column's residual is at most _PCG_RTOL of its right-hand side. The kernel
-runs once, on the P k^2 pairs of T', and the memory grows like N.
+closed body it is the matrix itself. Block conjugate gradients (O'Leary,
+Linear Algebra Appl. 1980) solve for the nonzero right-hand sides, each
+scaled to unit norm, in one Krylov space: every step searches a block of
+directions P with step alpha = (P^T A P)^-1 P^T R, R the residuals. The
+first block is an orthonormal basis of the preconditioned right-hand
+sides, and each next one of the preconditioned residuals made
+A-conjugate to P, beta = -(P^T A P)^-1 (A P)^T Z; both are orthonormalized
+through their Gram matrix, which reveals their rank, so that dependent
+right-hand sides, or residuals of which some combination has converged,
+narrow the block instead of making P^T A P singular (Dubrulle, ETNA 2001;
+Ji & Li, BIT 2017). It stops when every column's residual is at most
+_PCG_RTOL of its right-hand side. The kernel runs once, on the P k^2
+pairs of T', and the memory grows like N.
 
 So there are three paths, and one selector in resistance_set. A body
 whose reversal involution R exists (_reversal_symmetry) and whose
@@ -130,8 +139,9 @@ _GENERATOR_TEMPORARIES = 47
 # and at 480 nodes it was not (closed bodies take PCG at every N)
 _TOEPLITZ_MIN_NODES = 600
 # PCG stops when every column's relative residual is at most _PCG_RTOL; at
-# _PCG_MAX_ITER iterations, over three times the 13 to 31 measured, it gives
-# way to the two dense blocks
+# _PCG_MAX_ITER iterations, four times the 13 to 25 measured on rods and
+# helices of N = 240 to 1200 at ell 0.1 to 1, it gives way to the two dense
+# blocks
 _PCG_RTOL = 1e-14
 _PCG_MAX_ITER = 100
 # float64 values per generator pair (N k pairs) and per node held by the
@@ -609,48 +619,82 @@ def _toeplitz_pcg(frame, panels, params, U3):
     # numpy has no batched triangular solve: each factor is inverted once
     Li = np.stack([lapack.ztrtri(f, lower=1)[0] for f in L])
     inverse = Li.conj().transpose(0, 2, 1) @ Li
+    # the block iteration does not see the preconditioner's scale; at unit
+    # scale the Gram matrices of _orthonormal neither underflow nor overflow
+    # at extreme mu or ell
+    inverse /= np.abs(inverse).max()
     del chan, L, Li
 
-    def circulant(symbols, v, blocks):
-        """The first P blocks of C [v; 0], C the circulant of `blocks`
-        blocks with these symbols."""
-        return np.fft.irfft(symbols @ np.fft.rfft(v, n=blocks, axis=0), n=blocks,
-                            axis=0)[:P]
+    rhs = _into_panels(U3, panels).reshape(-1, 6)
+    norm = np.linalg.norm(rhs, axis=0)
+    cols = np.flatnonzero(norm)   # a zero column (a straight body's axial spin) stays zero
+    r = rhs[:, cols] / norm[cols]
 
-    def dots(u, v):
-        return np.einsum("ijk,ijk->k", u, v)
+    def apply(symbols, v, blocks):
+        """The first P blocks of C [v; 0] for the 3N x j array v, C the
+        circulant of `blocks` blocks with these symbols."""
+        w = v.shape[1]
+        return np.fft.irfft(symbols @ np.fft.rfft(v.reshape(P, b, w), n=blocks, axis=0),
+                            n=blocks, axis=0)[:P].reshape(-1, w)
 
-    rhs = _into_panels(U3, panels).reshape(P, b, 6)
-    norm = np.sqrt(dots(rhs, rhs))
-    active = norm > 0.0   # a zero column (a straight body's axial spin) stays zero
-    scale = np.where(active, norm, 1.0)
-    psi, r = np.zeros_like(rhs), rhs.copy()
-    p = z = circulant(inverse, r, P)
-    rz = dots(r, z)
+    # block PCG (module docstring) for the unit columns r: psi their nodal
+    # point forces, r their residuals, p the orthonormal search block
+    psi = np.zeros_like(r)
+    p = _orthonormal(apply(inverse, r, P))
     for it in range(1, _PCG_MAX_ITER + 1):
-        q = circulant(product, p, 2 * P)
-        pq = dots(p, q)
-        if not np.all(pq[active] > 0.0):   # NaN included
-            raise SolverError(f"mobility: block-Toeplitz PCG met p^T A p = "
-                              f"{pq[active].min():.3e}, not positive")
-        alpha = np.divide(rz, pq, out=np.zeros(6), where=active)
-        psi += alpha * p
-        r -= alpha * q
-        residual = np.sqrt(dots(r, r)) / scale
-        active &= residual > _PCG_RTOL
-        if not active.any():
+        q = apply(product, p, 2 * P)
+        c = _gram_factor(p.T @ q)
+        alpha = lapack.dpotrs(c, p.T @ r, lower=1)[0]
+        psi += p @ alpha
+        r -= q @ alpha
+        residual = np.sqrt((r.T @ r).diagonal())
+        if residual.max() <= _PCG_RTOL:
             break
-        z = circulant(inverse, r, P)
-        rz, rz_old = dots(r, z), rz
-        p = z + np.divide(rz, rz_old, out=np.zeros(6), where=active) * p
+        z = apply(inverse, r, P)
+        p = _orthonormal(z - p @ lapack.dpotrs(c, q.T @ z, lower=1)[0])
     solver = {"path": "toeplitz-pcg", "iterations": it,
               "residual": float(residual.max()), "fallback": None}
-    if active.any():
+    if not residual.max() <= _PCG_RTOL:
         solver.update(path="cholesky", fallback=f"block-Toeplitz PCG stopped at its "
                                                 f"cap of {_PCG_MAX_ITER} iterations")
         return None, None, sep, solver
-    A6 = rhs.reshape(-1, 6).T @ psi.reshape(-1, 6)
-    return A6, _into_panels(psi.reshape(-1, 3, 6), panels, back=True), sep, solver
+    forces = np.zeros_like(rhs)
+    forces[:, cols] = psi * norm[cols]
+    return (rhs.T @ forces, _into_panels(forces.reshape(-1, 3, 6), panels, back=True),
+            sep, solver)
+
+
+def _orthonormal(W):
+    """An orthonormal basis of the span of the columns of W, W D^-1 E U^-1:
+    D the column norms and E U^-1 from the pivoted Cholesky factor of their
+    Gram matrix with each column scaled to unit norm, E^T D^-1 W^T W D^-1 E
+    = U^T U (dpstrf). Directions whose pivot is within the rounding of that
+    Gram matrix are left out, so that dependent columns give a narrower
+    basis (rank-revealing), while columns that are merely small stay. The
+    factor keeps exact zeros: columns of disjoint support, such as the in-
+    and out-of-plane motions of a planar body, are not mixed. W itself when
+    W^T W is not finite."""
+    S = W.T @ W
+    if not np.isfinite(S).all():
+        return W
+    d = np.sqrt(S.diagonal())
+    d[d == 0.0] = 1.0
+    U, piv, rank, _ = lapack.dpstrf(S / np.outer(d, d), tol=len(W) * np.finfo(float).eps)
+    lead = piv[:rank] - 1
+    T = np.zeros((len(d), rank))
+    T[lead] = np.triu(lapack.dtrtri(U[:rank, :rank])[0]) / d[lead, None]   # U^-1
+    return W @ T
+
+
+def _gram_factor(G):
+    """The Cholesky factor of block PCG's p^T A p; SolverError, with its
+    least eigenvalue, when it is not positive definite."""
+    c, info = lapack.dpotrf(G, lower=1)
+    if info != 0 or not np.isfinite(c).all():
+        least = lapack.dsyev(G, compute_v=0)[0][0] if np.isfinite(G).all() else np.nan
+        raise SolverError(f"mobility: block-Toeplitz PCG met p^T A p = {least:.3e}, "
+                          f"not positive")
+    return c
 
 
 def _toeplitz_doubles(n, k):

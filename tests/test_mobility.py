@@ -307,7 +307,7 @@ def test_readme_helix_min_separation(helix_spec, params):
 
 def test_reciprocity_gate_measures_pcg_on_the_readme_helix(helix_spec, params):
     # on the block-Toeplitz path A6 = U^T psi is symmetric only as far as
-    # PCG converged: the asymmetry gate reads its error (measured 2.3e-15)
+    # PCG converged: the asymmetry gate reads its error (measured 9.5e-16)
     body = discretize(helix_spec, panels=256, order=6)   # N = 1536
     R = resistance_set(body, params)
     assert R.solver["path"] == "toeplitz-pcg"
@@ -496,8 +496,8 @@ def test_reversal_symmetry_selects_the_path(name, params):
 @pytest.mark.parametrize("name", ["README-helix", "rod", "ring"])
 def test_toeplitz_path_matches_dense_reference(monkeypatch, name, params):
     # with N_x lowered, open bodies take block-Toeplitz PCG too; it solves
-    # the same matrix to roundoff (measured: grand 3.7e-16 to 2.7e-15,
-    # densities 7.6e-15 to 3.5e-13, least node distance 8.1e-15)
+    # the same matrix to roundoff (measured: grand 3.5e-16 to 9.2e-16,
+    # densities 7.8e-15 to 2.9e-13, least node distance 8.1e-15)
     monkeypatch.setattr(mobility, "_TOEPLITZ_MIN_NODES", 0)
     body = SYMMETRY_CASES[name][0]()
     R = resistance_set(body, params)
@@ -549,6 +549,58 @@ def test_memory_guard_bounds_the_toeplitz_solve(params, panels, order):
         tracemalloc.stop()
     assert A6 is not None
     assert 0 < peak <= 8 * mobility._toeplitz_doubles(body.n_nodes, order)
+
+
+def test_block_pcg_on_dependent_and_zero_columns(monkeypatch, params):
+    # the straight rod's columns decouple and its axial spin is zero; with
+    # column 1 set to column 0 as well, the first basis narrows to rank 4,
+    # and the block solve matches the solves of one column at a time
+    calls, bases = [], []
+    pcg, orthonormal = mobility._toeplitz_pcg, mobility._orthonormal
+    monkeypatch.setattr(mobility, "_toeplitz_pcg",
+                        lambda *args: calls.append(args) or pcg(*args))
+    monkeypatch.setattr(mobility, "_orthonormal",
+                        lambda W: bases.append(orthonormal(W)) or bases[-1])
+    monkeypatch.setattr(mobility, "_TOEPLITZ_MIN_NODES", 0)
+    resistance_set(SYMMETRY_CASES["rod"][0](), params)
+    frame, panels, _, U3 = calls[0]
+    zero = ~U3.any(axis=(0, 1))
+    assert zero.sum() == 1
+    U3 = U3.copy()
+    U3[..., 1] = U3[..., 0]
+    bases.clear()
+    A6, psi, _, solver = pcg(frame, panels, params, U3)
+    assert bases[0].shape[1] == 4 and solver["residual"] <= mobility._PCG_RTOL
+    columns = np.zeros_like(psi)
+    for j in np.flatnonzero(~zero):
+        one = np.zeros_like(U3)
+        one[..., j] = U3[..., j]
+        columns[..., j] = pcg(frame, panels, params, one)[1][..., j]
+    assert np.all(psi[..., zero] == 0.0)
+    grand = U3.reshape(-1, 6).T @ columns.reshape(-1, 6)
+    assert np.linalg.norm(A6 - grand) <= 1e-13 * np.linalg.norm(grand)
+    assert np.linalg.norm(psi - columns) <= 1e-10 * np.linalg.norm(columns)
+
+
+def test_block_pcg_iterations_on_the_readme_helix(helix_spec, params):
+    # one Krylov space for the six rigid motions: 15 iterations at N = 1536,
+    # where one recurrence per column took 24
+    R = resistance_set(discretize(helix_spec, panels=256, order=6), params)
+    assert R.solver["path"] == "toeplitz-pcg" and R.solver["iterations"] <= 18
+
+
+@pytest.mark.parametrize("mu", [1e-300, 1e300])
+def test_toeplitz_path_at_extreme_mu(monkeypatch, mu):
+    # the iteration is blind to the preconditioner's scale: at mu = 1e-300
+    # the Green matrix is about 1e300 and PCG gives mu times the mu = 1 answer
+    monkeypatch.setattr(mobility, "_TOEPLITZ_MIN_NODES", 0)
+    body = SYMMETRY_CASES["README-helix"][0]()
+    ref = resistance_set(body, KernelParams(ell=0.1))
+    R = resistance_set(body, KernelParams(ell=0.1, mu=mu))
+    assert R.solver["path"] == "toeplitz-pcg"
+    assert np.linalg.norm(R.grand / mu - ref.grand) <= 1e-13 * np.linalg.norm(ref.grand)
+    assert (np.linalg.norm(R.densities / mu - ref.densities)
+            <= 1e-10 * np.linalg.norm(ref.densities))
 
 
 def test_screw_fit_only_on_reversal_symmetric_bodies(monkeypatch, params):
