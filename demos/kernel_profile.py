@@ -32,7 +32,7 @@ print("A(0) = %.12e,  1/(6 pi) = %.12e" % (kernel_scalars(0.0, params).A,
                                            1.0 / (6 * np.pi)))
 
 print()
-print("cross-check against the Fourier-space oracle (slow, mpmath):")
+print("cross-check against the Fourier-space oracle (QUADPACK):")
 for r in (0.01, 1.0):
     closed = kernel_scalars(r, params)
     oracle = fourier_oracle(r, params)

@@ -258,8 +258,11 @@ def _prepare(cfg, panels=None):
     except GeometryError as exc:
         raise ConfigError(f"cli: {exc}")
     if cfg.spec.density is None and cfg.m is not None:
-        body = replace(
-            body, density=np.full_like(body.weights, cfg.m / body.length))
+        density = cfg.m / body.length
+        if not 0 < density < np.inf:
+            raise ConfigError(f"cli: the density m / length = {density:.3e} "
+                              f"must be finite and positive")
+        body = replace(body, density=np.full_like(body.weights, density))
     mp = mass_properties(body, m_c=cfg.m_c)
     params = KernelParams(ell=cfg.ell, mu=cfg.mu)
     return body, mp, params

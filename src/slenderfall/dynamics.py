@@ -43,6 +43,7 @@ _BLOWUP_NORM = 1e12
 _POLAR_TOL = 1e-8          # largest entry of a polar update at convergence
 _POLAR_MAX_ITER = 8
 _RK4_REAL_STABILITY = 2.785293563405282   # RK4 is stable on [-2.785..., 0]
+_INERTIA_NULL_RTOL = 1e-12   # eigenvalues of J below this share of its largest are null
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class DynamicsParams:
             raise ValueError("dynamics.DynamicsParams: stride must be >= 1")
 
 
-def _inertia_pinv(mass_props, resistance, rtol=1e-12):
+def _inertia_pinv(mass_props, resistance):
     """Restricted inverse of J; null directions must be torque-free.
 
     A straight body has J (and K_rr) singular along its axis; that direction
@@ -105,7 +106,7 @@ def _inertia_pinv(mass_props, resistance, rtol=1e-12):
     J = mass_props.inertia
     evals, evecs = np.linalg.eigh(J)
     scale = max(evals.max(), np.finfo(float).tiny)
-    null = evals < rtol * scale
+    null = evals < _INERTIA_NULL_RTOL * scale
     if np.any(null):
         krr_scale = max(np.linalg.norm(resistance.k_rr), np.finfo(float).tiny)
         for v in evecs.T[null]:

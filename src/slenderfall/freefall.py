@@ -22,6 +22,12 @@ import numpy as np
 from .errors import DegeneracyError, InternalConsistencyError, SolverError
 
 _SIGN_TOL = 1e-8
+# a singular value of the Schur factor below this share of |K_rr| is null
+_DEGENERACY_RTOL = 1e-10
+# eigenvalues of F closer than this share of max(|F|, 1) are one cluster
+_CLUSTER_RTOL = 1e-7
+# largest momentum residual of a steady state, relative to its load
+_RESIDUAL_RTOL = 1e-8
 
 
 def cross_matrix(v):
@@ -70,7 +76,7 @@ class SteadyState:
         return d
 
 
-def fall_operator(resistance, mass_props, degeneracy_rtol=1e-10):
+def fall_operator(resistance, mass_props):
     """Build F from a resistance set and mass properties.
 
     Straight bodies have a rotational null direction; there the Schur factor
@@ -87,7 +93,7 @@ def fall_operator(resistance, mass_props, degeneracy_rtol=1e-10):
     u, sv, vt = np.linalg.svd(schur)
     top = np.abs(Krr).max() or 1.0   # scaled: |Krr|^2 may overflow
     scale = max(top * np.linalg.norm(Krr / top), np.finfo(float).tiny)
-    small = sv < degeneracy_rtol * scale
+    small = sv < _DEGENERACY_RTOL * scale
     if small.sum() == 0:
         F = np.linalg.solve(schur, rhs)
         return FallOperator(matrix=F, schur=schur, degenerate=False,
@@ -102,7 +108,7 @@ def fall_operator(resistance, mass_props, degeneracy_rtol=1e-10):
     # consistency: the load must not drive the null direction; a load norm
     # that overflows passes here, and real_eigenpairs refuses the F it gives
     with np.errstate(over="ignore"):
-        driven = np.linalg.norm(null @ rhs) > degeneracy_rtol * max(np.linalg.norm(rhs), 1.0)
+        driven = np.linalg.norm(null @ rhs) > _DEGENERACY_RTOL * max(np.linalg.norm(rhs), 1.0)
     if driven:
         raise DegeneracyError(
             "freefall.fall_operator: load has a component along the degenerate "
@@ -124,7 +130,7 @@ def _apply_sign_convention(g):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def real_eigenpairs(F, cluster_rtol=1e-7):
+def real_eigenpairs(F):
     """All real eigenpairs of a 3x3 matrix via the characteristic cubic.
 
     The depressed cubic is solved in closed form (Cardano / trigonometric
@@ -139,7 +145,7 @@ def real_eigenpairs(F, cluster_rtol=1e-7):
     norm_f = float(np.linalg.norm(F))
     # absolute floor of 1: symmetric bodies produce F = O(roundoff) whose
     # eigenvalues must collapse to a single zero of multiplicity 3
-    eig_tol = cluster_rtol * max(norm_f, 1.0)
+    eig_tol = _CLUSTER_RTOL * max(norm_f, 1.0)
     c2 = -np.trace(F)
     c1 = 0.5 * (np.trace(F) ** 2 - np.trace(F @ F))
     c0 = -np.linalg.det(F)
@@ -220,7 +226,7 @@ def real_eigenpairs(F, cluster_rtol=1e-7):
     return pairs
 
 
-def steady_states(resistance, mass_props, residual_rtol=1e-8):
+def steady_states(resistance, mass_props):
     """Enumerate steady free-fall states (lambda, g, xi, omega).
 
     Each real eigenpair of the fall operator yields one state (the mirrored
@@ -240,12 +246,12 @@ def steady_states(resistance, mass_props, residual_rtol=1e-8):
         # hypot: |K_tt| or |xi| alone may under- or overflow as a sum of squares
         scale = max(abs(mass_props.m_e),
                     math.hypot(*resistance.k_tt.ravel()) * math.hypot(*xi), 1e-300)
-        if mom > residual_rtol * scale:
+        if mom > _RESIDUAL_RTOL * scale:
             over = [name for name, value in (("force", force), ("torque", torque))
-                    if value > residual_rtol * scale]
+                    if value > _RESIDUAL_RTOL * scale]
             raise InternalConsistencyError(
                 f"freefall.steady_states: {' and '.join(over)} residual exceeds "
-                f"{residual_rtol:.1e} * scale ({scale:.3e}): force residual "
+                f"{_RESIDUAL_RTOL:.1e} * scale ({scale:.3e}): force residual "
                 f"{force:.3e}, torque residual {torque:.3e}")
         states.append(SteadyState(
             lam=lam, g=g, xi=xi, omega=omega, multiplicity=mult,

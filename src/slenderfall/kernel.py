@@ -20,53 +20,49 @@ besides exponentially screened terms, an algebraic source-dipole tail:
 A ~ (1 + 2/s^2)/(8 pi mu r) and B ~ (1 - 6/s^2)/(8 pi mu r).
 """
 
-from dataclasses import dataclass
-from math import factorial
+from dataclasses import dataclass, field
+from math import cos, factorial, sin
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import KernelDomainError, OracleError
 
-# Taylor coefficients of 8*pi*mu*ell*A and 8*pi*mu*ell*B in powers of s:
+# Taylor coefficients of 8*pi*mu*ell*A and 8*pi*mu*ell*B in powers of s,
+# through the series order 12:
 #   a_n = 2 (-1)^n [ 1/(n+1)! - (n+2)/(n+3)! ]
 #   b_n = 2 (-1)^(n+1) n (n+2) / (n+3)!
-_MAX_SERIES = 24
+_SERIES_ORDER = 12
 _A_COEF = np.array([2.0 * (-1) ** n * (1.0 / factorial(n + 1)
                                        - (n + 2) / factorial(n + 3))
-                    for n in range(_MAX_SERIES)])
+                    for n in range(_SERIES_ORDER + 1)])
 _B_COEF = np.array([2.0 * (-1) ** (n + 1) * n * (n + 2) / factorial(n + 3)
-                    for n in range(_MAX_SERIES)])
+                    for n in range(_SERIES_ORDER + 1)])
+
+# the oracle raises when QUADPACK's error estimate exceeds this share of a value
+_ORACLE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
 class KernelParams:
     """Fluid parameters: effective thickness ell, viscosity mu.
 
-    ``switch_radius`` is where evaluation switches from the closed form to
-    the near-field Taylor series; ``series_order`` is the truncation order.
-    The default switch at 0.1*ell keeps the closed-form cancellation error
-    in B below 1e-10 relative while the order-12 series is converged to
-    machine precision there.
+    ``switch_radius`` = 0.1*ell, not a parameter, is where evaluation
+    switches from the closed form to the near-field Taylor series of order
+    12. There the closed-form cancellation error in B stays below 1e-10
+    relative while the series is converged to machine precision.
     """
 
     ell: float
     mu: float = 1.0
-    switch_radius: float = None
-    series_order: int = 12
+    switch_radius: float = field(init=False)
 
     def __post_init__(self):
-        if self.ell <= 0:
-            raise KernelDomainError("kernel.KernelParams: ell must be positive")
+        if not (0 < self.ell < np.inf):
+            raise KernelDomainError("kernel.KernelParams: ell must be positive and finite")
         if self.mu <= 0:
             raise KernelDomainError("kernel.KernelParams: mu must be positive")
-        if self.switch_radius is None:
-            object.__setattr__(self, "switch_radius", 0.1 * self.ell)
-        if not (0 < self.switch_radius < self.ell):
-            raise KernelDomainError("kernel.KernelParams: need 0 < switch_radius < ell")
-        if not (1 <= self.series_order <= _MAX_SERIES):
-            raise KernelDomainError(
-                f"kernel.KernelParams: series_order must be in 1..{_MAX_SERIES}")
+        object.__setattr__(self, "switch_radius", 0.1 * self.ell)
 
 
 class KernelScalars(NamedTuple):
@@ -113,10 +109,9 @@ def kernel_scalars(r, params):
         B /= s
 
     if near:
-        n = params.series_order + 1
         ss = s[small]
-        A[small] = np.polyval(_A_COEF[:n][::-1], ss)
-        B[small] = np.polyval(_B_COEF[:n][::-1], ss)
+        A[small] = np.polyval(_A_COEF[::-1], ss)
+        B[small] = np.polyval(_B_COEF[::-1], ss)
 
     scale = 1.0 / (8.0 * np.pi * params.mu * params.ell)
     A *= scale
@@ -126,40 +121,93 @@ def kernel_scalars(r, params):
     return KernelScalars(A.reshape(r_in.shape), B.reshape(r_in.shape))
 
 
-def fourier_oracle(r, params, dps=30):
+def fourier_oracle(r, params):
     """Verification oracle: A(r), B(r) by radial wavenumber quadrature.
 
-    Integrates the spherical-Bessel reduction of the projected resolvent
-    (I - khat khat)/(k^2 + ell^2 k^4) with mpmath (oscillatory quadrature
-    for r > 0). Independent of the closed form; used by tests and the
-    kernel-check subcommand. Slow by design.
+    The projected resolvent (I - khat khat)/(k^2 + ell^2 k^4) reduces, with
+    u = k r and s = r/ell, to the radial integrals
+
+        A = I_1 / (2 pi^2 mu r),   B = -I_3 / (2 pi^2 mu r),
+        I_c = int_0^inf (j0(u) - c j1(u)/u) / (1 + u^2/s^2) du,
+
+    and at r = 0 to A = (2/3) int_0^inf dk / (1 + ell^2 k^2) / (2 pi^2 mu),
+    B = 0. SciPy's QUADPACK (Piessens, de Doncker-Kapenga, Ueberhuber &
+    Kahaner 1983) integrates the head u <= 20 adaptively, with a breakpoint
+    at each decade from u = s up, and the tail as two Fourier integrals
+    (QAWF) against sin u and cos u, from j0 = sin u / u and
+    j1/u = sin u / u^3 - cos u / u^2. Below u = 0.5 the Bessel combination
+    is summed from the Taylor series of j0 and j1/u, which cancels no
+    digits. Nothing here uses the closed form or its series, so the oracle
+    checks both; the tests and the kernel-check subcommand call it, at a
+    few milliseconds a point. A QUADPACK warning, or an error estimate above
+    1e-10 of either value, raises OracleError.
     """
-    import mpmath as mp
+    import warnings
+
+    from scipy import integrate
 
     if r < 0:
         raise KernelDomainError("kernel.fourier_oracle: negative distance")
     ell, mu = params.ell, params.mu
+    # j0(u) = sum (-1)^n u^2n / (2n+1)!,  j1(u)/u = sum (-1)^n (2n+2) u^2n / (2n+3)!
+    j0_coef = [(-1) ** n / factorial(2 * n + 1) for n in range(10)]
+    j1u_coef = [(-1) ** n * (2 * n + 2) / factorial(2 * n + 3) for n in range(10)]
+    head_end = 20.0
+
+    def checked(value, err):
+        if not err <= _ORACLE_RTOL * abs(value):
+            raise OracleError(
+                f"kernel.fourier_oracle: error estimate {err:.2e} exceeds "
+                f"{_ORACLE_RTOL:.0e} of the integral {value:.6e}")
+        return value
+
+    def radial(c, s):
+        """I_c and the sum of QUADPACK's error estimates of its parts."""
+        coef = [a - c * b for a, b in zip(j0_coef, j1u_coef)]
+
+        def head(u):
+            if u < 0.5:
+                u2 = u * u
+                bessel = sum(a * u2 ** n for n, a in enumerate(coef))
+            else:
+                sin_u, cos_u = sin(u), cos(u)
+                bessel = sin_u / u - c * (sin_u / u - cos_u) / (u * u)
+            t = u / s
+            return bessel / (1.0 + t * t)
+
+        def tail_sin(u):
+            t = u / s
+            return (1.0 - c / (u * u)) / u / (1.0 + t * t)
+
+        def tail_cos(u):
+            t = u / s
+            return c / (u * u) / (1.0 + t * t)
+
+        breaks = [b for b in (s * 10.0 ** k for k in range(60)) if b < head_end]
+        value, err = integrate.quad(head, 0.0, head_end, epsabs=0.0, epsrel=1e-13,
+                                    limit=200, points=breaks or None)
+        for weight, f in (("sin", tail_sin), ("cos", tail_cos)):
+            # QAWF takes an absolute tolerance only, and it must be positive
+            v, e = integrate.quad(f, head_end, np.inf, weight=weight, wvar=1.0,
+                                  epsabs=max(1e-13 * abs(value), np.finfo(float).tiny))
+            value += v
+            err += e
+        return value, err
+
+    scale = 2 * np.pi ** 2 * mu
     try:
-        with mp.workdps(dps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", integrate.IntegrationWarning)
             if r == 0.0:
-                A = mp.quad(lambda k: (2.0 / 3.0) / (1 + (ell * k) ** 2),
-                            [0, mp.inf]) / (2 * mp.pi ** 2 * mu)
-                return KernelScalars(float(A), 0.0)
-
-            def combo(k, c):
-                u = k * r
-                j0 = mp.sin(u) / u
-                j1_over_u = mp.sin(u) / u ** 3 - mp.cos(u) / u ** 2
-                return (j0 - c * j1_over_u) / (1 + (ell * k) ** 2)
-
-            period = 2 * mp.pi / r
-            A = mp.quadosc(lambda k: combo(k, 1), [0, mp.inf],
-                           period=period) / (2 * mp.pi ** 2 * mu)
-            B = -mp.quadosc(lambda k: combo(k, 3), [0, mp.inf],
-                            period=period) / (2 * mp.pi ** 2 * mu)
-        A, B = float(A), float(B)
-    except Exception as exc:  # pragma: no cover - mpmath failure path
+                # int_0^inf dk / (1 + ell^2 k^2) = (1/ell) int_0^inf dx / (1 + x^2)
+                half_pi = checked(*integrate.quad(lambda x: 1.0 / (1.0 + x * x), 0.0,
+                                                  np.inf, epsabs=0.0, epsrel=1e-13))
+                A, B = (2.0 / 3.0) * half_pi / scale / ell, 0.0
+            else:
+                A = checked(*radial(1.0, r / ell)) / scale / r
+                B = -checked(*radial(3.0, r / ell)) / scale / r
+    except (integrate.IntegrationWarning, ArithmeticError) as exc:
         raise OracleError(f"kernel.fourier_oracle: quadrature failed: {exc}")
     if not (np.isfinite(A) and np.isfinite(B)):
         raise OracleError("kernel.fourier_oracle: quadrature did not converge")
-    return KernelScalars(A, B)
+    return KernelScalars(float(A), float(B))

@@ -148,6 +148,8 @@ _PCG_MAX_ITER = 100
 # block-Toeplitz solve at its peak, upper bounds (tests measure them)
 _TOEPLITZ_PER_PAIR = 120
 _TOEPLITZ_PER_NODE = 400
+# largest relative asymmetry of the grand matrix resistance_set accepts
+_ASYMMETRY_TOL = 1e-6
 
 
 def require_memory(m, where, temporaries=0):
@@ -740,7 +742,7 @@ class ResistanceSet:
         }
 
 
-def resistance_set(body, params, asymmetry_tol=1e-6):
+def resistance_set(body, params):
     """The grand resistance matrix A6 = U^T G^-1 U and the basis force
     densities Phi = W^-1 G^-1 U, from one Cholesky factor per diagonal
     block or from block-Toeplitz PCG.
@@ -756,7 +758,8 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
     the largest entry. On the dense paths Y^T Y is symmetric by
     construction and the gate cannot fail; on the block-Toeplitz path
     A6 = U^T psi is symmetric only as far as PCG converged, and the gate
-    measures its error.
+    measures its error. A grand matrix that is not finite, from a solve
+    that overflowed, raises SolverError.
 
     This is the one-block path, G assembled in strips. The selector of the
     module docstring sends a panel-periodic body to the two blocks G+- or
@@ -813,16 +816,20 @@ def resistance_set(body, params, asymmetry_tol=1e-6):
                 raise SolverError(f"mobility: {solver['fallback']}, and the dense "
                                   f"fallback does not fit: {exc}") from exc
             blocks = (3 * n // 2,) * 2
+    if not np.isfinite(A6).all():
+        raise SolverError("mobility.resistance_set: the grand matrix is not finite; "
+                          "the solve overflowed")
+    if panels is not None:
         psi = Q @ psi
     densities = psi.reshape(n, 3, 6) / body.weights[:, None, None]
 
     scaled = A6 / (np.abs(A6).max() or 1.0)   # |A6|^2 may overflow
     norm = np.linalg.norm(scaled)
     asym = float(np.linalg.norm(scaled - scaled.T) / norm) if norm > 0 else 0.0
-    if asym > asymmetry_tol:
+    if asym > _ASYMMETRY_TOL:
         raise ConvergenceError(
             f"mobility.resistance_set: grand matrix asymmetry {asym:.3e} exceeds "
-            f"{asymmetry_tol:.1e}; discretization too coarse")
+            f"{_ASYMMETRY_TOL:.1e}; discretization too coarse")
     A6 = 0.5 * (A6 + A6.T)
     return ResistanceSet(k_tt=A6[:3, :3], k_tr=A6[:3, 3:], k_rt=A6[3:, :3],
                          k_rr=A6[3:, 3:], grand=A6, densities=densities,

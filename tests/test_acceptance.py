@@ -22,8 +22,9 @@ def _report(num, name, ok, detail=""):
     assert ok, line
 
 
-def test_criterion_1_kernel_correctness():
-    p = KernelParams(ell=1.0)
+def _kernel_vs_oracle(p):
+    """Largest relative difference between the closed form and the oracle
+    over criterion 1's abscissas."""
     worst = 0.0
     for s in (0.0, 1e-2, 1e-1, 1.0, 10.0, 100.0):
         closed = kernel_scalars(s * p.ell, p)
@@ -32,11 +33,27 @@ def test_criterion_1_kernel_correctness():
         scale_b = abs(oracle.B) if oracle.B != 0.0 else scale_a
         worst = max(worst, abs(closed.A - oracle.A) / scale_a,
                     abs(closed.B - oracle.B) / scale_b)
+    return worst
+
+
+def test_criterion_1_kernel_correctness():
+    p = KernelParams(ell=1.0)
+    worst = _kernel_vs_oracle(p)
     a0 = kernel_scalars(0.0, p).A
     a0_exact = 1.0 / (6 * np.pi)
     ok = worst <= 1e-8 and abs(a0 - a0_exact) <= 1e-10 * a0_exact
     _report(1, "kernel closed form vs Fourier oracle", ok,
             f"max rel err {worst:.2e}")
+
+
+def test_criterion_1_detects_a_perturbed_series_coefficient(monkeypatch):
+    # the oracle shares nothing with the kernel's series: a_1 moved by 1e-6
+    # moves A by 7.9e-8 relative at s = 0.1, over criterion 1's bound
+    from slenderfall import kernel
+    perturbed = kernel._A_COEF.copy()
+    perturbed[1] += 1e-6
+    monkeypatch.setattr(kernel, "_A_COEF", perturbed)
+    assert _kernel_vs_oracle(KernelParams(ell=1.0)) > 1e-8
 
 
 def test_criterion_2_reciprocity_positivity(rod_R, ring_R, helix_R):

@@ -1,8 +1,11 @@
 """CLI module: nondimensionalization, config parsing, pipeline modes."""
 
 import json
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -751,3 +754,59 @@ def test_fall_run_record(tmp_path, body, dynamics, record):
     stride = dynamics.get("stride", 1)
     assert got["n_samples"] == -(-record["steps"] // stride) + 1
     assert got["steady_detection"]["t_final"] == pytest.approx(record["steps"] * dynamics["dt"])
+
+
+def far_ring(**overrides):
+    """A ring of radius 1e150 on 12 nodes, with a dynamics block."""
+    return base_config(body={"kind": "ring", "radius": 1e150},
+                       discretization={"panels": 4, "order": 3},
+                       dynamics={"dt": 0.01, "t_end": 0.1}, **overrides)
+
+
+@pytest.mark.parametrize("mode", ["mobility", "steady", "fall"])
+def test_non_finite_grand_matrix_exits_3(tmp_path, capsys, mode):
+    # at mu = 1e300 the kernel between nodes 1e150 apart underflows to zero
+    # and the rotational solves overflow: the grand matrix holds NaN
+    cfg = far_ring(fluid={"nondimensional": {"ell": 0.1, "mu": 1e300}})
+    out = tmp_path / "out"
+    assert main_printing_warnings([mode, "--config", str(write_config(tmp_path, cfg)),
+                                   "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "solver error" in err and "not finite" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["mobility", "steady", "fall"])
+def test_underflowing_density_exits_2(tmp_path, capsys, mode):
+    # m / length = 1e-300 / 6.3e150 underflows to a zero density
+    cfg = far_ring(masses={"m": 1e-300})
+    out = tmp_path / "out"
+    assert main_printing_warnings([mode, "--config", str(write_config(tmp_path, cfg)),
+                                   "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "density" in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+def test_oracle_error_estimate_over_its_bound_exits_3(tmp_path, monkeypatch, capsys):
+    from slenderfall import kernel
+    monkeypatch.setattr(kernel, "_ORACLE_RTOL", 1e-300)
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    assert cli.main(["kernel-check", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "solver error" in err and "error estimate" in err
+    assert not (out / "report.json").exists()
+
+
+def test_cli_import_leaves_quadpack_unloaded():
+    # the oracle imports scipy.integrate when it runs; scipy.linalg stays
+    # loaded with the module, which measured faster on small bodies
+    code = ("import sys, slenderfall.cli; "
+            "print('scipy.integrate' in sys.modules, 'scipy.linalg' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.stdout.split() == ["False", "True"], proc.stderr

@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["ring_relaxation.py", "steady_helix.py"])
+@pytest.mark.parametrize("script", ["kernel_profile.py", "ring_relaxation.py",
+                                    "steady_helix.py"])
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

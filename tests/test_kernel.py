@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from slenderfall import KernelParams, fourier_oracle, kernel_scalars
 from slenderfall.errors import KernelDomainError
-from slenderfall.kernel import _A_COEF, _B_COEF
+from slenderfall.cli import KERNEL_CHECK_POINTS
+from slenderfall.kernel import _A_COEF, _B_COEF, _SERIES_ORDER
 
 from conftest import dense_green
 
@@ -47,14 +48,14 @@ def test_closed_form_vs_oracle_midrange():
 
 
 def test_branch_continuity_at_switch():
-    # evaluate the switch point with the series and with the closed form
-    ell = 1.0
-    r_sw = 0.1 * ell
-    series = kernel_scalars(r_sw, KernelParams(ell=ell))  # s <= switch: series
-    closed = kernel_scalars(r_sw, KernelParams(ell=ell, switch_radius=0.05 * ell))
-    scale = abs(series.A)
-    assert abs(series.A - closed.A) <= 1e-12 * scale
-    assert abs(series.B - closed.B) <= 1e-12 * scale
+    # at the switch kernel_scalars takes the series; the closed form, as
+    # written out below, agrees with it there
+    p = KernelParams(ell=1.0)
+    series = kernel_scalars(p.switch_radius, p)
+    gA, gB = written_out_closed_form(np.array([p.switch_radius / p.ell]))
+    scale = 1.0 / (8.0 * np.pi * p.mu * p.ell)
+    assert abs(series.A - scale * gA[0]) <= 1e-12 * abs(series.A)
+    assert abs(series.B - scale * gB[0]) <= 1e-12 * abs(series.A)
 
 
 def test_screening_of_exponential_part():
@@ -116,6 +117,20 @@ def test_mu_scaling():
     assert abs(B1 - 2 * B2) <= 1e-14
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ell, s", [(ell, s) for ell in (0.1, 1.0)
+                                    for s in KERNEL_CHECK_POINTS]
+                         + [(10.0, 0.05), (100.0, 0.005)])
+def test_oracle_agrees_with_closed_form(ell, s):
+    # the kernel-check abscissas, and the points of the large-ell test
+    # below, to 1e-10 with no QUADPACK warning
+    p = KernelParams(ell=ell, mu=1.3)
+    closed = kernel_scalars(s * ell, p)
+    oracle = fourier_oracle(s * ell, p)
+    assert abs(closed.A - oracle.A) <= 1e-10 * abs(oracle.A)
+    assert abs(closed.B - oracle.B) <= 1e-10 * (abs(oracle.B) or abs(oracle.A))
+
+
 def test_large_ell_self_mobility_scaling():
     # oracle evaluation at large ell shows the 1/(6 pi mu ell) scaling
     r = 0.5
@@ -130,7 +145,7 @@ def test_domain_errors():
     with pytest.raises(KernelDomainError):
         KernelParams(ell=-1.0)
     with pytest.raises(KernelDomainError):
-        KernelParams(ell=1.0, switch_radius=2.0)
+        KernelParams(ell=np.inf)
 
 
 def test_array_evaluation_matches_scalar():
@@ -142,16 +157,23 @@ def test_array_evaluation_matches_scalar():
         assert A[i] == a and B[i] == b
 
 
-def written_out_kernel(r, params):
-    """A(r), B(r): the closed form as one expression per scalar, replaced
-    by the Taylor series at and below the switch radius."""
-    s = r / params.ell
-    small = s <= params.switch_radius / params.ell
+def written_out_closed_form(s):
+    """8 pi mu ell A and 8 pi mu ell B at s = r/ell, the closed form as one
+    expression per scalar."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         es = np.exp(-s)
         gA = (1.0 - 2.0 * es + 2.0 * (1.0 - es * (1.0 + s)) / s ** 2) / s
         gB = (1.0 - 6.0 / s ** 2 + es * (2.0 + 6.0 / s + 6.0 / s ** 2)) / s
-    n = params.series_order + 1
+    return gA, gB
+
+
+def written_out_kernel(r, params):
+    """A(r), B(r): the written-out closed form, replaced by the Taylor
+    series at and below the switch radius."""
+    s = r / params.ell
+    small = s <= params.switch_radius / params.ell
+    gA, gB = written_out_closed_form(s)
+    n = _SERIES_ORDER + 1
     gA[small] = np.polyval(_A_COEF[:n][::-1], s[small])
     gB[small] = np.polyval(_B_COEF[:n][::-1], s[small])
     scale = 1.0 / (8.0 * np.pi * params.mu * params.ell)
