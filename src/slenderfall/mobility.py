@@ -76,26 +76,50 @@ by W_i.
 The whole of D^T G D is block Toeplitz, block (i, j) = T'(i - j) for
 i >= j and T'(j - i)^T for i < j, and for a closed body block circulant,
 T'(P - delta) = T'(delta)^T. Block-Toeplitz PCG solves it without
-forming it (R. Chan & Ng, SIAM Review 1996). The product applies the
-circulant of 2P blocks that embeds it, generator T'(0), ..., T'(P - 1),
-0, T'(P - 1)^T, ..., T'(1)^T, through real FFTs along the panels, as P + 1
-Hermitian 3k x 3k symbols. The preconditioner is T. Chan's optimal
-circulant of P blocks (SIAM J. Sci. Stat. Comput. 1988), generator
-((P - delta) T'(delta) + delta T'(P - delta)^T) / P: it is real, so its
-P/2 + 1 distinct symbols are factored by Cholesky, once each, and for a
-closed body it is the matrix itself. Block conjugate gradients (O'Leary,
-Linear Algebra Appl. 1980) solve for the nonzero right-hand sides, each
-scaled to unit norm, in one Krylov space: every step searches a block of
-directions P with step alpha = (P^T A P)^-1 P^T R, R the residuals. The
-first block is an orthonormal basis of the preconditioned right-hand
-sides, and each next one of the preconditioned residuals made
-A-conjugate to P, beta = -(P^T A P)^-1 (A P)^T Z; both are orthonormalized
-through their Gram matrix, which reveals their rank, so that dependent
-right-hand sides, or residuals of which some combination has converged,
-narrow the block instead of making P^T A P singular (Dubrulle, ETNA 2001;
-Ji & Li, BIT 2017). It stops when every column's residual is at most
-_PCG_RTOL of its right-hand side. The kernel runs once, on the P k^2
-pairs of T', and the memory grows like N.
+forming it (R. Chan & Ng, SIAM Review 1996), on both halves of the
+reversal in one loop. In the panel frames the reversal is the constant
+involution flip_P (x) K, K = flip_k (x) W_{P-1}^T R, because
+R W_i R = W_i^T, and the matrix commutes with it. A vector of parity +-1
+is held on its first N/2 nodes, where D^T G+- D acts, as ceil(P/2)
+panels in the eigenbasis of K (the middle panel of odd P completed by K
+and divided by sqrt 2): a component of K-eigenvalue kappa is then even
+about the body's middle when kappa is the parity and odd otherwise. The
+product applies the circulant of 2P blocks that embeds the matrix,
+generator T'(0), ..., T'(P - 1), 0, T'(P - 1)^T, ..., T'(1)^T. The
+2P-periodic extension of such a vector is symmetric about the middle, so
+e^{i theta (P-1)/2} times its Fourier transform is real in its even
+components and imaginary in its odd ones, and the P + 1 Hermitian
+3k x 3k symbols C become real ones, G^H C G with G = diag(1, i) on
+K-eigenvalues (1, -1). For even P that transform is a DCT-II of length P
+of the N/2 nodes after P/2 zero panels, and a DST-II for the odd
+components, both from one real FFT of length P (Makhoul, IEEE Trans.
+ASSP 1980); for odd P the symmetry centre is a panel and a real FFT of
+length 2P is taken. The odd vectors are held with their components of
+eigenvalue -1 negated, so that both parities take the same symbols. The
+preconditioner is T. Chan's optimal circulant of P blocks (SIAM J. Sci.
+Stat. Comput. 1988), generator ((P - delta) T'(delta) + delta T'(P -
+delta)^T) / P. It commutes with the reversal too: its P/2 + 1 real
+symbols (transforms of length P/2 for even P) are factored by Cholesky,
+once each, and for a closed body it is the matrix itself, whose product
+then needs no embedding. Each parity's right-hand sides U+- are reduced
+to an orthonormal basis of their rank (2 and 4 for the README helix),
+and block conjugate gradients (O'Leary, Linear Algebra Appl. 1980) solve
+for both bases at once: every step searches a block of directions P
+with step alpha = (P^T A P)^-1 P^T R, R the residuals, and the entries
+of these Gram matrices between columns of different parity, which
+belong to different matrices, are zero. The first block is an
+orthonormal basis of the preconditioned right-hand sides, and each next
+one of the preconditioned residuals made A-conjugate to P, beta =
+-(P^T A P)^-1 (A P)^T Z; both are orthonormalized through their Gram
+matrix, which reveals their rank, so that residuals of which some
+combination has converged narrow the block instead of making P^T A P
+singular (Dubrulle, ETNA 2001; Ji & Li, BIT 2017). It stops when every
+original column's residual, sqrt(|r+_j|^2 + |r-_j|^2), is at most
+_PCG_RTOL of its right-hand side, sqrt(|U+_j|^2 + |U-_j|^2); a parity
+whose part is below half of that in every column stops earlier, and the
+other goes on alone (on the README helix the odd half converges first).
+The kernel runs once, on the P k^2 pairs of T', and the memory grows
+like N.
 
 So there are three paths, and one selector in resistance_set. A body
 whose reversal involution R exists (_reversal_symmetry) and whose
@@ -108,6 +132,7 @@ other body, a polyline, an odd-N body or a single panel, is assembled in
 strips and solved as one block.
 """
 
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -144,10 +169,14 @@ _TOEPLITZ_MIN_NODES = 600
 # blocks
 _PCG_RTOL = 1e-14
 _PCG_MAX_ITER = 100
-# float64 values per generator pair (N k pairs) and per node held by the
-# block-Toeplitz solve at its peak, upper bounds (tests measure them)
-_TOEPLITZ_PER_PAIR = 120
-_TOEPLITZ_PER_NODE = 400
+# float64 values per generator pair (N k pairs), per node and in all held
+# by the block-Toeplitz solve at its peak: upper bounds, with the peaks
+# measured on rods, rings and helices of N = 4 to 3072 at 0.21 to 0.85 of
+# them (the peak is the symbols' set-up, 42 to 62 doubles a pair at
+# N >= 600 for k >= 3, and up to 88 at k = 2)
+_TOEPLITZ_PER_PAIR = 72
+_TOEPLITZ_PER_NODE = 96
+_TOEPLITZ_FIXED = 8192
 # largest relative asymmetry of the grand matrix resistance_set accepts
 _ASYMMETRY_TOL = 1e-6
 
@@ -563,23 +592,39 @@ def _rotations(q, P):
     return np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
 
 
-def _two_blocks(frame, panels, params, U3, eps):
+def _halves(U3, panels):
+    """U+- = U_p +- eps U_{N-1-p}, p < N/2, in the panel frames: the
+    right-hand sides of the even and odd halves of a panel-periodic body
+    (resistance_set); U3 (N, 3, 6) holds the rigid motions in the
+    eigenframe of the reversal."""
+    h = len(U3) // 2
+    near, far = U3[:h], panels.eps[:, None] * U3[h:][::-1]
+    return [_into_panels(near + sign * far, panels) for sign in (1.0, -1.0)]
+
+
+def _unfold(plus, minus, panels):
+    """The nodal point forces of all N nodes in the eigenframe of the
+    reversal from psi+- of the first N/2 in the panel frames:
+    (psi+_p + psi-_p) / 2 at node p and eps (psi+_p - psi-_p) / 2 at
+    N-1-p."""
+    plus, minus = (_into_panels(p, panels, back=True) for p in (plus, minus))
+    return 0.5 * np.concatenate([plus + minus,
+                                 (panels.eps[:, None] * (plus - minus))[::-1]])
+
+
+def _two_blocks(frame, panels, params, U3):
     """A6, the nodal point forces in the eigenframe of the reversal and the
     least node distance of a panel-periodic body, from its two dense
     blocks G+- (resistance_set)."""
     h = frame.n_nodes // 2
-    near, far = U3[:h], eps[:, None] * U3[h:][::-1]
     A6, parts = np.zeros((6, 6)), []
-    for sign in (1.0, -1.0):
+    for sign, rhs in zip((1.0, -1.0), _halves(U3, panels)):
         packed, sep = assemble_system(frame, params, panels, sign)
-        rhs = _into_panels(near + sign * far, panels)
         A, p = _solve(packed, rhs.reshape(3 * h, 6))
         del packed   # one block alive at a time
         A6 += 0.5 * A
-        parts.append(_into_panels(p.reshape(h, 3, 6), panels, back=True))
-    plus, minus = parts
-    psi = 0.5 * np.concatenate([plus + minus, (eps[:, None] * (plus - minus))[::-1]])
-    return A6, psi, sep
+        parts.append(p.reshape(h, 3, 6))
+    return A6, _unfold(*parts, panels), sep
 
 
 def _solve(packed, U):
@@ -590,27 +635,168 @@ def _solve(packed, U):
     return Y.T @ Y, lapack.dtfsm(1.0, L, Y, transr="N", side="L", uplo="L", trans="T")
 
 
+class _Fold:
+    """Vectors of one parity under the reversal J of a panel-periodic body,
+    held on its first N/2 nodes, and their products with the block
+    Toeplitz and block circulant matrices of the panel frames that commute
+    with J (module docstring). A vector is held as h = ceil(P/2) panels in
+    the eigenbasis V of K, with the rows of eigenvalue -1 negated when it
+    is odd, so that both parities take the same real symbols."""
+
+    def __init__(self, panels, n):
+        k, P = panels.k, len(panels.W)
+        # K's eigenvectors, (e_a +- e_{k-1-a}) / sqrt 2 (x) those of the 3 x 3
+        # involution: no eigenvector mixes components that K keeps apart,
+        # such as the in- and out-of-plane components of a planar body
+        mu, V3 = np.linalg.eigh(panels.W[-1].T * panels.eps)
+        F, f = np.zeros((k, k)), np.ones(k)
+        for a in range(k // 2):
+            F[[a, k - 1 - a], 2 * a] = math.sqrt(0.5)
+            F[[a, k - 1 - a], 2 * a + 1] = math.sqrt(0.5), -math.sqrt(0.5)
+            f[2 * a + 1] = -1.0
+        F[k // 2, -1] += k % 2   # the middle node of odd k
+        kappa = (f[:, None] * np.where(mu < 0.0, -1.0, 1.0)).ravel()
+        order = np.argsort(kappa, kind="stable")   # eigenvalue -1 first
+        self.V = (F[:, None, :, None] * V3[:, None]).reshape(3 * k, 3 * k)[:, order]
+        self.kappa, self.odd = kappa[order], np.count_nonzero(kappa < 0.0)
+        self.k, self.P, self.n, self.h = k, P, n, (P + 1) // 2
+
+    def symbols(self, generator):
+        """The real symbols of the block circulant whose first block column
+        is `generator`, in K's eigenbasis: G^H C G for its complex symbols
+        C, G = diag(1 where K's eigenvalue is 1, i where it is -1)."""
+        n, b, _ = generator.shape
+        C = np.fft.rfft(generator.reshape(n, -1), axis=0).reshape(-1, b, b)
+        M, o = np.empty(C.shape), self.odd
+        M[:, :o, :o], M[:, o:, o:] = C.real[:, :o, :o], C.real[:, o:, o:]
+        M[:, :o, o:] = C.imag[:, :o, o:]
+        np.negative(C.imag[:, o:, :o], out=M[:, o:, :o])
+        return M
+
+    def to_rep(self, x, parity):
+        """The (N/2, 3, w) array x of the first N/2 nodes in the panel
+        frames, of this parity, as held (h b, w)."""
+        h, k, w = self.h, self.k, x.shape[-1]
+        x = np.concatenate([x, np.zeros((h * k - len(x), 3, w))])   # odd P: middle panel
+        y = self.V.T @ x.reshape(h, 3 * k, w)
+        if self.P % 2:   # the middle panel, completed by K, over sqrt 2
+            y[-1] *= math.sqrt(2.0) * (self.kappa == parity)[:, None]
+        if parity < 0:
+            y *= self.kappa[:, None]
+        return y.reshape(-1, w)
+
+    def from_rep(self, y, parity):
+        """The inverse of to_rep."""
+        w = y.shape[-1]
+        y = y.reshape(self.h, 3 * self.k, w) * (self.kappa[:, None] if parity < 0 else 1.0)
+        if self.P % 2:
+            y[-1] *= math.sqrt(2.0)
+        return (self.V @ y).reshape(-1, 3, w)[:self.n]
+
+    def apply(self, symbols, x, side, embedded):
+        """The first N/2 nodes of C v, v the whole vector of which the held
+        (h b, w) array x gives the first N/2 nodes, column j of parity
+        side[j], and C the block Toeplitz matrix (embedded=True, symbols of
+        its circulant embedding of 2P blocks) or the block circulant of P
+        blocks with these symbols."""
+        P, h, w = self.P, self.h, x.shape[-1]
+        sign = self.kappa[:, None] * side   # +1 where v is even about the middle
+        if P % 2 == 0:
+            y = self._dct(symbols, x.reshape(h, -1), sign, P if embedded else h)
+        else:
+            y = self._dft(symbols, x.reshape(h, -1, w), sign, 2 * P if embedded else P)
+        return y.reshape(-1, w)
+
+    def _dct(self, symbols, x, sign, L):
+        """apply for even P, through a DCT-II/DST-II of length L (Makhoul)
+        of the window of L panels that ends with x after zeros: the whole
+        vector, periodic with 2L panels, is half-sample symmetric (sign 1)
+        or antisymmetric (sign -1) about the window's start."""
+        dst, tw, fwd, inv, nyquist = _dct_plan(L, self.h, sign.shape, (sign > 0.0).tobytes())
+        sign = sign.ravel()             # x is (h, b w), panels by entries
+        r = np.zeros((L, x.shape[1]))
+        r[dst] = x                      # Makhoul's order: even panels, then odd reversed
+        r[(L + 1) // 2:] *= sign        # (-1)^m turns the DST into a DCT
+        t = np.fft.rfft(r, axis=0)
+        t *= tw
+        v = symbols @ t.view(float).ravel().take(fwd)
+        t = v.ravel().take(inv).view(complex)[..., 0]
+        if L % 2 == 0:   # t_{L/2} = (1 - i) v_{L/2} for an even entry
+            t[-1] = nyquist * v[L // 2].ravel()
+        t *= tw.conj()   # the inverse of Makhoul's steps
+        r = np.fft.irfft(t, n=L, axis=0)
+        r[(L + 1) // 2:] *= sign
+        return r[dst]
+
+    def _dft(self, symbols, x, sign, L):
+        """apply for odd P, through real FFTs of length L of the whole
+        vector: e^{i pi f (P-1) / L} times its transform is real for even
+        entries and imaginary for odd ones."""
+        P, h = self.P, self.h
+        z = np.empty((P,) + x.shape[1:])
+        z[:h] = x
+        z[h:] = (sign * x[:P - h])[::-1]
+        z[h - 1] *= math.sqrt(2.0)
+        phase = np.exp(1j * np.pi * (P - 1) / L * np.arange(L // 2 + 1))[:, None, None]
+        u = symbols @ (np.fft.rfft(z, n=L, axis=0) * (phase * (1.0 - 1.0j))).real
+        y = np.fft.irfft(u * np.where(sign > 0.0, 1.0, 1.0j) * phase.conj(), n=L,
+                         axis=0)[:h]
+        y[-1] /= math.sqrt(2.0)
+        return y
+
+
+@functools.lru_cache(maxsize=4)   # both lengths, before and after a parity stops
+def _dct_plan(L, h, shape, even):
+    """Makhoul's order of the window's last h panels, the twiddles
+    e^{-i pi f / 2L}, and the flat indices that read the real values
+    at frequencies 0 to L from t, f <= L/2, and back: an even entry is
+    Re t_f at f and -Im t_f at L - f (its DCT), an odd one Im t_f at f and
+    -Re t_f at L - f (minus its DST); the values above L/2 are held
+    negated."""
+    F, even = L // 2, np.frombuffer(even, dtype=bool).reshape(shape)
+    order = np.r_[np.arange(0, L, 2), np.arange(L - 1 - L % 2, 0, -2)]
+    dst = np.argsort(order)[L - h:]
+    tw = np.exp(-0.5j * np.pi * np.arange(F + 1) / L)[:, None]
+    b, w = even.shape
+    entry = np.arange(b * w).reshape(b, w)
+    g = np.arange(L + 1)[:, None, None]
+    f = np.where(g <= F, g, L - g)
+    fwd = 2 * (f * b * w + entry) + ((g > F) ^ ~even)
+    f = np.arange(F + 1)[:, None, None, None]
+    own = (np.arange(2) == 0) == even[..., None]   # Re of even, Im of odd
+    inv = np.where(own | (L - f <= F), f, L - f) * b * w + entry[..., None]
+    return (dst, tw, fwd, inv.reshape(F + 1, b * w, 2),
+            np.where(even, 1.0 - 1.0j, -1.0 + 1.0j).ravel())
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _toeplitz_pcg(frame, panels, params, U3):
-    """A6, the nodal point forces in the eigenframe of the reversal and the
-    least node distance of a panel-periodic body given in that frame,
-    solved by block-Toeplitz PCG (module docstring), with the `solver`
-    record of ResistanceSet; A6 and the forces are None when PCG stops at
-    its iteration cap. U3 (N, 3, 6) holds the six rigid motions."""
+def _operators(frame, panels, params):
+    """The folded vectors of a panel-periodic body given in the eigenframe
+    of its reversal (_Fold), the real symbols of its block Toeplitz
+    product, those of the inverse of T. Chan's preconditioner scaled to
+    unit size, whether the product needs the embedding of 2P blocks (an
+    open body) and the least node distance."""
     k, P = panels.k, len(panels.W)
     b = 3 * k
     require_memory(0, "mobility.resistance_set", _toeplitz_doubles(P * k, k))
     diag = np.arange(k)
     T, sep = _panel_green(((frame.nodes, frame.nodes[:k]),), k, panels.W, params,
                           (np.zeros(k, dtype=int), diag, diag))
-    T = T.transpose(0, 2, 1, 3, 4).reshape(P, b, b)       # T'(delta)
+    fold = _Fold(panels, frame.n_nodes // 2)
+    T = fold.V.T @ T.transpose(0, 2, 1, 3, 4).reshape(P, b, b) @ fold.V   # T'(delta)
     back = T[:0:-1].transpose(0, 2, 1)                      # T'(P - delta)^T, delta >= 1
-    product = np.fft.rfft(np.concatenate((T, np.zeros((1, b, b)), back)), axis=0)
     delta = np.arange(P)[:, None, None] / P
     chan = (1.0 - delta) * T                                # Chan's generator
     chan[1:] += delta[1:] * back
-    del T, back
-    chan = np.fft.rfft(chan, axis=0)
+    chan = fold.symbols(chan)
+    # a closed body's matrix is its own circulant of P blocks, which Chan's
+    # preconditioner is; an open one's is embedded in a circulant of 2P
+    embedded, product = not frame.closed, chan
+    if embedded:
+        T = np.concatenate((T, np.zeros((1, b, b)), back))
+        del back
+        product = fold.symbols(T)
+    del T
     if not (np.isfinite(product).all() and np.isfinite(chan).all()):
         raise SolverError("mobility: block-Toeplitz symbols have non-finite entries")
     try:
@@ -619,73 +805,99 @@ def _toeplitz_pcg(frame, panels, params, U3):
         raise SolverError("mobility: a symbol of the circulant preconditioner "
                           "is not positive definite")
     # numpy has no batched triangular solve: each factor is inverted once
-    Li = np.stack([lapack.ztrtri(f, lower=1)[0] for f in L])
-    inverse = Li.conj().transpose(0, 2, 1) @ Li
+    Li = np.stack([lapack.dtrtri(f, lower=1)[0] for f in L])
+    inverse = Li.transpose(0, 2, 1) @ Li
     # the block iteration does not see the preconditioner's scale; at unit
     # scale the Gram matrices of _orthonormal neither underflow nor overflow
     # at extreme mu or ell
     inverse /= np.abs(inverse).max()
-    del chan, L, Li
+    return fold, product, inverse, embedded, sep
 
-    rhs = _into_panels(U3, panels).reshape(-1, 6)
-    norm = np.linalg.norm(rhs, axis=0)
-    cols = np.flatnonzero(norm)   # a zero column (a straight body's axial spin) stays zero
-    r = rhs[:, cols] / norm[cols]
 
-    def apply(symbols, v, blocks):
-        """The first P blocks of C [v; 0] for the 3N x j array v, C the
-        circulant of `blocks` blocks with these symbols."""
-        w = v.shape[1]
-        return np.fft.irfft(symbols @ np.fft.rfft(v.reshape(P, b, w), n=blocks, axis=0),
-                            n=blocks, axis=0)[:P].reshape(-1, w)
-
-    # block PCG (module docstring) for the unit columns r: psi their nodal
-    # point forces, r their residuals, p the orthonormal search block
-    psi = np.zeros_like(r)
-    p = _orthonormal(apply(inverse, r, P))
+@np.errstate(over="ignore", invalid="ignore")
+def _toeplitz_pcg(frame, panels, params, U3):
+    """A6, the nodal point forces in the eigenframe of the reversal and the
+    least node distance of a panel-periodic body given in that frame,
+    solved by block-Toeplitz PCG (module docstring), with the `solver`
+    record of ResistanceSet; A6 and the forces are None when PCG stops at
+    its iteration cap. U3 (N, 3, 6) holds the six rigid motions."""
+    fold, product, inverse, embedded, sep = _operators(frame, panels, params)
+    plus, minus = _halves(U3, panels)
+    U = np.concatenate([fold.to_rep(plus, 1.0), fold.to_rep(minus, -1.0)], axis=1)
+    unorm = (U * U).sum(axis=0)
+    unorm = unorm[:6] + unorm[6:]
+    cols = np.flatnonzero(unorm)   # a zero column (a straight body's axial spin) stays zero
+    sides = np.repeat([1.0, -1.0], 6)   # the parities of U's columns
+    B, side = _orthonormal(U, sides, np.tile(np.sqrt(unorm), 2))
+    C = (B.T @ U) * (side[:, None] == sides)   # U = B C, parity by parity
+    # block PCG (module docstring) for the basis columns B, both parities
+    # at once: psi their nodal point forces, r their residuals, p the
+    # orthonormal search block, and the Gram matrices of columns of
+    # different parity, which have no meaning, masked out. A parity whose
+    # part of every column's residual is below half the tolerance stops,
+    # and the other goes on alone: `live` are the columns still solved
+    psi, r = np.zeros_like(B), B.copy()
+    rr, w, even = side[:, None] == side, len(side), int(np.count_nonzero(side > 0))
+    live = slice(0, w)
+    p, pside = _orthonormal(fold.apply(inverse, r, side, False), side)
     for it in range(1, _PCG_MAX_ITER + 1):
-        q = apply(product, p, 2 * P)
-        c = _gram_factor(p.T @ q)
-        alpha = lapack.dpotrs(c, p.T @ r, lower=1)[0]
-        psi += p @ alpha
-        r -= q @ alpha
-        residual = np.sqrt((r.T @ r).diagonal())
+        q = fold.apply(product, p, pside, embedded)
+        c = _gram_factor((p.T @ q) * (pside[:, None] == pside))
+        alpha = lapack.dpotrs(c, (p.T @ r[:, live]) * (pside[:, None] == side[live]),
+                              lower=1)[0]
+        psi[:, live] += p @ alpha
+        r[:, live] -= q @ alpha
+        # each parity's part of the residual of each original column j,
+        # |r+ C+_j|^2 and |r- C-_j|^2, over |U+_j|^2 + |U-_j|^2
+        d = ((((r.T @ r) * rr) @ C) * C).sum(axis=0).reshape(2, 6)[:, cols] / unorm[cols]
+        residual = np.sqrt(d.sum(axis=0))
         if residual.max() <= _PCG_RTOL:
             break
-        z = apply(inverse, r, P)
-        p = _orthonormal(z - p @ lapack.dpotrs(c, q.T @ z, lower=1)[0])
+        for part, rest in zip(d, (slice(even, w), slice(0, even))):
+            if part.max() <= 0.25 * _PCG_RTOL ** 2 and live != rest:
+                live, keep = rest, pside == side[rest.start]
+                p, q, pside, c = p[:, keep], q[:, keep], pside[keep], c[np.ix_(keep, keep)]
+        z = fold.apply(inverse, r[:, live], side[live], False)
+        beta = lapack.dpotrs(c, (q.T @ z) * (pside[:, None] == side[live]), lower=1)[0]
+        p, pside = _orthonormal(z - p @ beta, side[live])
     solver = {"path": "toeplitz-pcg", "iterations": it,
-              "residual": float(residual.max()), "fallback": None}
+              "residual": float(residual.max()), "fallback": None,
+              "widths": [even, w - even]}
     if not residual.max() <= _PCG_RTOL:
         solver.update(path="cholesky", fallback=f"block-Toeplitz PCG stopped at its "
                                                 f"cap of {_PCG_MAX_ITER} iterations")
         return None, None, sep, solver
-    forces = np.zeros_like(rhs)
-    forces[:, cols] = psi * norm[cols]
-    return (rhs.T @ forces, _into_panels(forces.reshape(-1, 3, 6), panels, back=True),
-            sep, solver)
+    psi = psi @ C
+    A6 = 0.5 * (U[:, :6].T @ psi[:, :6] + U[:, 6:].T @ psi[:, 6:])
+    plus, minus = fold.from_rep(psi[:, :6], 1.0), fold.from_rep(psi[:, 6:], -1.0)
+    return A6, _unfold(plus, minus, panels), sep, solver
 
 
-def _orthonormal(W):
-    """An orthonormal basis of the span of the columns of W, W D^-1 E U^-1:
-    D the column norms and E U^-1 from the pivoted Cholesky factor of their
-    Gram matrix with each column scaled to unit norm, E^T D^-1 W^T W D^-1 E
-    = U^T U (dpstrf). Directions whose pivot is within the rounding of that
-    Gram matrix are left out, so that dependent columns give a narrower
-    basis (rank-revealing), while columns that are merely small stay. The
-    factor keeps exact zeros: columns of disjoint support, such as the in-
-    and out-of-plane motions of a planar body, are not mixed. W itself when
-    W^T W is not finite."""
-    S = W.T @ W
+def _orthonormal(W, side, scale=None):
+    """An orthonormal basis of the span of the columns of W, W D^-1 E U^-1,
+    parity by parity, and the parity of each basis column, the even ones
+    first: column j of W has parity side[j], and the Gram matrix of W is
+    taken with its entries between columns of different parity zeroed. D
+    is `scale`, by default the column norms, and E U^-1 comes from the
+    pivoted Cholesky factor of that Gram matrix scaled by D on both sides,
+    E^T D^-1 W^T W D^-1 E = U^T U (dpstrf). Directions whose pivot is
+    within the rounding of that Gram matrix are left out, so that
+    dependent columns give a narrower basis (rank-revealing), while
+    columns that are merely small stay; with `scale`, columns small beside
+    it go too. The factor keeps exact zeros: columns of disjoint support,
+    such as the in- and out-of-plane motions of a planar body, or of
+    different parity, are not mixed. W itself when W^T W is not finite."""
+    S = (W.T @ W) * (side[:, None] == side)
     if not np.isfinite(S).all():
-        return W
-    d = np.sqrt(S.diagonal())
+        return W, side
+    d = np.sqrt(S.diagonal()) if scale is None else scale.copy()
     d[d == 0.0] = 1.0
     U, piv, rank, _ = lapack.dpstrf(S / np.outer(d, d), tol=len(W) * np.finfo(float).eps)
     lead = piv[:rank] - 1
     T = np.zeros((len(d), rank))
     T[lead] = np.triu(lapack.dtrtri(U[:rank, :rank])[0]) / d[lead, None]   # U^-1
-    return W @ T
+    order = np.argsort(-side[lead], kind="stable")   # even columns first
+    return W @ T[:, order], side[lead][order]
 
 
 def _gram_factor(G):
@@ -701,9 +913,9 @@ def _gram_factor(G):
 
 def _toeplitz_doubles(n, k):
     """An upper bound on the float64 values _toeplitz_pcg holds at once for
-    N nodes, k to a panel: the generator pairs' arrays (N k of them), the
-    symbols and the PCG vectors."""
-    return _TOEPLITZ_PER_PAIR * n * k + _TOEPLITZ_PER_NODE * n
+    N nodes, k to a panel: the generator pairs' arrays and the symbols (N k
+    pairs), and the PCG vectors."""
+    return _TOEPLITZ_PER_PAIR * n * k + _TOEPLITZ_PER_NODE * n + _TOEPLITZ_FIXED
 
 
 @dataclass(frozen=True)
@@ -718,7 +930,7 @@ class ResistanceSet:
     grand: np.ndarray        # (6,6) symmetrized
     densities: np.ndarray    # (N,3,6) column j: density of unit motion j
     blocks: tuple            # orders of the factored diagonal blocks of G
-    solver: dict             # path, PCG iterations and residual, fallback
+    solver: dict             # path, PCG iterations, residual and widths, fallback
     asymmetry: float         # relative asymmetry before symmetrization
     min_separation: float    # smallest distance between two distinct nodes
     ell: float
@@ -765,16 +977,17 @@ def resistance_set(body, params):
     module docstring sends a panel-periodic body to the two blocks G+- or
     to block-Toeplitz PCG instead, in the eigenframe of R, where
     R = diag(eps), and in its per-panel frames. With U_p rotated by Q^T and
-    turned by W_i^T at each node of panel i, PCG gives psi = (D^T G D)^-1 U
-    and A6 = U^T psi. On the two blocks, U+-_p = U_p +- eps U_{N-1-p},
-    psi+- = (D^T G+- D)^-1 U+-, A6 = (Y+^T Y+ + Y-^T Y-) / 2, and the nodal
-    point forces are (psi+_p + psi-_p) / 2 at node p and
-    eps (psi+_p - psi-_p) / 2 at N-1-p. Either way they are turned back by
-    W_i and rotated back by Q; an orthogonal change of frame leaves A6 as
-    it is. `blocks` lists the orders of the factored blocks, none on the
-    PCG path, and `solver` records the path ("cholesky" or
-    "toeplitz-pcg"), PCG's iterations and largest final relative column
-    residual, and the reason for a fallback from PCG to the two blocks.
+    turned by W_i^T at each node of panel i, both solve the two halves,
+    U+-_p = U_p +- eps U_{N-1-p} and psi+- = (D^T G+- D)^-1 U+- for p < N/2,
+    A6 = (U+^T psi+ + U-^T psi-) / 2 (Y+^T Y+ + Y-^T Y- on the blocks),
+    and the nodal point forces are (psi+_p + psi-_p) / 2 at node p and
+    eps (psi+_p - psi-_p) / 2 at N-1-p, turned back by W_i and rotated
+    back by Q; an orthogonal change of frame leaves A6 as it is. `blocks`
+    lists the orders of the factored blocks, none on the PCG path, and
+    `solver` records the path ("cholesky" or "toeplitz-pcg"), PCG's
+    iterations and largest final relative column residual, the widths of
+    its even and odd blocks (the ranks of U+ and U-), and the reason for a
+    fallback from PCG to the two blocks.
 
     `min_separation` is the smallest distance between two distinct nodes,
     found by the assembly; on the panel-periodic paths it covers the
@@ -796,7 +1009,8 @@ def resistance_set(body, params):
         c, Q, eps = sym
         frame = replace(body, nodes=(body.nodes - c) @ Q)
         panels = _panel_frames(frame, eps)
-    solver = {"path": "cholesky", "iterations": 0, "residual": None, "fallback": None}
+    solver = {"path": "cholesky", "iterations": 0, "residual": None, "fallback": None,
+              "widths": None}
     if panels is None:
         packed, sep = assemble_system(body, params)
         A6, psi = _solve(packed, U)
@@ -809,7 +1023,7 @@ def resistance_set(body, params):
             blocks = ()
         if A6 is None:   # an open body below N_x, or PCG at its cap
             try:
-                A6, psi, sep = _two_blocks(frame, panels, params, U3, eps)
+                A6, psi, sep = _two_blocks(frame, panels, params, U3)
             except ConfigError as exc:   # the memory guard
                 if solver["fallback"] is None:
                     raise

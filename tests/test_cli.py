@@ -162,8 +162,11 @@ def test_report_says_whether_the_body_is_panel_periodic(tmp_path, body, periodic
     assert solver["fallback"] is None
     if pcg:
         assert solver["iterations"] >= 1 and solver["residual"] <= 1e-14
+        # the ranks of the ring's even and odd right-hand sides
+        assert solver["widths"] == [3, 3]
     else:
         assert solver["iterations"] == 0 and solver["residual"] is None
+        assert solver["widths"] is None
 
 
 def test_momentum_gate_names_the_torque_residual(tmp_path, capsys):

@@ -535,7 +535,7 @@ def test_indefinite_toeplitz_matrix_is_a_solver_error(monkeypatch, params):
 @pytest.mark.parametrize("panels, order", [(256, 6), (15, 4), (2, 2), (3, 16)])
 def test_memory_guard_bounds_the_toeplitz_solve(params, panels, order):
     # the guard's count is an upper bound on what the solve allocates
-    # (measured 0.34 to 0.74 of it)
+    # (measured 0.27 to 0.79 of it)
     body = discretize(README_HELIX, panels, order)
     c, Q, eps = mobility._reversal_symmetry(body.nodes)
     frame = replace(body, nodes=(body.nodes - c) @ Q)
@@ -560,7 +560,7 @@ def test_block_pcg_on_dependent_and_zero_columns(monkeypatch, params):
     monkeypatch.setattr(mobility, "_toeplitz_pcg",
                         lambda *args: calls.append(args) or pcg(*args))
     monkeypatch.setattr(mobility, "_orthonormal",
-                        lambda W: bases.append(orthonormal(W)) or bases[-1])
+                        lambda *args: bases.append(orthonormal(*args)) or bases[-1])
     monkeypatch.setattr(mobility, "_TOEPLITZ_MIN_NODES", 0)
     resistance_set(SYMMETRY_CASES["rod"][0](), params)
     frame, panels, _, U3 = calls[0]
@@ -570,7 +570,7 @@ def test_block_pcg_on_dependent_and_zero_columns(monkeypatch, params):
     U3[..., 1] = U3[..., 0]
     bases.clear()
     A6, psi, _, solver = pcg(frame, panels, params, U3)
-    assert bases[0].shape[1] == 4 and solver["residual"] <= mobility._PCG_RTOL
+    assert bases[0][0].shape[1] == 4 and solver["residual"] <= mobility._PCG_RTOL
     columns = np.zeros_like(psi)
     for j in np.flatnonzero(~zero):
         one = np.zeros_like(U3)
@@ -583,10 +583,33 @@ def test_block_pcg_on_dependent_and_zero_columns(monkeypatch, params):
 
 
 def test_block_pcg_iterations_on_the_readme_helix(helix_spec, params):
-    # one Krylov space for the six rigid motions: 15 iterations at N = 1536,
-    # where one recurrence per column took 24
+    # one Krylov space per parity of the reversal, of the ranks of its
+    # right-hand sides, 2 and 4: 17 iterations at N = 1536, where the six
+    # rigid motions unfolded took 15 and one recurrence per column 24
     R = resistance_set(discretize(helix_spec, panels=256, order=6), params)
-    assert R.solver["path"] == "toeplitz-pcg" and R.solver["iterations"] <= 18
+    assert R.solver["path"] == "toeplitz-pcg" and R.solver["iterations"] <= 17
+    assert R.solver["widths"] == [2, 4]
+
+
+@pytest.mark.parametrize("name", ["README-helix", "rod"])
+def test_pcg_residual_is_the_largest_column_residual(monkeypatch, name, params):
+    # PCG stops, and reports its residual, per original column j over both
+    # parities, sqrt(|r+_j|^2 + |r-_j|^2) / sqrt(|U+_j|^2 + |U-_j|^2): the
+    # relative residual of the returned forces in the dense Green matrix
+    # (stopped at 1e-6, the two agreed to 1e-9)
+    monkeypatch.setattr(mobility, "_TOEPLITZ_MIN_NODES", 0)
+    monkeypatch.setattr(mobility, "_PCG_RTOL", 1e-6)
+    body = SYMMETRY_CASES[name][0]()
+    R = resistance_set(body, params)
+    assert R.solver["path"] == "toeplitz-pcg" and 1e-8 < R.solver["residual"] <= 1e-6
+    eye, zero = np.eye(3), np.zeros(3)
+    U = np.stack([rigid_data(body, eye[j], zero) for j in range(3)]
+                 + [rigid_data(body, zero, eye[j]) for j in range(3)], axis=1)
+    psi = (R.densities * body.weights[:, None, None]).reshape(-1, 6)
+    cols = np.linalg.norm(U, axis=0) > 0.0   # the rod's axial spin is zero
+    residual = (np.linalg.norm(dense_green(body.nodes, params) @ psi - U, axis=0)[cols]
+                / np.linalg.norm(U, axis=0)[cols])
+    assert abs(R.solver["residual"] - residual.max()) <= 1e-6 * residual.max()
 
 
 @pytest.mark.parametrize("mu", [1e-300, 1e300])
@@ -679,6 +702,46 @@ def test_panel_generators_match_dense_reference(name, params):
         ref = np.einsum("pca,pcqd,qdb->paqb", W, block, W).reshape(3 * rows, 3 * rows)
         got = rfp_to_dense(assemble()[0])
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def folded(body, params):
+    """The eigenframe of a panel-periodic body's reversal, its panels and
+    the folded vectors and symbols of mobility._operators."""
+    c, Q, eps = mobility._reversal_symmetry(body.nodes)
+    frame = replace(body, nodes=(body.nodes - c) @ Q)
+    panels = mobility._panel_frames(frame, eps)
+    return frame, panels, mobility._operators(frame, panels, params)
+
+
+@pytest.mark.parametrize("name", ["README-helix", "rod", "ring", "odd-P-rod"])
+def test_folded_product_matches_the_dense_blocks(name, params):
+    # G+- times vectors of the first N/2 nodes in the panel frames, the
+    # halves of reversal-even and -odd vectors, through real transforms of
+    # length P (2P for odd P) and real symbols, is the product with the
+    # dense block that assemble_system fills: open and straight (W = I),
+    # closed, and odd P, whose middle panel the halves split
+    body = SYMMETRY_CASES[name][0]()
+    frame, panels, (fold, product, _, embedded, _) = folded(body, params)
+    assert embedded == (name != "ring")
+    x = np.random.default_rng(3).normal(size=(body.n_nodes // 2, 3, 4))
+    for parity in (1.0, -1.0):
+        G = rfp_to_dense(assemble_system(frame, params, panels, parity)[0])
+        ref = (G @ x.reshape(-1, 4)).reshape(x.shape)
+        got = fold.from_rep(fold.apply(product, fold.to_rep(x, parity),
+                                       np.full(4, parity), embedded), parity)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_folded_preconditioner_inverts_a_ring(params):
+    # a ring's Green matrix is its own block circulant: the inverse of
+    # Chan's folded symbols, at unit scale, undoes the product to roundoff
+    frame, panels, (fold, product, inverse, embedded, _) = folded(
+        SYMMETRY_CASES["ring"][0](), params)
+    x = np.random.default_rng(4).normal(size=(fold.h * 3 * fold.k, 4))
+    for side in (np.ones(4), -np.ones(4), np.array([1.0, -1.0, 1.0, -1.0])):
+        y = fold.apply(inverse, fold.apply(product, x, side, embedded), side, False)
+        scale = (x * y).sum() / (x * x).sum()
+        assert np.linalg.norm(y - scale * x) <= 1e-13 * np.linalg.norm(y)
 
 
 @pytest.mark.parametrize("panels, order", [(64, 6), (15, 4), (100, 2)])
