@@ -108,9 +108,11 @@ def _inertia_pinv(mass_props, resistance):
     scale = max(evals.max(), np.finfo(float).tiny)
     null = evals < _INERTIA_NULL_RTOL * scale
     if np.any(null):
-        krr_scale = max(np.linalg.norm(resistance.k_rr), np.finfo(float).tiny)
+        # K_rr scaled by its largest entry, as |K_rr|^2 may overflow; the
+        # test is scale-invariant
+        Krr = resistance.k_rr / (np.abs(resistance.k_rr).max() or 1.0)
         for v in evecs.T[null]:
-            if np.linalg.norm(resistance.k_rr @ v) > 1e-8 * krr_scale:
+            if np.linalg.norm(Krr @ v) > 1e-8 * np.linalg.norm(Krr):
                 raise MassModelError(
                     "dynamics: inertia tensor singular in a direction that "
                     "carries hydrodynamic torque")

@@ -12,17 +12,15 @@ where G is the symmetric 3N x 3N Green matrix, block (p,q) = G(x_p - x_q).
 Only one triangle of G is stored, in LAPACK's rectangular full packed (RFP)
 format: m(m+1)/2 doubles for m = 3N, half the square (Gustavson, Wasniewski,
 Dongarra & Langou, ACM TOMS 2010). It is assembled straight into that
-array, in row strips of nodes, so the kernel is evaluated once per node pair
-and the pairwise temporaries stay one strip in size at any N; the two
-blocks of the symmetric path (below) are filled from the generators of
-their block-Toeplitz structure instead. That pass is the only one over the
-node pairs: its squared distances also give the smallest node separation
-(ResistanceSet.min_separation). The hyperviscous symbol is positive, so G
-is positive definite and is factored once, in place, by the RFP Cholesky
-dpftrf, G = L L^T. The quadrature weights cancel from the
-resistance: with U the 3N x 6 matrix of the six unit rigid motions,
-the grand resistance matrix is A6 = U^T G^-1 U = Y^T Y with Y = L^-1 U (the
-RFP triangular solve dtfsm), and
+array, in row strips of nodes, so the kernel is evaluated once per node
+pair and the pairwise temporaries stay one strip in size at any N. That
+pass is the only one over the node pairs: its squared distances also give
+the smallest node separation (ResistanceSet.min_separation). The
+hyperviscous symbol is positive, so G is positive definite and is factored
+once, in place, by the RFP Cholesky dpftrf, G = L L^T. The quadrature
+weights cancel from the resistance: with U the 3N x 6 matrix of the six
+unit rigid motions, the grand resistance matrix is A6 = U^T G^-1 U = Y^T Y
+with Y = L^-1 U (the RFP triangular solve dtfsm), and
 
     f = -(K_tt xi + K_tr omega),   t = -(K_rt xi + K_rr omega),
 
@@ -63,26 +61,24 @@ When the reversal reverses the screw, R W_j R = W_j^T, then
 W_i^T G(x_p - x_{N-1-q}) R W_j = H'(i + j) for node p of panel i and q of
 panel j, and
 
-    D^T G+- D = T'(i - j) +- H'(i + j),
-    H'(sigma) = W_sigma^T G(x_{sigma,a} - x_{P-1,k-1-b}) R.
+    D^T G+- D = T'(i - j) +- H'(i + j),    H'(sigma) = T'(P - 1 - sigma)^T K,
 
-The kernel then runs once, on the k^2 node pairs of each generator, about
-1.5 P k^2 in all for both diagonal blocks (13,788 pairs for the README
-helix at N = 1536, in place of 1,181,184), and every row of the packed
-matrix is copied from a window of the generators. The rigid motions are
-rotated into the panel frames by W_i^T per node and the point forces back
-by W_i.
+K = flip_k (x) W_{P-1}^T R, because x_{N-1-q} is the reversal image of
+x_q. The kernel then runs once, on the P k^2 node pairs of T' (9,216 for
+the README helix at N = 1536, in place of 1,181,184), on this path as on
+the next, and every row of the packed matrix is copied from a window of
+T' and H'. The rigid motions are rotated into the panel frames by W_i^T
+per node and the point forces back by W_i.
 
 The whole of D^T G D is block Toeplitz, block (i, j) = T'(i - j) for
 i >= j and T'(j - i)^T for i < j, and for a closed body block circulant,
 T'(P - delta) = T'(delta)^T. Block-Toeplitz PCG solves it without
 forming it (R. Chan & Ng, SIAM Review 1996), on both halves of the
 reversal in one loop. In the panel frames the reversal is the constant
-involution flip_P (x) K, K = flip_k (x) W_{P-1}^T R, because
-R W_i R = W_i^T, and the matrix commutes with it. A vector of parity +-1
-is held on its first N/2 nodes, where D^T G+- D acts, as ceil(P/2)
-panels in the eigenbasis of K (the middle panel of odd P completed by K
-and divided by sqrt 2): a component of K-eigenvalue kappa is then even
+involution flip_P (x) K, because R W_i R = W_i^T, and the matrix commutes
+with it. A vector of parity +-1 is held on its first N/2 nodes, where
+D^T G+- D acts, as ceil(P/2) panels in the eigenbasis of K (the middle
+panel of odd P completed by K and divided by sqrt 2): a component of K-eigenvalue kappa is then even
 about the body's middle when kappa is the parity and odd otherwise. The
 product applies the circulant of 2P blocks that embeds the matrix,
 generator T'(0), ..., T'(P - 1), 0, T'(P - 1)^T, ..., T'(1)^T. The
@@ -118,16 +114,15 @@ original column's residual, sqrt(|r+_j|^2 + |r-_j|^2), is at most
 _PCG_RTOL of its right-hand side, sqrt(|U+_j|^2 + |U-_j|^2); a parity
 whose part is below half of that in every column stops earlier, and the
 other goes on alone (on the README helix the odd half converges first).
-The kernel runs once, on the P k^2 pairs of T', and the memory grows
-like N.
+Its memory grows like N.
 
 So there are three paths, and one selector in resistance_set. A body
 whose reversal involution R exists (_reversal_symmetry) and whose
 eigenframe passes the screw fit with R reversing the screw (_panel_frames)
 is panel-periodic. If it is closed, or has at least N_x =
 _TOEPLITZ_MIN_NODES nodes, it is solved by block-Toeplitz PCG, and by the
-two blocks if PCG reaches its iteration cap; otherwise it is filled from
-the generators and solved as two blocks, which is faster below N_x. Every
+two blocks if PCG reaches its iteration cap; otherwise it is solved as two
+blocks, which is faster below N_x. Both read the one T' of the body. Every
 other body, a polyline, an odd-N body or a single panel, is assembled in
 strips and solved as one block.
 """
@@ -153,15 +148,11 @@ _SYMMETRY_RTOL = 1e-12
 # nine components (9), the distances and kernel_scalars' own arrays with its
 # near-field mask (7) and the square blocks' triangle mask (1)
 _STRIP_TEMPORARIES = 21
-# float64 arrays per generator pair of a panel-periodic body: its
-# differences and squared distances (4), the kernel's arrays (7), the Green
-# tensor (9) and its rotation into the panel frames (9), and about 18 for
-# the generator windows Z and Y
-_GENERATOR_TEMPORARIES = 47
 # N_x, the least node count at which an open panel-periodic body is solved
-# by block-Toeplitz PCG, not on the two dense blocks: the measured
-# break-even, where PCG was at par or faster on every rod and helix timed
-# and at 480 nodes it was not (closed bodies take PCG at every N)
+# by block-Toeplitz PCG, not on the two dense blocks (closed bodies take PCG
+# at every N). The folded PCG breaks even between 240 and 360 nodes on rods
+# and helices at ell 0.1; 600 stays until the break-even at ell up to 1 is
+# measured
 _TOEPLITZ_MIN_NODES = 600
 # PCG stops when every column's relative residual is at most _PCG_RTOL; at
 # _PCG_MAX_ITER iterations, four times the 13 to 25 measured on rods and
@@ -170,10 +161,10 @@ _TOEPLITZ_MIN_NODES = 600
 _PCG_RTOL = 1e-14
 _PCG_MAX_ITER = 100
 # float64 values per generator pair (N k pairs), per node and in all held
-# by the block-Toeplitz solve at its peak: upper bounds, with the peaks
-# measured on rods, rings and helices of N = 4 to 3072 at 0.21 to 0.85 of
-# them (the peak is the symbols' set-up, 42 to 62 doubles a pair at
-# N >= 600 for k >= 3, and up to 88 at k = 2)
+# by the block-Toeplitz solve at its peak, T' included: upper bounds, with
+# the peaks measured on rods, rings and helices of N = 4 to 3072 at 0.22 to
+# 0.94 of them (the peak is the symbols' set-up, 41 to 72 doubles a pair at
+# N >= 600 for k >= 3, and up to 98 at k = 2)
 _TOEPLITZ_PER_PAIR = 72
 _TOEPLITZ_PER_NODE = 96
 _TOEPLITZ_FIXED = 8192
@@ -205,16 +196,11 @@ def require_solvable(n, k, periodic, where):
         require_memory(3 * n // 2, where)
 
 
-def _check_fits(n, pairs=None):
-    """Refuse an assembly whose peak memory exceeds the physical RAM: the
-    packed 3n x 3n matrix and one strip's temporaries or, for a block
-    filled from the generators, the arrays of its `pairs` generator
-    pairs."""
-    if pairs is None:
-        temporaries = _STRIP_TEMPORARIES * max(_STRIP_PAIRS, n)
-    else:
-        temporaries = _GENERATOR_TEMPORARIES * pairs
-    require_memory(3 * n, "mobility.assemble_system", temporaries)
+def _check_fits(n):
+    """Refuse a strip assembly whose peak memory exceeds the physical RAM:
+    the packed 3n x 3n matrix and one strip's temporaries."""
+    require_memory(3 * n, "mobility.assemble_system",
+                   _STRIP_TEMPORARIES * max(_STRIP_PAIRS, n))
 
 
 def _rfp_diagonal(m):
@@ -226,7 +212,7 @@ def _rfp_diagonal(m):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def assemble_system(body, params, panels=None, sign=1.0):
+def assemble_system(body, params):
     """Green matrix G, block (p,q) = G(x_p - x_q), no weights, packed RFP,
     and the smallest distance between two distinct nodes.
 
@@ -239,29 +225,17 @@ def assemble_system(body, params, panels=None, sign=1.0):
         P[i, c + s]              for i < h,
         P[c - h + 1 - s, i - h]  for i >= h
 
-    (_rfp_block). Without `panels`, the kernel is evaluated once per node
-    pair, in row strips of nodes p0 <= p < p1 against q >= p0 (rows
-    i0 <= i < i1 of G). Each strip is written as one slice right of its own
-    square block, plainly for rows above h and transposed for rows below
-    it, plus the upper triangle of the square block, whose lower entries
-    would overwrite the other half of the RFP array; a strip that straddles
-    row h is written in two parts. The diagonal blocks are A(0) I. The
-    strips' squared distances also give the smallest node separation, and a
-    zero one is refused. An entry that overflows stays inf or NaN, without
-    a floating-point warning; _factorize refuses its factor.
-
-    With `panels` (_panel_frames) of a body on the symmetric path, given
-    in the eigenframe of its reversal (module docstring), the result is
-    instead the diagonal block G+ (sign 1) or G- (sign -1) of order 3N/2
-    in the per-panel frames, D^T G+- D, in the same layout, filled from the
-    generators of _generators: row i of it, node p of panel I and
-    component (a, alpha) = i mod 3k, is the window of row i mod 3k of Z
-    starting at column 3k (reach - I), plus sign the window of Y starting at
-    3k I. Every RFP row is two such windows: row r < h of G from its
-    diagonal on, and row r + h - 1 + s from column h to its diagonal.
+    (_rfp_block). The kernel is evaluated once per node pair, in row strips
+    of nodes p0 <= p < p1 against q >= p0 (rows i0 <= i < i1 of G). Each
+    strip is written as one slice right of its own square block, plainly
+    for rows above h and transposed for rows below it, plus the upper
+    triangle of the square block, whose lower entries would overwrite the
+    other half of the RFP array; a strip that straddles row h is written in
+    two parts. The diagonal blocks are A(0) I. The strips' squared
+    distances also give the smallest node separation, and a zero one is
+    refused. An entry that overflows stays inf or NaN, without a
+    floating-point warning; _factorize refuses its factor.
     """
-    if panels is not None:
-        return _fill_periodic(body, params, panels, sign)
     x = body.nodes
     n = x.shape[0]
     _check_fits(n)
@@ -300,19 +274,19 @@ def _rfp_block(P, s, i0, i1, c0, c1):
     return P[c0 - h + 1 - s:c1 - h + 1 - s, i0 - h:i1 - h].T
 
 
-def _fill_periodic(body, params, panels, sign):
-    """assemble_system on the symmetric path: the packed block G+- of the
-    first N/2 nodes in the per-panel frames, written from the generators
-    one panel of rows at a time. Rows above h are written from the
-    diagonal on, as on the strip path; each row below h is written from
-    column h to the diagonal, which is a plain row of the RFP array."""
-    k, n = body.order, body.n_nodes // 2
-    w, reach = 3 * k, (n - 1) // k   # the largest panel difference of the block
-    _check_fits(n, pairs=(3 * reach + 2) * k * k)   # reach + 1 T', 2 reach + 1 H'
-    if panels.generators is None:
-        panels.generators = _generators(body.nodes, k, panels.W, reach, panels.eps,
-                                        params)
-    Z, Y, sep = panels.generators
+def _fill_periodic(Z, Y, n, sign):
+    """The diagonal block G+ (sign 1) or G- (sign -1) of order 3n of a
+    panel-periodic body, D^T G+- D on its first n = N/2 nodes in the
+    per-panel frames (module docstring), in the RFP layout of
+    assemble_system, written from the windows Z and Y of _generators one
+    panel of rows at a time. Row i of it, node p of panel I and component
+    (a, alpha) = i mod 3k, is the window of row i mod 3k of Z starting at
+    column 3k (reach - I), plus sign the window of Y starting at 3k I. Rows
+    above h are written from the diagonal on, as on the strip path; each
+    row below h is written from column h to the diagonal, which is a plain
+    row of the RFP array."""
+    w = Z.shape[0]
+    reach = Z.shape[1] // (2 * w)   # Z has 2 reach + 1 blocks of w columns
     m = 3 * n
     h, s = (m + 1) // 2, 1 - m % 2
     P = np.empty((h, m + s))
@@ -335,67 +309,56 @@ def _fill_periodic(body, params, panels, sign):
             for dst, c0, c1, where in parts:
                 combine(Zi[lo - i0:hi - i0, c0:c1], Yi[lo - i0:hi - i0, c0:c1],
                         out=dst, where=where)
-    return P, sep
+    return P
 
 
-def _generators(x, k, W, reach, eps, params):
-    """The generators of the two Green blocks G+- of a panel-periodic body
-    in its per-panel frames (module docstring), from one kernel call, and
-    the smallest distance between two distinct nodes.
+def _generators(T, reach, panels):
+    """The windows Z and Y of the two Green blocks G+- of a panel-periodic
+    body in its per-panel frames (module docstring), rearranged from its T'
+    (_panel_green) for panel differences up to `reach`.
 
     Z (3k, 3k (2 reach + 1)) holds block (I, J), |I - J| <= reach, of
     D^T G D at columns 3k (J - I + reach): T'(I - J) for I >= J and
-    T'(J - I)^T for I < J, with T'(delta)[(a, alpha), (b, beta)] =
-    (W_delta^T G(x_{delta,a} - x_{0,b}))[alpha, beta]. Y (3k, 3k (2 reach +
-    1)) holds H'(sigma) at columns 3k sigma, H'(sigma)[(a, alpha), (b,
-    beta)] = (W_sigma^T G(x_{sigma,a} - x_{P-1,k-1-b}))[alpha, beta]
-    eps_beta, with eps the reversal's signs.
+    T'(J - I)^T for I < J. Y (3k, 3k (2 reach + 1)) holds H'(sigma) =
+    T'(P - 1 - sigma)^T K at columns 3k sigma, K = flip_k (x) W_{P-1}^T R,
+    R = diag(eps) the reversal.
     """
-    n, diag = x.shape[0], np.arange(k)
-    selves = np.zeros(k, dtype=int), diag, diag   # node (0, a) with itself
-    if 2 * reach + 1 == n // k:                     # node (P-1, a) with itself
-        selves = (np.r_[selves[0], np.full(k, -1)], np.r_[diag, diag],
-                  np.r_[diag, k - 1 - diag])
-    T, sep = _panel_green(((x[:(reach + 1) * k], x[:k]),
-                           (x[:(2 * reach + 1) * k], x[::-1][:k])),
-                          k, W, params, selves)
+    k = panels.k
     Z = np.empty((k, 3, 2 * reach + 1, k, 3))
-    Z[:, :, :reach + 1] = T[reach::-1].transpose(2, 1, 0, 3, 4)
-    Z[:, :, reach + 1:] = T[1:reach + 1].transpose(3, 4, 0, 2, 1)
-    Y = np.empty((k, 3, 2 * reach + 1, k, 3))
-    np.multiply(T[reach + 1:].transpose(2, 1, 0, 3, 4), eps, out=Y)
-    return Z.reshape(3 * k, -1), Y.reshape(3 * k, -1), sep
+    Z[:, :, :reach + 1] = T[reach::-1].transpose(1, 2, 0, 3, 4)
+    Z[:, :, reach + 1:] = T[1:reach + 1].transpose(3, 4, 0, 1, 2)   # T'^T
+    H = T[::-1, ::-1][:2 * reach + 1]   # T'(P - 1 - sigma), node axis flipped
+    Y = H.transpose(3, 4, 0, 1, 2) @ (panels.W[-1].T * panels.eps)
+    return Z.reshape(3 * k, -1), Y.reshape(3 * k, -1)
 
 
-def _panel_green(spans, k, W, params, selves):
-    """The rotated Green tensors W_g^T G(u_{g,a} - v_b) of the node pairs
-    of each span (u, v), u whole panels of k nodes and v k nodes, with
-    generator g counting the panels of u, from one kernel call: an array of
-    axes (g, alpha, a, b, beta) over the spans in turn. Also the least
-    distance between two distinct nodes among the pairs: the pairs (g, a,
-    b) of `selves` pair a node with itself and are left out, and a zero
-    distance of any other is refused. The generators of a panel-periodic
-    body cover every node pair up to its symmetries, so their least
-    distance is the body's."""
-    d = [np.concatenate([u[:, a].reshape(-1, k, 1) - v[:, a] for u, v in spans])
-         for a in range(3)]
+@np.errstate(over="ignore", invalid="ignore")
+def _panel_green(x, k, W, params):
+    """T' of a panel-periodic body with nodes x, k to a panel, and panel
+    rotations W: T'(g)[(a, alpha), (b, beta)] = (W_g^T G(x_{g,a} -
+    x_{0,b}))[alpha, beta] over its P k^2 node pairs, from one kernel call,
+    as an array of axes (g, a, alpha, b, beta); and the least distance
+    between two distinct nodes. These pairs cover every node pair up to
+    the screw, so their least distance is the body's: node (0, a) with
+    itself is left out, and a zero distance of any other pair is
+    refused."""
+    P, diag = len(W), np.arange(k)
+    d = [x[:, a].reshape(P, k, 1) - x[:k, a] for a in range(3)]
     r2 = d[0] * d[0]
     r2 += d[1] * d[1]
     r2 += d[2] * d[2]
     A, B = kernel_scalars(np.sqrt(r2), params)
-    r2[selves] = np.inf   # B(0) = 0, so B / r^2 is 0 there
+    r2[0, diag, diag] = np.inf   # B(0) = 0, so B / r^2 is 0 there
     least = _least(r2)
     B /= r2
-    g = r2.shape[0]
-    T, out = np.empty((g, 3, k, k, 3)), np.empty_like(r2)   # G: axes (g, row, a, b, col)
+    T, out = np.empty((P, k, 3, k, 3)), np.empty_like(r2)   # G: axes (g, a, row, b, col)
     for a in range(3):
         for b in range(a, 3):
             _component(A, B, d, a, b, out)
-            T[:, a, :, :, b] = T[:, b, :, :, a] = out
+            T[:, :, a, :, b] = T[:, :, b, :, a] = out
     del A, B, d, r2, out
-    frames = np.concatenate([W[:len(u) // k] for u, _ in spans]).transpose(0, 2, 1)
-    T = (frames @ T.reshape(g, 3, -1)).reshape(g, 3, k, k, 3)   # W^T G
-    return T, float(np.sqrt(least))
+    T = W.transpose(0, 2, 1)[:, None] @ T.reshape(P, k, 3, 3 * k)   # W^T G
+    return T.reshape(P, k, 3, k, 3), float(np.sqrt(least))
 
 
 def _block_rows(S4, d, r2, params):
@@ -495,12 +458,10 @@ def _reversal_symmetry(x):
 
 class _Panels:
     """The per-panel rotations W (P, 3, 3) of a panel-periodic body with k
-    nodes per panel and the signs eps of its reversal (_panel_frames).
-    assemble_system keeps its generators here, so that both diagonal
-    blocks are filled from one kernel call."""
+    nodes per panel and the signs eps of its reversal (_panel_frames)."""
 
     def __init__(self, W, k, eps):
-        self.W, self.k, self.eps, self.generators = W, k, eps, None
+        self.W, self.k, self.eps = W, k, eps
 
 
 def _into_panels(v, panels, back=False):
@@ -612,19 +573,24 @@ def _unfold(plus, minus, panels):
                                  (panels.eps[:, None] * (plus - minus))[::-1]])
 
 
-def _two_blocks(frame, panels, params, U3):
-    """A6, the nodal point forces in the eigenframe of the reversal and the
-    least node distance of a panel-periodic body, from its two dense
-    blocks G+- (resistance_set)."""
-    h = frame.n_nodes // 2
+def _two_blocks(T, panels, U3):
+    """A6 and the nodal point forces in the eigenframe of the reversal of a
+    panel-periodic body with generator T' (_panel_green), from its two
+    dense blocks G+- (resistance_set). The memory guard counts what the
+    fill holds: one packed block at a time, T', Z and Y, and the buffers
+    (np.getbufsize() values each) of the ufunc that writes rows
+    transposed, for its inputs, output and mask."""
+    h, w = len(U3) // 2, 3 * panels.k
+    reach = (h - 1) // panels.k   # the largest panel difference of a block
+    require_memory(3 * h, "mobility.resistance_set",
+                   T.size + 2 * w * w * (2 * reach + 1) + 4 * np.getbufsize())
+    Z, Y = _generators(T, reach, panels)
     A6, parts = np.zeros((6, 6)), []
     for sign, rhs in zip((1.0, -1.0), _halves(U3, panels)):
-        packed, sep = assemble_system(frame, params, panels, sign)
-        A, p = _solve(packed, rhs.reshape(3 * h, 6))
-        del packed   # one block alive at a time
+        A, p = _solve(_fill_periodic(Z, Y, h, sign), rhs.reshape(3 * h, 6))
         A6 += 0.5 * A
         parts.append(p.reshape(h, 3, 6))
-    return A6, _unfold(*parts, panels), sep
+    return A6, _unfold(*parts, panels)
 
 
 def _solve(packed, U):
@@ -770,20 +736,15 @@ def _dct_plan(L, h, shape, even):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _operators(frame, panels, params):
+def _operators(T, panels, closed):
     """The folded vectors of a panel-periodic body given in the eigenframe
     of its reversal (_Fold), the real symbols of its block Toeplitz
-    product, those of the inverse of T. Chan's preconditioner scaled to
-    unit size, whether the product needs the embedding of 2P blocks (an
-    open body) and the least node distance."""
-    k, P = panels.k, len(panels.W)
-    b = 3 * k
-    require_memory(0, "mobility.resistance_set", _toeplitz_doubles(P * k, k))
-    diag = np.arange(k)
-    T, sep = _panel_green(((frame.nodes, frame.nodes[:k]),), k, panels.W, params,
-                          (np.zeros(k, dtype=int), diag, diag))
-    fold = _Fold(panels, frame.n_nodes // 2)
-    T = fold.V.T @ T.transpose(0, 2, 1, 3, 4).reshape(P, b, b) @ fold.V   # T'(delta)
+    product with generator T' (_panel_green), those of the inverse of
+    T. Chan's preconditioner scaled to unit size, and whether the product
+    needs the embedding of 2P blocks (an open body)."""
+    P, b = len(T), 3 * panels.k
+    fold = _Fold(panels, P * panels.k // 2)
+    T = fold.V.T @ T.reshape(P, b, b) @ fold.V   # T'(delta) in K's eigenbasis
     back = T[:0:-1].transpose(0, 2, 1)                      # T'(P - delta)^T, delta >= 1
     delta = np.arange(P)[:, None, None] / P
     chan = (1.0 - delta) * T                                # Chan's generator
@@ -791,7 +752,7 @@ def _operators(frame, panels, params):
     chan = fold.symbols(chan)
     # a closed body's matrix is its own circulant of P blocks, which Chan's
     # preconditioner is; an open one's is embedded in a circulant of 2P
-    embedded, product = not frame.closed, chan
+    embedded, product = not closed, chan
     if embedded:
         T = np.concatenate((T, np.zeros((1, b, b)), back))
         del back
@@ -811,17 +772,17 @@ def _operators(frame, panels, params):
     # scale the Gram matrices of _orthonormal neither underflow nor overflow
     # at extreme mu or ell
     inverse /= np.abs(inverse).max()
-    return fold, product, inverse, embedded, sep
+    return fold, product, inverse, embedded
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _toeplitz_pcg(frame, panels, params, U3):
-    """A6, the nodal point forces in the eigenframe of the reversal and the
-    least node distance of a panel-periodic body given in that frame,
-    solved by block-Toeplitz PCG (module docstring), with the `solver`
-    record of ResistanceSet; A6 and the forces are None when PCG stops at
-    its iteration cap. U3 (N, 3, 6) holds the six rigid motions."""
-    fold, product, inverse, embedded, sep = _operators(frame, panels, params)
+def _toeplitz_pcg(T, panels, U3, closed):
+    """A6 and the nodal point forces in the eigenframe of the reversal of a
+    panel-periodic body with generator T' (_panel_green), solved by
+    block-Toeplitz PCG (module docstring), with the `solver` record of
+    ResistanceSet; A6 and the forces are None when PCG stops at its
+    iteration cap. U3 (N, 3, 6) holds the six rigid motions."""
+    fold, product, inverse, embedded = _operators(T, panels, closed)
     plus, minus = _halves(U3, panels)
     U = np.concatenate([fold.to_rep(plus, 1.0), fold.to_rep(minus, -1.0)], axis=1)
     unorm = (U * U).sum(axis=0)
@@ -866,11 +827,11 @@ def _toeplitz_pcg(frame, panels, params, U3):
     if not residual.max() <= _PCG_RTOL:
         solver.update(path="cholesky", fallback=f"block-Toeplitz PCG stopped at its "
                                                 f"cap of {_PCG_MAX_ITER} iterations")
-        return None, None, sep, solver
+        return None, None, solver
     psi = psi @ C
     A6 = 0.5 * (U[:, :6].T @ psi[:, :6] + U[:, 6:].T @ psi[:, 6:])
     plus, minus = fold.from_rep(psi[:, :6], 1.0), fold.from_rep(psi[:, 6:], -1.0)
-    return A6, _unfold(plus, minus, panels), sep, solver
+    return A6, _unfold(plus, minus, panels), solver
 
 
 def _orthonormal(W, side, scale=None):
@@ -990,8 +951,8 @@ def resistance_set(body, params):
     fallback from PCG to the two blocks.
 
     `min_separation` is the smallest distance between two distinct nodes,
-    found by the assembly; on the panel-periodic paths it covers the
-    generators' pairs, every node pair up to the screw (and the reversal).
+    found by the assembly; on the panel-periodic paths it covers the pairs
+    of T', every node pair up to the screw.
     """
     n = body.n_nodes
     eye = np.eye(3)
@@ -1017,13 +978,16 @@ def resistance_set(body, params):
         blocks = (3 * n,)
     else:
         U3 = Q.T @ U.reshape(n, 3, 6)
-        A6 = None
-        if body.closed or n >= _TOEPLITZ_MIN_NODES:
-            A6, psi, sep, solver = _toeplitz_pcg(frame, panels, params, U3)
+        pcg, A6 = body.closed or n >= _TOEPLITZ_MIN_NODES, None
+        if pcg:   # before the kernel, whose arrays it counts
+            require_memory(0, "mobility.resistance_set", _toeplitz_doubles(n, panels.k))
+        T, sep = _panel_green(frame.nodes, panels.k, panels.W, params)
+        if pcg:
+            A6, psi, solver = _toeplitz_pcg(T, panels, U3, body.closed)
             blocks = ()
         if A6 is None:   # an open body below N_x, or PCG at its cap
             try:
-                A6, psi, sep = _two_blocks(frame, panels, params, U3)
+                A6, psi = _two_blocks(T, panels, U3)
             except ConfigError as exc:   # the memory guard
                 if solver["fallback"] is None:
                     raise

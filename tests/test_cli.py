@@ -813,3 +813,28 @@ def test_cli_import_leaves_quadpack_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.stdout.split() == ["False", "True"], proc.stderr
+
+
+@pytest.mark.parametrize("block, key, value, code", [
+    ("fluid", "mu", 1e200, 2),
+    ("fluid", "mu", 1e300, 2),
+    ("body", "length", 1e100, 0),
+])
+def test_straight_rod_fall_at_extreme_scales_runs_clean(tmp_path, capsys, block, key,
+                                                        value, code):
+    # |K_rr|^2 overflows on these rods; the test that the axial null
+    # direction of the inertia carries no torque scales K_rr by its largest
+    # entry first. The stiff rods are refused (dt > dt_max), the long one
+    # runs, and neither prints a floating-point warning
+    cfg = base_config(body={"kind": "rod", "length": 2.0},
+                      fluid={"nondimensional": {"ell": 0.1, "re": 0.1}},
+                      discretization={"panels": 8, "order": 4},
+                      dynamics={"dt": 0.01, "t_end": 0.05})
+    (cfg["fluid"]["nondimensional"] if block == "fluid" else cfg[block])[key] = value
+    out = tmp_path / "out"
+    assert main_printing_warnings(["fall", "--config", str(write_config(tmp_path, cfg)),
+                                   "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    assert ("config error" in err and "dt_max" in err) == (code == 2)
+    assert (out / "report.json").exists() == (code == 0)

@@ -397,7 +397,7 @@ def test_symmetric_assembly_peak_memory(monkeypatch, helix_spec, params):
         tracemalloc.stop()
     assert R.blocks == (3 * n // 2,) * 2
     # one packed block of order 3N/2 at a time, 9 N^2 bytes, plus the
-    # generators and the 3N x 6 right-hand sides: measured 11.3 N^2
+    # generators and the 3N x 6 right-hand sides: measured 11.8 N^2
     assert peak <= 13.5 * n * n
 
 
@@ -519,10 +519,9 @@ def test_indefinite_toeplitz_matrix_is_a_solver_error(monkeypatch, params):
 
     def skewed(*args):
         T, sep = green(*args)
-        k = T.shape[2]
+        k = T.shape[1]
         A = np.random.default_rng(0).normal(size=(3 * k, 3 * k))
-        A = (A - A.T).reshape(k, 3, k, 3).transpose(1, 0, 2, 3)   # (alpha, a, b, beta)
-        T[1] += 1e3 * np.abs(T[0]).max() * A
+        T[1] += 1e3 * np.abs(T[0]).max() * (A - A.T).reshape(k, 3, k, 3)
         return T, sep
 
     monkeypatch.setattr(mobility, "_panel_green", skewed)
@@ -534,16 +533,16 @@ def test_indefinite_toeplitz_matrix_is_a_solver_error(monkeypatch, params):
 
 @pytest.mark.parametrize("panels, order", [(256, 6), (15, 4), (2, 2), (3, 16)])
 def test_memory_guard_bounds_the_toeplitz_solve(params, panels, order):
-    # the guard's count is an upper bound on what the solve allocates
-    # (measured 0.27 to 0.79 of it)
+    # the guard's count is an upper bound on what the kernel pass and the
+    # solve allocate, T' held throughout for the dense fallback (measured
+    # 0.32 to 0.89 of it)
     body = discretize(README_HELIX, panels, order)
-    c, Q, eps = mobility._reversal_symmetry(body.nodes)
-    frame = replace(body, nodes=(body.nodes - c) @ Q)
-    panel_frames = mobility._panel_frames(frame, eps)
+    frame, panel_frames = periodic_frame(body)
     U3 = np.ones((body.n_nodes, 3, 6))
     tracemalloc.start()
     try:
-        A6 = mobility._toeplitz_pcg(frame, panel_frames, params, U3)[0]
+        T, _ = mobility._panel_green(frame.nodes, order, panel_frames.W, params)
+        A6 = mobility._toeplitz_pcg(T, panel_frames, U3, frame.closed)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -563,19 +562,19 @@ def test_block_pcg_on_dependent_and_zero_columns(monkeypatch, params):
                         lambda *args: bases.append(orthonormal(*args)) or bases[-1])
     monkeypatch.setattr(mobility, "_TOEPLITZ_MIN_NODES", 0)
     resistance_set(SYMMETRY_CASES["rod"][0](), params)
-    frame, panels, _, U3 = calls[0]
+    T, panels, U3, closed = calls[0]
     zero = ~U3.any(axis=(0, 1))
     assert zero.sum() == 1
     U3 = U3.copy()
     U3[..., 1] = U3[..., 0]
     bases.clear()
-    A6, psi, _, solver = pcg(frame, panels, params, U3)
+    A6, psi, solver = pcg(T, panels, U3, closed)
     assert bases[0][0].shape[1] == 4 and solver["residual"] <= mobility._PCG_RTOL
     columns = np.zeros_like(psi)
     for j in np.flatnonzero(~zero):
         one = np.zeros_like(U3)
         one[..., j] = U3[..., j]
-        columns[..., j] = pcg(frame, panels, params, one)[1][..., j]
+        columns[..., j] = pcg(T, panels, one, closed)[1][..., j]
     assert np.all(psi[..., zero] == 0.0)
     grand = U3.reshape(-1, 6).T @ columns.reshape(-1, 6)
     assert np.linalg.norm(A6 - grand) <= 1e-13 * np.linalg.norm(grand)
@@ -624,6 +623,28 @@ def test_toeplitz_path_at_extreme_mu(monkeypatch, mu):
     assert np.linalg.norm(R.grand / mu - ref.grand) <= 1e-13 * np.linalg.norm(ref.grand)
     assert (np.linalg.norm(R.densities / mu - ref.densities)
             <= 1e-10 * np.linalg.norm(ref.densities))
+
+
+@pytest.mark.parametrize("name, path", [("rod", "two blocks"), ("ring", "PCG"),
+                                        ("README-helix", "fallback")])
+def test_one_kernel_pass_per_panel_periodic_body(monkeypatch, name, path, params):
+    # T' is the one generator of both solves: the kernel runs once per body
+    # on the two blocks, on PCG, and on the two blocks after PCG's cap
+    calls = {"_panel_green": 0, "kernel_scalars": 0}
+    for fn in calls:
+        original = getattr(mobility, fn)
+        monkeypatch.setattr(mobility, fn, lambda *args, fn=fn, original=original:
+                            calls.__setitem__(fn, calls[fn] + 1) or original(*args))
+    if path == "fallback":
+        monkeypatch.setattr(mobility, "_TOEPLITZ_MIN_NODES", 0)
+        monkeypatch.setattr(mobility, "_PCG_MAX_ITER", 1)
+    body = SYMMETRY_CASES[name][0]()
+    R = resistance_set(body, params)
+    assert calls == {"_panel_green": 1, "kernel_scalars": 1}
+    assert R.blocks == (() if path == "PCG" else (3 * body.n_nodes // 2,) * 2)
+    assert (R.solver["fallback"] is not None) == (path == "fallback")
+    grand, _ = cholesky_reference(body, params)
+    assert np.linalg.norm(R.grand - grand) <= 1e-13 * np.linalg.norm(grand)
 
 
 def test_screw_fit_only_on_reversal_symmetric_bodies(monkeypatch, params):
@@ -675,42 +696,41 @@ def test_thin_helices_take_the_panel_periodic_path(radius):
         assert mobility._panel_frames(frame, eps) is not None, panels
 
 
+def periodic_frame(body):
+    """A panel-periodic body in the eigenframe of its reversal, and its
+    panels."""
+    c, Q, eps = mobility._reversal_symmetry(body.nodes)
+    frame = replace(body, nodes=(body.nodes - c) @ Q)
+    return frame, mobility._panel_frames(frame, eps)
+
+
 def periodic_blocks(body, params):
-    """The two Green blocks a reversal-symmetric, panel-periodic body is
-    solved on, as dense references in the eigenframe of the reversal,
-    their nodes' panel rotations W_i, and the assemble_system calls that
-    fill them."""
-    n, (c, Q, eps) = body.n_nodes, mobility._reversal_symmetry(body.nodes)
-    body = replace(body, nodes=(body.nodes - c) @ Q)
-    panels = mobility._panel_frames(body, eps)
-    G = dense_green(body.nodes, params).reshape(n, 3, n, 3)
-    rows = n // 2
-    near, far = G[:rows, :, :rows], G[:rows, :, ::-1][:, :, :rows] * eps
-    blocks = [(near + sign * far,
-               lambda sign=sign: assemble_system(body, params, panels, sign))
-              for sign in (1.0, -1.0)]
-    return blocks, panels.W[np.arange(rows) // body.order]
+    """The body of periodic_frame, its panels, and the two Green blocks it
+    is solved on, D^T G+- D in the panel frames, as dense references
+    independent of T': G+- from the whole Green matrix of
+    conftest.dense_green, reduced by the reversal, and turned by the panel
+    rotations W_i."""
+    frame, panels = periodic_frame(body)
+    n, rows = body.n_nodes, body.n_nodes // 2
+    G = dense_green(frame.nodes, params).reshape(n, 3, n, 3)
+    near, far = G[:rows, :, :rows], G[:rows, :, ::-1][:, :, :rows] * panels.eps
+    W = panels.W[np.arange(rows) // body.order]
+    blocks = [np.einsum("pca,pcqd,qdb->paqb", W, near + sign * far, W)
+              .reshape(3 * rows, 3 * rows) for sign in (1.0, -1.0)]
+    return frame, panels, blocks
 
 
 @pytest.mark.parametrize("name", ["rod", "ring", "README-helix", "odd-P-rod"])
 def test_panel_generators_match_dense_reference(name, params):
-    # the blocks filled from the generators are W^T G W, or W^T G+- W in the
-    # eigenframe of the reversal, with W_i the rotation of panel i
-    blocks, W = periodic_blocks(SYMMETRY_CASES[name][0](), params)
-    rows = W.shape[0]
-    for block, assemble in blocks:
-        ref = np.einsum("pca,pcqd,qdb->paqb", W, block, W).reshape(3 * rows, 3 * rows)
-        got = rfp_to_dense(assemble()[0])
+    # the blocks filled from the windows of T' and H'(sigma) = T'(P - 1 -
+    # sigma)^T K are W^T G+- W in the eigenframe of the reversal
+    frame, panels, blocks = periodic_blocks(SYMMETRY_CASES[name][0](), params)
+    rows = frame.n_nodes // 2
+    T, _ = mobility._panel_green(frame.nodes, panels.k, panels.W, params)
+    Z, Y = mobility._generators(T, (rows - 1) // panels.k, panels)
+    for sign, ref in zip((1.0, -1.0), blocks):
+        got = rfp_to_dense(mobility._fill_periodic(Z, Y, rows, sign))
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-
-
-def folded(body, params):
-    """The eigenframe of a panel-periodic body's reversal, its panels and
-    the folded vectors and symbols of mobility._operators."""
-    c, Q, eps = mobility._reversal_symmetry(body.nodes)
-    frame = replace(body, nodes=(body.nodes - c) @ Q)
-    panels = mobility._panel_frames(frame, eps)
-    return frame, panels, mobility._operators(frame, panels, params)
 
 
 @pytest.mark.parametrize("name", ["README-helix", "rod", "ring", "odd-P-rod"])
@@ -718,25 +738,31 @@ def test_folded_product_matches_the_dense_blocks(name, params):
     # G+- times vectors of the first N/2 nodes in the panel frames, the
     # halves of reversal-even and -odd vectors, through real transforms of
     # length P (2P for odd P) and real symbols, is the product with the
-    # dense block that assemble_system fills: open and straight (W = I),
-    # closed, and odd P, whose middle panel the halves split
-    body = SYMMETRY_CASES[name][0]()
-    frame, panels, (fold, product, _, embedded, _) = folded(body, params)
+    # dense reference block: open and straight (W = I), closed, and odd P,
+    # whose middle panel the halves split
+    frame, panels, blocks = periodic_blocks(SYMMETRY_CASES[name][0](), params)
+    fold, product, _, embedded = folded(frame, panels, params)
     assert embedded == (name != "ring")
-    x = np.random.default_rng(3).normal(size=(body.n_nodes // 2, 3, 4))
-    for parity in (1.0, -1.0):
-        G = rfp_to_dense(assemble_system(frame, params, panels, parity)[0])
+    x = np.random.default_rng(3).normal(size=(frame.n_nodes // 2, 3, 4))
+    for parity, G in zip((1.0, -1.0), blocks):
         ref = (G @ x.reshape(-1, 4)).reshape(x.shape)
         got = fold.from_rep(fold.apply(product, fold.to_rep(x, parity),
                                        np.full(4, parity), embedded), parity)
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+def folded(frame, panels, params):
+    """The folded vectors and symbols of mobility._operators for a body in
+    the eigenframe of its reversal."""
+    T, _ = mobility._panel_green(frame.nodes, panels.k, panels.W, params)
+    return mobility._operators(T, panels, frame.closed)
+
+
 def test_folded_preconditioner_inverts_a_ring(params):
     # a ring's Green matrix is its own block circulant: the inverse of
     # Chan's folded symbols, at unit scale, undoes the product to roundoff
-    frame, panels, (fold, product, inverse, embedded, _) = folded(
-        SYMMETRY_CASES["ring"][0](), params)
+    fold, product, inverse, embedded = folded(
+        *periodic_frame(SYMMETRY_CASES["ring"][0]()), params)
     x = np.random.default_rng(4).normal(size=(fold.h * 3 * fold.k, 4))
     for side in (np.ones(4), -np.ones(4), np.array([1.0, -1.0, 1.0, -1.0])):
         y = fold.apply(inverse, fold.apply(product, x, side, embedded), side, False)
@@ -746,20 +772,25 @@ def test_folded_preconditioner_inverts_a_ring(params):
 
 @pytest.mark.parametrize("panels, order", [(64, 6), (15, 4), (100, 2)])
 def test_memory_guard_bounds_the_periodic_fill(monkeypatch, params, panels, order):
-    # the guard counts the packed matrix and the generators' arrays, an
-    # upper bound on what the periodic fill allocates (measured 14 to 29
-    # doubles a generator pair against the 47 counted)
+    # the guard of the two-block solve counts the arrays its fill holds,
+    # one packed block, T', Z and Y, and the ufunc's buffers: an upper bound
+    # on what the kernel pass, the windows and the first block's fill
+    # allocate (measured 0.32 to 0.97 of it)
     counted = []
     require = mobility.require_memory
     monkeypatch.setattr(mobility, "require_memory",
                         lambda m, where, temps=0: counted.append((m, temps)) or
                         require(m, where, temps))
-    blocks, _ = periodic_blocks(discretize(README_HELIX, panels, order), params)
+    frame, panel_frames = periodic_frame(discretize(README_HELIX, panels, order))
+    rows = frame.n_nodes // 2
     tracemalloc.start()
     try:
-        blocks[0][1]()   # the first block's fill evaluates the generators
+        T, _ = mobility._panel_green(frame.nodes, order, panel_frames.W, params)
+        Z, Y = mobility._generators(T, (rows - 1) // order, panel_frames)
+        mobility._fill_periodic(Z, Y, rows, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    mobility._two_blocks(T, panel_frames, np.ones((frame.n_nodes, 3, 6)))
     (m, temporaries), = counted
     assert 0 < peak <= 8 * (m * (m + 1) // 2 + temporaries)
