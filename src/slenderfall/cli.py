@@ -436,8 +436,7 @@ def run(cfg, mode, out_dir="."):
 
     report["timestamp"] = datetime.now(timezone.utc).isoformat()
     with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return status
 
 
@@ -473,6 +472,9 @@ def main(argv=None):
         return 3
     except MemoryError as exc:
         print(f"solver error: out of memory: {exc}", file=sys.stderr)
+        return 3
+    except np.linalg.LinAlgError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
         return 3
 
 

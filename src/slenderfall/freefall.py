@@ -24,7 +24,7 @@ from .errors import DegeneracyError, InternalConsistencyError, SolverError
 _SIGN_TOL = 1e-8
 # a singular value of the Schur factor below this share of |K_rr| is null
 _DEGENERACY_RTOL = 1e-10
-# eigenvalues of F closer than this share of max(|F|, 1) are one cluster
+# eigenvalues of F closer than this share of F's size are one cluster
 _CLUSTER_RTOL = 1e-7
 # largest momentum residual of a steady state, relative to its load
 _RESIDUAL_RTOL = 1e-8
@@ -45,6 +45,7 @@ class FallOperator:
     degenerate: bool
     null_direction: Optional[np.ndarray]
     schur_condition: float
+    scale: float              # the size of F from |K_tt|, |K_rr| and the masses
 
 
 @dataclass(frozen=True)
@@ -83,22 +84,32 @@ def fall_operator(resistance, mass_props):
     is inverted on the non-null subspace and the degeneracy is flagged. A
     rank deficiency of more than one direction has no consistent restriction
     and raises.
+
+    `scale` is the size F has from the magnitudes of the resistance and the
+    masses, |m_e| / sqrt(|K_tt| |K_rr|) + m_c |r| / |K_rr|: the bound
+    |K_rt| <= sqrt(|K_tt| |K_rr|) of a positive definite grand matrix stands
+    in for K_rt, which is roundoff on a symmetric body. It scales like F,
+    as 1/mu.
     """
     Ktt, Ktr = resistance.k_tt, resistance.k_tr
     Krt, Krr = resistance.k_rt, resistance.k_rr
+    # hypot: a sum of squares of the entries may under- or overflow; numpy
+    # floats: an overflow or a K_rr of 0 gives inf, which raises nothing
+    ktt_norm, krr_norm = (np.float64(math.hypot(*K.ravel())) for K in (Ktt, Krr))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scale = float(abs(mass_props.m_e) / np.sqrt(ktt_norm) / np.sqrt(krr_norm)
+                      + mass_props.m_c * math.hypot(*mass_props.r) / krr_norm)
     krt_kttinv = Krt @ np.linalg.inv(Ktt)
     schur = krt_kttinv @ Ktr - Krr
     rhs = mass_props.m_e * krt_kttinv + mass_props.m_c * cross_matrix(mass_props.r)
 
     u, sv, vt = np.linalg.svd(schur)
-    top = np.abs(Krr).max() or 1.0   # scaled: |Krr|^2 may overflow
-    scale = max(top * np.linalg.norm(Krr / top), np.finfo(float).tiny)
-    small = sv < _DEGENERACY_RTOL * scale
+    small = sv < _DEGENERACY_RTOL * max(krr_norm, np.finfo(float).tiny)
     if small.sum() == 0:
         F = np.linalg.solve(schur, rhs)
         return FallOperator(matrix=F, schur=schur, degenerate=False,
                             null_direction=None,
-                            schur_condition=float(sv[0] / sv[-1]))
+                            schur_condition=float(sv[0] / sv[-1]), scale=scale)
     if small.sum() > 1:
         raise DegeneracyError(
             "freefall.fall_operator: Schur factor rank-deficient in more than "
@@ -118,7 +129,8 @@ def fall_operator(resistance, mass_props):
     F = pinv @ rhs
     return FallOperator(matrix=F, schur=schur, degenerate=True,
                         null_direction=null,
-                        schur_condition=float(sv[0] / max(sv[~small][-1], np.finfo(float).tiny)))
+                        schur_condition=float(sv[0] / max(sv[~small][-1], np.finfo(float).tiny)),
+                        scale=scale)
 
 
 def _apply_sign_convention(g):
@@ -130,8 +142,9 @@ def _apply_sign_convention(g):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def real_eigenpairs(F):
-    """All real eigenpairs of a 3x3 matrix via the characteristic cubic.
+def real_eigenpairs(op):
+    """All real eigenpairs of a fall operator's 3x3 matrix F via the
+    characteristic cubic.
 
     The depressed cubic is solved in closed form (Cardano / trigonometric
     branch), each real root is polished by Newton iteration on the
@@ -140,12 +153,18 @@ def real_eigenpairs(F):
     their multiplicity and an orthonormal eigenspace basis. A polynomial
     that overflows leaves no finite root and raises SolverError, without a
     floating-point warning.
+
+    The clustering and null-space tolerances are relative to
+    max(|F|, op.scale), the size F would have from the resistance and the
+    masses, with no absolute floor: a symmetric body, whose F is roundoff of
+    that size, collapses to a single zero of multiplicity 3, and F / mu gives
+    the same clusters at every mu.
     """
-    F = np.asarray(F, dtype=float)
+    F = np.asarray(op.matrix, dtype=float)
     norm_f = float(np.linalg.norm(F))
-    # absolute floor of 1: symmetric bodies produce F = O(roundoff) whose
-    # eigenvalues must collapse to a single zero of multiplicity 3
-    eig_tol = _CLUSTER_RTOL * max(norm_f, 1.0)
+    # numpy float: its powers overflow to inf; tiny: F = 0 without a load
+    size = np.float64(max(norm_f, op.scale, np.finfo(float).tiny))
+    eig_tol = _CLUSTER_RTOL * size
     c2 = -np.trace(F)
     c1 = 0.5 * (np.trace(F) ** 2 - np.trace(F @ F))
     c0 = -np.linalg.det(F)
@@ -183,11 +202,15 @@ def real_eigenpairs(F):
     def dpoly(x):
         return (3.0 * x + 2.0 * c2) * x + c1
 
+    # the derivative at a root is the product of its gaps to the other two:
+    # below (1e-10 size)^2 the root is multiple to well within eig_tol, and
+    # a Newton step would only add roundoff
+    flat = (1e-10 * size) ** 2
     polished = []
     for lam in roots:
         for _ in range(3):
             d = dpoly(lam)
-            if abs(d) < 1e-30:
+            if abs(d) < flat:
                 break
             step = poly(lam) / d
             if not np.isfinite(step):
@@ -214,7 +237,7 @@ def real_eigenpairs(F):
     for lam, group in clusters:
         mult = len(group)
         _, sv, vt = np.linalg.svd(F - lam * np.eye(3))
-        null_dim = max(1, int(np.sum(sv < max(1e-10 * norm_f, 1e-14))))
+        null_dim = max(1, int(np.sum(sv < max(1e-10 * norm_f, 1e-14 * size))))
         take = min(null_dim, mult)
         if take == 3:
             basis = np.eye(3)  # whole space: canonical axes, deterministic
@@ -236,7 +259,7 @@ def steady_states(resistance, mass_props):
     op = fall_operator(resistance, mass_props)
     F = op.matrix
     states = []
-    for lam, basis, mult in real_eigenpairs(F):
+    for lam, basis, mult in real_eigenpairs(op):
         g = basis[0]
         xi = np.linalg.solve(resistance.k_tt,
                              mass_props.m_e * g - lam * resistance.k_tr @ g)

@@ -6,6 +6,7 @@ the hydrodynamic collocation and the mass quadrature. All node coordinates
 live in the co-moving frame, centered at the (mass-weighted) center of mass.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -150,6 +151,7 @@ def _check_polyline_injective(verts, closed):
     v = np.vstack([verts, verts[:1]]) if closed else verts
     n = v.shape[0] - 1
     scale = max(np.ptp(v, axis=0).max(), 1e-30)
+    v = v.tolist()
     for i in range(n):
         for j in range(i + 1, n):
             adjacent = (j == i + 1) or (closed and i == 0 and j == n - 1)
@@ -161,17 +163,27 @@ def _check_polyline_injective(verts, closed):
 
 
 def _segment_distance(p1, p2, q1, q2):
-    """Minimum distance between segments [p1,p2] and [q1,q2]."""
-    d1, d2, r = p2 - p1, q2 - q1, p1 - q1
-    a, e, f = d1 @ d1, d2 @ d2, d2 @ r
-    b, c = d1 @ d2, d1 @ r
+    """Minimum distance between segments [p1,p2] and [q1,q2], given as
+    triples of Python floats: a few scalar products per pair, where numpy's
+    per-call cost would be most of the time."""
+    (p1x, p1y, p1z), (p2x, p2y, p2z) = p1, p2
+    (q1x, q1y, q1z), (q2x, q2y, q2z) = q1, q2
+    d1x, d1y, d1z = p2x - p1x, p2y - p1y, p2z - p1z
+    d2x, d2y, d2z = q2x - q1x, q2y - q1y, q2z - q1z
+    rx, ry, rz = p1x - q1x, p1y - q1y, p1z - q1z
+    a = d1x * d1x + d1y * d1y + d1z * d1z
+    e = d2x * d2x + d2y * d2y + d2z * d2z
+    f = d2x * rx + d2y * ry + d2z * rz
+    b = d1x * d2x + d1y * d2y + d1z * d2z
+    c = d1x * rx + d1y * ry + d1z * rz
     den = a * e - b * b
-    s = np.clip((b * f - c * e) / den, 0.0, 1.0) if den > 1e-14 * a * e else 0.0
+    s = min(max((b * f - c * e) / den, 0.0), 1.0) if den > 1e-14 * a * e else 0.0
     t = (b * s + f) / e if e > 0 else 0.0
     if t < 0.0 or t > 1.0:
-        t = np.clip(t, 0.0, 1.0)
-        s = np.clip((b * t - c) / a, 0.0, 1.0) if a > 0 else 0.0
-    return float(np.linalg.norm(p1 + s * d1 - (q1 + t * d2)))
+        t = min(max(t, 0.0), 1.0)
+        s = min(max((b * t - c) / a, 0.0), 1.0) if a > 0 else 0.0
+    return math.hypot(rx + s * d1x - t * d2x, ry + s * d1y - t * d2y,
+                      rz + s * d1z - t * d2z)
 
 
 def panel_counts(lengths, panels):
@@ -185,6 +197,15 @@ def panel_counts(lengths, panels):
     if len(lengths) == 1:
         return [panels]
     return [max(1, round(panels * L / total)) for L in lengths]
+
+
+@functools.lru_cache(maxsize=None)   # orders 2..16
+def _gauss_rule(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    and shared read-only."""
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
 
 
 def discretize(spec, panels, order):
@@ -201,7 +222,7 @@ def discretize(spec, panels, order):
         raise GeometryError("geometry.discretize: order must be in 2..16")
     segs = spec.segments()
     counts = panel_counts([L for _, L in segs], panels)
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = _gauss_rule(order)
     nodes, weights, arcs = [], [], []
     s0 = 0.0
     for (curve, L), npan in zip(segs, counts):

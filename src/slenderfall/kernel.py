@@ -77,7 +77,9 @@ def kernel_scalars(r, params):
 
     The closed form is evaluated in place on five arrays of r's size, with
     s^2 and 6/s^2 computed once; the near-field series runs only where some
-    s is at or below the switch.
+    s is at or below the switch, and not at all when every such s is 0 (the
+    r = 0 diagonal of an assembly), where Horner's rule would give exactly
+    a_0 and 0.
     """
     r_in = np.asarray(r, dtype=float)
     s = np.atleast_1d(r_in) / params.ell
@@ -110,8 +112,12 @@ def kernel_scalars(r, params):
 
     if near:
         ss = s[small]
-        A[small] = np.polyval(_A_COEF[::-1], ss)
-        B[small] = np.polyval(_B_COEF[::-1], ss)
+        if ss.any():
+            A[small] = np.polyval(_A_COEF[::-1], ss)
+            B[small] = np.polyval(_B_COEF[::-1], ss)
+        else:   # only r = 0, often just a diagonal: Horner's value there
+            A[small] = _A_COEF[0]
+            B[small] = 0.0
 
     scale = 1.0 / (8.0 * np.pi * params.mu * params.ell)
     A *= scale

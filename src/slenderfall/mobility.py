@@ -417,10 +417,22 @@ def _factorize(packed):
     return L
 
 
-def rigid_data(body, xi, omega):
-    """Collocation right-hand side xi + omega x x_q, flattened to 3N."""
-    return (np.asarray(xi, float)[None, :]
-            + np.cross(np.asarray(omega, float), body.nodes)).ravel()
+def _rigid_motions(body):
+    """U, the 3N x 6 nodal velocities of the six unit rigid motions, in one
+    pass: the translations e_j, then the rotations e_j x x_q as signed
+    copies of node coordinates, e_j x x = x_{j+1} e_{j+2} - x_{j+2} e_{j+1}
+    (indices mod 3). A rotation whose data vanish to _ZERO_DATA_TOL of
+    1 + length, the axial spin of a straight body, is an exact zero
+    column."""
+    x, j = body.nodes, np.arange(3)
+    U = np.zeros((x.shape[0], 3, 6))
+    U[:, j, j] = 1.0
+    U[:, (j + 2) % 3, 3 + j] = x[:, (j + 1) % 3]
+    U[:, (j + 1) % 3, 3 + j] = np.subtract(0.0, x[:, (j + 2) % 3])   # no -0.0
+    for c in (3, 4, 5):
+        if np.linalg.norm(U[:, :, c]) < _ZERO_DATA_TOL * (1 + body.length):
+            U[:, :, c] = 0.0
+    return U.reshape(-1, 6)
 
 
 def _reversal_symmetry(x):
@@ -955,16 +967,7 @@ def resistance_set(body, params):
     of T', every node pair up to the screw.
     """
     n = body.n_nodes
-    eye = np.eye(3)
-    U = np.zeros((3 * n, 6))
-    for j in range(6):
-        if j < 3:
-            U[:, j] = rigid_data(body, eye[j], np.zeros(3))
-        else:
-            u = rigid_data(body, np.zeros(3), eye[j - 3])
-            if np.linalg.norm(u) >= _ZERO_DATA_TOL * (1 + body.length):
-                U[:, j] = u  # else straight-body axial rotation: zero column
-
+    U = _rigid_motions(body)
     sym, panels = _reversal_symmetry(body.nodes), None
     if sym is not None:
         c, Q, eps = sym

@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slenderfall import (CurveSpec, KernelParams, MassProperties, discretize,
-                         fall_operator, mass_properties, real_eigenpairs,
-                         residual, resistance_set, steady_states)
+from slenderfall import (CurveSpec, FallOperator, KernelParams, MassProperties,
+                         discretize, fall_operator, mass_properties,
+                         real_eigenpairs, residual, resistance_set,
+                         steady_states)
 from slenderfall.errors import DegeneracyError
 from slenderfall.freefall import cross_matrix
 
@@ -50,8 +51,15 @@ def test_fall_operator_total_degeneracy_raises(params):
         fall_operator(R, mp)
 
 
+def _operator(F):
+    """A fall operator with matrix F and entries of size 1."""
+    return FallOperator(matrix=np.asarray(F, dtype=float), schur=np.eye(3),
+                        degenerate=False, null_direction=None,
+                        schur_condition=1.0, scale=1.0)
+
+
 def test_eigenpairs_zero_matrix():
-    pairs = real_eigenpairs(np.zeros((3, 3)))
+    pairs = real_eigenpairs(_operator(np.zeros((3, 3))))
     assert len(pairs) == 1
     lam, basis, mult = pairs[0]
     assert lam == 0.0 and mult == 3
@@ -59,7 +67,7 @@ def test_eigenpairs_zero_matrix():
 
 
 def test_eigenpairs_diagonal():
-    pairs = real_eigenpairs(np.diag([1.0, 2.0, 3.0]))
+    pairs = real_eigenpairs(_operator(np.diag([1.0, 2.0, 3.0])))
     lams = sorted(lam for lam, _, _ in pairs)
     assert np.allclose(lams, [1.0, 2.0, 3.0])
     for lam, basis, mult in pairs:
@@ -70,7 +78,7 @@ def test_eigenpairs_diagonal():
 
 
 def test_eigenpairs_rotation_generator():
-    pairs = real_eigenpairs(cross_matrix([0.0, 0.0, 1.0]))
+    pairs = real_eigenpairs(_operator(cross_matrix([0.0, 0.0, 1.0])))
     assert len(pairs) == 1
     lam, basis, mult = pairs[0]
     assert abs(lam) <= 1e-12 and mult == 1
@@ -81,7 +89,7 @@ def test_eigenpairs_residual_and_sign():
     rng = np.random.default_rng(7)
     for _ in range(50):
         F = rng.normal(size=(3, 3))
-        for lam, basis, mult in real_eigenpairs(F):
+        for lam, basis, mult in real_eigenpairs(_operator(F)):
             for g in basis[:1]:  # primary vector of each pair
                 assert np.linalg.norm(F @ g - lam * g) <= 1e-10 * (
                     1 + np.linalg.norm(F))
@@ -187,3 +195,25 @@ def test_random_polylines_have_states(params):
         R = resistance_set(body, params)
         states = steady_states(R, mp)
         assert len(states) >= 1
+
+
+@pytest.mark.parametrize("name", ["helix", "ring", "rod"])
+def test_steady_states_scale_with_viscosity(name, helix_body, ring_body, rod_body):
+    # F goes as 1/mu, and so must every tolerance on it: at mu = 1e10 the
+    # states are those of mu = 1 with lambda / mu. A helix keeps its spin
+    # (an absolute floor of 1 used to merge its eigenvalues into one zero),
+    # and the symmetric ring and rod still collapse to one zero of
+    # multiplicity 3
+    body = {"helix": helix_body, "ring": ring_body, "rod": rod_body}[name]
+    mp = mass_properties(body)
+    R = {mu: resistance_set(body, KernelParams(ell=0.1, mu=mu)) for mu in (1.0, 1e10)}
+    states = {mu: steady_states(R[mu], mp) for mu in R}
+    scale = fall_operator(R[1.0], mp).scale
+    assert [s.multiplicity for s in states[1.0]] == [s.multiplicity for s in states[1e10]]
+    if name == "helix":
+        assert any(abs(s.lam) > 1e-3 for s in states[1.0])
+    else:
+        assert [s.multiplicity for s in states[1.0]] == [3]
+    for s1, s2 in zip(states[1.0], states[1e10]):
+        assert abs(s2.lam * 1e10 - s1.lam) <= 1e-8 * max(abs(s1.lam), 1e-8 * scale)
+        assert np.allclose(s2.g, s1.g, rtol=0, atol=1e-8)

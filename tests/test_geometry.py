@@ -196,3 +196,33 @@ def test_rod_quadrature_exact_any_length(length, panels):
     body = discretize(CurveSpec(kind="rod", length=length), panels, order=4)
     assert abs(body.length - length) <= 1e-12 * length
     assert np.all(body.weights > 0)
+
+
+def test_gauss_rule_is_cached_read_only():
+    # one rule per order, shared by every discretization: writes are refused,
+    # and the nodes stay those of a fresh Gauss-Legendre rule
+    from slenderfall.geometry import _gauss_rule
+    spec = CurveSpec(kind="helix", radius=1.0, pitch=0.5, turns=1.5)
+    before = discretize(spec, panels=5, order=6).nodes
+    xg, wg = _gauss_rule(6)
+    assert _gauss_rule(6)[0] is xg
+    fresh = np.polynomial.legendre.leggauss(6)
+    assert np.array_equal(xg, fresh[0]) and np.array_equal(wg, fresh[1])
+    for a in (xg, wg):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    assert np.array_equal(discretize(spec, panels=5, order=6).nodes, before)
+
+
+def test_segment_distance_known_cases():
+    # the float rewrite of the self-intersection distance: crossing,
+    # parallel, skew and end-to-end segment pairs
+    from slenderfall.geometry import _segment_distance
+    cases = [([0, 0, 0], [1, 0, 0], [0.5, -1, 0], [0.5, 1, 0], 0.0),
+             ([0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], 1.0),
+             ([0, 0, 0], [1, 0, 0], [0.5, -1, 2], [0.5, 1, 2], 2.0),
+             ([0, 0, 0], [1, 0, 0], [3, 0, 0], [4, 0, 0], 2.0),
+             ([0, 0, 0], [1, 1, 0], [2, 0, 0], [3, -1, 0], np.sqrt(2.0))]
+    for p1, p2, q1, q2, d in cases:
+        pts = [list(map(float, v)) for v in (p1, p2, q1, q2)]
+        assert abs(_segment_distance(*pts) - d) <= 1e-15 * (1 + d)

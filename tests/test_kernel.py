@@ -214,3 +214,47 @@ def test_tensor_even_and_symmetric(x):
     # finite self-mobility: positive quadratic form everywhere
     f = np.array([0.3, -1.2, 0.5])
     assert f @ G @ f > 0
+
+
+def polyval_calls(monkeypatch):
+    """Count the calls of np.polyval, which runs the near-field series."""
+    calls = []
+    polyval = np.polyval
+
+    def counted(p, x):
+        calls.append(np.size(x))
+        return polyval(p, x)
+
+    monkeypatch.setattr(np, "polyval", counted)
+    return calls
+
+
+def test_zero_distances_skip_the_series_bit_for_bit(monkeypatch):
+    # a square block whose only near-field entries are its r = 0 diagonal,
+    # as in an assembly strip: A = a_0 scale and B = +0, which is what the
+    # series gives at s = 0, without running it
+    p = KernelParams(ell=0.3, mu=1.7)
+    x = np.random.default_rng(5).uniform(0.0, 10.0, (6, 3))
+    r = np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=-1))
+    assert (r[~np.eye(6, dtype=bool)] > p.switch_radius).all()
+    expected = np.stack(written_out_kernel(r, p))
+    calls = polyval_calls(monkeypatch)
+    got = np.stack(kernel_scalars(r, p))
+    assert calls == []
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert kernel_scalars(0.0, p) == (_A_COEF[0] / (8.0 * np.pi * p.mu * p.ell), 0.0)
+
+
+def test_small_nonzero_distance_takes_the_series(monkeypatch):
+    # one small nonzero s beside the zeros sends them all through the
+    # series; at s = 1e-4 the closed form would have lost its digits
+    p = KernelParams(ell=0.3, mu=1.7)
+    r = np.array([0.0, 1e-4 * p.ell, 0.0, 5.0 * p.ell])
+    expected = np.stack(written_out_kernel(r, p))
+    calls = polyval_calls(monkeypatch)
+    got = np.stack(kernel_scalars(r, p))
+    assert calls == [3, 3]
+    assert np.array_equal(got, expected)
+    closed_B = written_out_closed_form(r[1:2] / p.ell)[1] / (8.0 * np.pi * p.mu * p.ell)
+    assert abs(closed_B[0] - got[1, 1]) > 1e-6 * got[0, 0]

@@ -15,7 +15,7 @@ from slenderfall import (CurveSpec, DiscreteBody, KernelParams, assemble_system,
                          discretize, kernel_scalars, resistance_set)
 from slenderfall.errors import AssemblyError, ConfigError, SolverError
 from slenderfall import geometry, mobility
-from slenderfall.mobility import _factorize, rigid_data
+from slenderfall.mobility import _factorize, _rigid_motions
 
 from conftest import (dense_green, dense_min_separation, random_polyline_spec,
                       random_walk_body, rfp_to_dense, with_strip_rows)
@@ -422,12 +422,36 @@ def test_memory_guard_counts_packed_matrix(monkeypatch, params):
         resistance_set(random_walk_body(n), params)
 
 
+def rigid_motions(body):
+    """The 3N x 6 nodal velocities of the unit translations and of the unit
+    rotations e_j x x_q, each by np.cross."""
+    eye, n = np.eye(3), body.n_nodes
+    return np.stack([np.tile(eye[j], n) for j in range(3)]
+                    + [np.cross(eye[j], body.nodes).ravel() for j in range(3)], axis=1)
+
+
+@pytest.mark.parametrize("name", ["helix", "rod", "polyline"])
+def test_rigid_motions_match_cross_products(name):
+    # the one-pass build equals the cross products, zeros and their signs
+    # included, except that a straight body's axial spin is an exact zero
+    body = {"helix": lambda: discretize(CurveSpec(kind="helix", radius=1.0, pitch=0.7,
+                                                  turns=1.5), panels=6, order=4),
+            "rod": lambda: discretize(CurveSpec(kind="rod", length=2.0), panels=5, order=3),
+            "polyline": lambda: discretize(random_polyline_spec(np.random.default_rng(3)),
+                                           panels=8, order=4)}[name]()
+    U, ref = _rigid_motions(body), rigid_motions(body)
+    assert U.shape == (3 * body.n_nodes, 6)
+    ref += 0.0   # np.cross leaves -0.0 where a product of zeros is subtracted
+    if name == "rod":
+        assert np.abs(ref[:, 3]).max() < 1e-12 and not U[:, 3].any()
+        U, ref = U[:, [0, 1, 2, 4, 5]], ref[:, [0, 1, 2, 4, 5]]
+    assert np.array_equal(U, ref) and np.array_equal(np.signbit(U), np.signbit(ref))
+
+
 def cholesky_reference(body, params):
     """Grand matrix and basis densities from a Cholesky solve with the
     whole dense Green matrix of conftest.dense_green."""
-    eye, zero = np.eye(3), np.zeros(3)
-    U = np.stack([rigid_data(body, eye[j], zero) for j in range(3)]
-                 + [rigid_data(body, zero, eye[j]) for j in range(3)], axis=1)
+    U = rigid_motions(body)
     psi = sla.cho_solve(sla.cho_factor(dense_green(body.nodes, params)), U)
     grand = U.T @ psi
     return 0.5 * (grand + grand.T), psi.reshape(-1, 3, 6) / body.weights[:, None, None]
@@ -601,9 +625,7 @@ def test_pcg_residual_is_the_largest_column_residual(monkeypatch, name, params):
     body = SYMMETRY_CASES[name][0]()
     R = resistance_set(body, params)
     assert R.solver["path"] == "toeplitz-pcg" and 1e-8 < R.solver["residual"] <= 1e-6
-    eye, zero = np.eye(3), np.zeros(3)
-    U = np.stack([rigid_data(body, eye[j], zero) for j in range(3)]
-                 + [rigid_data(body, zero, eye[j]) for j in range(3)], axis=1)
+    U = rigid_motions(body)
     psi = (R.densities * body.weights[:, None, None]).reshape(-1, 6)
     cols = np.linalg.norm(U, axis=0) > 0.0   # the rod's axial spin is zero
     residual = (np.linalg.norm(dense_green(body.nodes, params) @ psi - U, axis=0)[cols]
