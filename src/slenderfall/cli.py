@@ -228,7 +228,7 @@ def _parse_config(raw):
 
     try:
         spec = _build_spec(body, density)
-        nodes = order * sum(panel_counts([L for _, L in spec.segments()], panels))
+        nodes = order * sum(panel_counts([L for _, L in spec.segments], panels))
     except SlenderFallError as exc:
         raise ConfigError(f"cli.parse_config: {exc}")
     except (KeyError, TypeError, ValueError) as exc:
@@ -429,6 +429,7 @@ def run(cfg, mode, out_dir="."):
                 "steps": round(traj.final.t / dt),   # from rest at t = 0
                 "halt": "steady" if traj.halted_steady else "t_end",
                 "halted_steady": traj.halted_steady,
+                "frame_drift": traj.frame_drift,
                 "steady_detection": detect_steady(traj, states,
                                                   cfg.dynamics.steady_tol,
                                                   resistance=R, mass_props=mp),

@@ -28,6 +28,9 @@ _DEGENERACY_RTOL = 1e-10
 _CLUSTER_RTOL = 1e-7
 # largest momentum residual of a steady state, relative to its load
 _RESIDUAL_RTOL = 1e-8
+# smallest size of F whose characteristic cubic is solved unscaled: its
+# sixth power, in the discriminant, stays 2^122 above the float range's floor
+_CUBIC_FLOOR = 2.0 ** -150
 
 
 def cross_matrix(v):
@@ -161,9 +164,17 @@ def real_eigenpairs(op):
     the same clusters at every mu.
     """
     F = np.asarray(op.matrix, dtype=float)
+    scale = op.scale
+    # the discriminant holds sixth powers of F's size, which underflow below
+    # _CUBIC_FLOOR (a unit-size body at mu above about 1e45): there the
+    # cubic is solved for F / 2^e, exactly scaled, and its roots scaled back
+    top = max(float(np.abs(F).max()), scale)
+    e = math.frexp(top)[1] if 0.0 < top < _CUBIC_FLOOR else 0
+    if e:
+        F, scale = np.ldexp(F, -e), math.ldexp(scale, -e)
     norm_f = float(np.linalg.norm(F))
     # numpy float: its powers overflow to inf; tiny: F = 0 without a load
-    size = np.float64(max(norm_f, op.scale, np.finfo(float).tiny))
+    size = np.float64(max(norm_f, scale, np.finfo(float).tiny))
     eig_tol = _CLUSTER_RTOL * size
     c2 = -np.trace(F)
     c1 = 0.5 * (np.trace(F) ** 2 - np.trace(F @ F))
@@ -245,7 +256,7 @@ def real_eigenpairs(op):
             basis = vt[3 - take:][::-1]  # smallest singular directions first
         basis = np.array([_apply_sign_convention(b / np.linalg.norm(b))
                           for b in basis])
-        pairs.append((float(lam), basis, mult))
+        pairs.append((math.ldexp(float(lam), e), basis, mult))
     return pairs
 
 

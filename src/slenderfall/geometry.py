@@ -64,16 +64,18 @@ class CurveSpec:
                 raise GeometryError("geometry.CurveSpec: zero-length polyline segment")
             _check_polyline_injective(v, self.closed)
 
+    @functools.cached_property
     def segments(self):
         """Piecewise-constant-speed parametrization, one entry per C^1 arc.
 
-        Returns a list of (point(t), speed) with t in [0,1] per segment. All
-        built-in shapes have constant parametric speed, which makes arc
-        length linear in t on each segment.
+        A tuple of (point(t), speed) with t in [0,1] per segment, built on
+        first use and kept on the spec. All built-in shapes have constant
+        parametric speed, which makes arc length linear in t on each
+        segment.
         """
         if self.kind == "rod":
             L = self.length
-            return [(lambda t: np.stack([L * (t - 0.5), 0 * t, 0 * t], axis=-1), L)]
+            return ((lambda t: np.stack([L * (t - 0.5), 0 * t, 0 * t], axis=-1), L),)
         if self.kind == "ring":
             R = self.radius
 
@@ -81,7 +83,7 @@ class CurveSpec:
                 th = 2 * np.pi * t
                 return np.stack([R * np.cos(th), R * np.sin(th), 0 * t], axis=-1)
 
-            return [(ring, 2 * np.pi * R)]
+            return ((ring, 2 * np.pi * R),)
         if self.kind == "helix":
             R, p, n = self.radius, self.pitch, self.turns
             a = 2 * np.pi * R
@@ -93,7 +95,7 @@ class CurveSpec:
                 th = 2 * np.pi * n * t
                 return np.stack([R * np.cos(th), R * np.sin(th), p * n * t], axis=-1)
 
-            return [(helix, n * speed)]
+            return ((helix, n * speed),)
         # polyline: one segment per edge
         verts = self.vertices
         if self.closed:
@@ -103,7 +105,7 @@ class CurveSpec:
             a, b = a.copy(), b.copy()
             segs.append((lambda t, a=a, b=b: a + np.multiply.outer(t, b - a),
                          float(np.linalg.norm(b - a))))
-        return segs
+        return tuple(segs)
 
     @property
     def is_closed(self):
@@ -220,7 +222,7 @@ def discretize(spec, panels, order):
         raise GeometryError("geometry.discretize: panels must be >= 1")
     if not (2 <= order <= 16):
         raise GeometryError("geometry.discretize: order must be in 2..16")
-    segs = spec.segments()
+    segs = spec.segments
     counts = panel_counts([L for _, L in segs], panels)
     xg, wg = _gauss_rule(order)
     nodes, weights, arcs = [], [], []

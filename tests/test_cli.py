@@ -376,6 +376,26 @@ def test_non_numeric_config_value_exits_2(tmp_path, capsys, block, key, value):
     assert not (out / "report.json").exists()
 
 
+def test_steady_spin_scales_as_one_over_mu_at_huge_mu(tmp_path, capsys):
+    # F scales as 1/mu; at mu = 1e100 its characteristic cubic underflows
+    # unless solved for F scaled by a power of two
+    cfg = base_config(body={"kind": "helix", "radius": 1.0, "pitch": 1.0, "turns": 2.0},
+                      discretization={"panels": 8, "order": 4})
+    spins = {}
+    for mu in (1.0, 1e100, 1e200):
+        cfg["fluid"] = {"nondimensional": {"ell": 0.1, "mu": mu}}
+        out = tmp_path / f"mu{mu:g}"
+        assert main_printing_warnings(["steady", "--config", str(write_config(tmp_path, cfg)),
+                                       "--out", str(out)]) == 0
+        assert "Warning" not in capsys.readouterr().err
+        states = json.loads((out / "report.json").read_text())["steady_states"]
+        spins[mu] = [s["lambda"] * mu for s in states]
+    assert len(spins[1.0]) == 1
+    for mu in (1e100, 1e200):
+        assert len(spins[mu]) == 1
+        assert spins[mu][0] == pytest.approx(spins[1.0][0], rel=2e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("block, key, value", [
     ("fluid", "ell", 1e-300),
     ("masses", "m", 1e300),
@@ -794,6 +814,24 @@ def test_fall_run_record(tmp_path, body, dynamics, record):
     stride = dynamics.get("stride", 1)
     assert got["n_samples"] == -(-record["steps"] // stride) + 1
     assert got["steady_detection"]["t_final"] == pytest.approx(record["steps"] * dynamics["dt"])
+
+
+def test_fall_report_records_frame_drift(tmp_path):
+    # 300 steps at Re = 0.5: Q is rebuilt and projected at a batch end, at
+    # every sample and at the last step; the report keeps the largest
+    # |Q^T Q - I| seen before a projection
+    cfg = base_config(body={"kind": "helix", "radius": 1.0, "pitch": 1.0, "turns": 2.0},
+                      fluid={"nondimensional": {"ell": 0.1, "re": 0.5}},
+                      discretization={"panels": 8, "order": 4},
+                      dynamics={"dt": 0.01, "t_end": 3.0, "stride": 50,
+                                "g_direction": [0.3, 0.2, 1.0]})
+    out = tmp_path / "out"
+    assert cli.main(["fall", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+    dynamics = json.loads((out / "report.json").read_text())["dynamics"]
+    assert dynamics["steps"] == 300
+    assert isinstance(dynamics["frame_drift"], float)
+    assert 0.0 <= dynamics["frame_drift"] <= 1e-12
 
 
 def far_ring(**overrides):

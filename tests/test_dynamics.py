@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from slenderfall import (CurveSpec, DynamicsParams, FallState, KernelParams,
                          MassProperties, detect_steady, discretize, integrate,
                          mass_properties, resistance_set, rhs, steady_states)
-from slenderfall.dynamics import (_derivative, _polar_factor, _state_mismatch,
+from slenderfall.dynamics import (_BATCH, _polar_factor, _state_mismatch,
                                   _target, max_stable_dt)
 from slenderfall.errors import InstabilityError, MassModelError
 
@@ -58,7 +58,8 @@ def test_ring_relaxation_closed_form(ring_R, ring_mp):
 
 
 def test_re_zero_freezes_frame(helix_R, helix_mp):
-    params = DynamicsParams(re=0.0, dt=0.01, t_end=0.5, stride=10)
+    # 300 steps: Q and c are rebuilt at a batch end and at the last step
+    params = DynamicsParams(re=0.0, dt=0.01, t_end=3.0, stride=10)
     traj = integrate(FallState.from_rest([0, 1.0, 0]), helix_R, helix_mp, params)
     for s in traj:
         assert np.array_equal(s.G, traj.states[0].G)
@@ -144,10 +145,29 @@ def test_final_balance_residual_is_the_load_imbalance(helix_R, helix_mp):
 
 
 def test_blow_up_detected(ring_R, ring_mp):
+    s0 = FallState.from_rest([0, 0, 1.0])
     params = DynamicsParams(re=0.0, dt=10.0, t_end=1000.0)
     with pytest.raises(InstabilityError) as exc:
-        integrate(FallState.from_rest([0, 0, 1.0]), ring_R, ring_mp, params)
-    assert exc.value.step is not None
+        integrate(s0, ring_R, ring_mp, params)
+    step = exc.value.step
+    assert step > 1
+    # the step before it still ends within the blow-up bound
+    last = integrate(s0, ring_R, ring_mp, DynamicsParams(re=0.0, dt=10.0,
+                                                         t_end=10.0 * (step - 1))).final
+    assert np.linalg.norm(last.pack()[:9]) <= 1e12
+
+
+@pytest.mark.parametrize("stride, step", [(10, 10), (10 ** 6, _BATCH)])
+def test_non_rotation_raises_at_its_first_projection(helix_R, helix_mp, stride, step):
+    # a reflection is never a rotation's polar factor: Q and c are rebuilt
+    # and Q projected at each sample and at each batch end, and the first of
+    # those names the step
+    s0 = FallState(t=0.0, xi=np.zeros(3), omega=np.zeros(3), G=np.array([0.0, 0.0, 1.0]),
+                   Q=-np.eye(3), c=np.zeros(3))
+    params = DynamicsParams(re=0.5, dt=0.01, t_end=3.0, stride=stride)
+    with pytest.raises(InstabilityError) as exc:
+        integrate(s0, helix_R, helix_mp, params)
+    assert exc.value.step == step
 
 
 def test_singular_inertia_with_torque_raises(ring_R, ring_mp):
@@ -336,22 +356,74 @@ def test_energy_identity_fourth_order():
     assert abs(d3) <= 1e-7 * mp.m_e
 
 
-def test_stage_derivative_matches_rhs(helix_R, helix_mp):
-    # deriv(y, k, c) forms the stage state y + c k itself, as the RK4 stage
-    # list comprehension did; rhs evaluates it at the stage state
-    R, mp, re = helix_R, helix_mp, 0.5
-    deriv = _derivative(R, mp, re)
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        G = rng.normal(size=3)
-        s = FallState(t=0.0, xi=rng.normal(size=3), omega=rng.normal(size=3),
-                      G=G / np.linalg.norm(G), Q=_random_rotation(rng),
-                      c=rng.normal(size=3))
-        y, k = s.pack().tolist(), rng.normal(size=21).tolist()
-        for c in (0.0025, 0.005, -0.3):
-            stage = FallState.unpack(0.0, np.array([a + c * b for a, b in zip(y, k)]))
-            assert np.array_equal(deriv(y, k, c), rhs(stage, R, mp, re))
-        assert np.array_equal(deriv(y, k, 0.0), rhs(s, R, mp, re))
+def _rk4_21(s0, R, mp, params):
+    # a plain RK4 on the 21 floats of rhs, G renormalized and Q replaced by
+    # its polar factor after every step, sampled as integrate samples
+    h = params.dt
+    n_steps = int(np.ceil((params.t_end - s0.t) / h - 1e-12))
+    y, t, out = s0.pack(), s0.t, [s0]
+    for step in range(1, n_steps + 1):
+        k1 = rhs(FallState.unpack(t, y), R, mp, params.re)
+        k2 = rhs(FallState.unpack(t, y + h / 2 * k1), R, mp, params.re)
+        k3 = rhs(FallState.unpack(t, y + h / 2 * k2), R, mp, params.re)
+        k4 = rhs(FallState.unpack(t, y + h * k3), R, mp, params.re)
+        y = y + h / 6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        y[6:9] = y[6:9] / math.hypot(*y[6:9])
+        y[9:18] = _polar_factor(y[9:18].tolist(), step)
+        if step % params.stride == 0 or step == n_steps:
+            out.append(FallState.unpack(t, y.copy()))
+    return out
+
+
+@pytest.mark.parametrize("start, steady_tol, halted", [
+    # from rest for 700 steps, not a whole number of batches
+    ("rest", 1e-6, False),
+    # 1e-3 off the steady fall, halting at a sample inside the second batch
+    ("near-steady", 3e-5, True),
+], ids=["from-rest", "steady-halt"])
+def test_integrate_matches_21_float_rk4(helix_R, helix_mp, start, steady_tol, halted):
+    R, mp = helix_R, helix_mp
+    states = steady_states(R, mp)
+    if start == "rest":
+        s0 = FallState.from_rest([0.3, 0.2, 1.0])
+    else:
+        s0 = FallState(t=0.0, xi=states[0].xi + 1e-3, omega=states[0].omega,
+                       G=states[0].g, Q=np.eye(3), c=np.zeros(3))
+    params = DynamicsParams(re=0.5, dt=0.01, t_end=7.0, stride=7, steady_tol=steady_tol)
+    traj = integrate(s0, R, mp, params, steady_states=states)
+    ref = _rk4_21(s0, R, mp, params)
+    steps = round(traj.final.t / params.dt)
+    assert traj.halted_steady == halted
+    assert steps % _BATCH != 0 and steps > _BATCH
+    if halted:
+        assert len(traj) < len(ref)
+    else:
+        assert len(traj) == len(ref)
+    for got, want in zip(traj, ref):
+        assert got.t == want.t
+        for name in ("xi", "omega", "G"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.abs(got.Q - want.Q).max() <= 1e-15
+        assert np.abs(got.c - want.c).max() <= 1e-15
+    # the frame did move
+    assert np.abs(traj.final.Q - np.eye(3)).max() > 1e-4
+    assert np.abs(traj.final.c).max() > 1e-2
+
+
+def test_signed_zeros_match_21_float_rk4(helix_R, helix_mp):
+    # at Re = 0, dG/dt = 0 (G x omega) is a zero carrying the sign of
+    # G x omega; here every stage's dG2/dt is -0.0, and G2 = -0.0 stays -0.0
+    # only if the stage sum starts from -0.0, as k1 + 2 k2 + 2 k3 + k4 does
+    s0 = FallState(t=0.0, xi=np.zeros(3), omega=np.array([-1.0, 0.0, 0.0]),
+                   G=np.array([0.6, -0.0, 0.8]), Q=np.eye(3), c=np.zeros(3))
+    params = DynamicsParams(re=0.0, dt=0.01, t_end=0.1)
+    traj = integrate(s0, helix_R, helix_mp, params)
+    ref = _rk4_21(s0, helix_R, helix_mp, params)
+    assert len(traj) == len(ref) == 11
+    for got, want in zip(traj, ref):
+        assert got.pack()[:9].tobytes() == want.pack()[:9].tobytes()
+    assert np.signbit(traj.final.G[1])
 
 
 def _numpy_family_target(G, steady, resistance, mass_props):

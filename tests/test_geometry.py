@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slenderfall import (CurveSpec, DiscreteBody, discretize, load_polyline_csv,
+from slenderfall import (CurveSpec, DiscreteBody, cli, discretize, load_polyline_csv,
                          mass_properties, validate_geometry)
 from slenderfall.errors import GeometryError
 
@@ -212,6 +212,22 @@ def test_gauss_rule_is_cached_read_only():
         with pytest.raises(ValueError):
             a[0] = 0.0
     assert np.array_equal(discretize(spec, panels=5, order=6).nodes, before)
+
+
+def test_segments_built_once_per_spec():
+    # parse_config counts nodes from the segments and discretize places them:
+    # both read the one tuple cached on the frozen spec
+    verts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 5.0]]
+    cfg = cli.parse_config({"body": {"kind": "polyline", "vertices": verts},
+                            "fluid": {"nondimensional": {"ell": 0.1}},
+                            "discretization": {"panels": 6, "order": 3}})
+    segs = vars(cfg.spec)["segments"]      # built by parse_config
+    assert isinstance(segs, tuple) and len(segs) == 3
+    body = discretize(cfg.spec, panels=6, order=3)
+    assert cfg.spec.segments is segs
+    # a fresh spec, its segments built anew, gives the same nodes
+    fresh = CurveSpec(kind="polyline", vertices=np.array(verts, float))
+    assert np.array_equal(discretize(fresh, panels=6, order=3).nodes, body.nodes)
 
 
 def test_segment_distance_known_cases():
