@@ -8,7 +8,7 @@ live in the co-moving frame, centered at the (mass-weighted) center of mass.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,6 +63,15 @@ class CurveSpec:
             if np.any(np.linalg.norm(seg, axis=1) == 0):
                 raise GeometryError("geometry.CurveSpec: zero-length polyline segment")
             _check_polyline_injective(v, self.closed)
+
+    def __eq__(self, other):
+        """Field by field, the polyline vertices by value: the generated
+        equality compares them with ==, an array whose truth is ambiguous."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   if f.name == "vertices" else getattr(self, f.name) == getattr(other, f.name)
+                   for f in fields(self))
 
     @functools.cached_property
     def segments(self):

@@ -78,42 +78,51 @@ reversal in one loop. In the panel frames the reversal is the constant
 involution flip_P (x) K, because R W_i R = W_i^T, and the matrix commutes
 with it. A vector of parity +-1 is held on its first N/2 nodes, where
 D^T G+- D acts, as ceil(P/2) panels in the eigenbasis of K (the middle
-panel of odd P completed by K and divided by sqrt 2): a component of K-eigenvalue kappa is then even
-about the body's middle when kappa is the parity and odd otherwise. The
-product applies the circulant of 2P blocks that embeds the matrix,
-generator T'(0), ..., T'(P - 1), 0, T'(P - 1)^T, ..., T'(1)^T. The
-2P-periodic extension of such a vector is symmetric about the middle, so
-e^{i theta (P-1)/2} times its Fourier transform is real in its even
-components and imaginary in its odd ones, and the P + 1 Hermitian
-3k x 3k symbols C become real ones, G^H C G with G = diag(1, i) on
-K-eigenvalues (1, -1). For even P that transform is a DCT-II of length P
-of the N/2 nodes after P/2 zero panels, and a DST-II for the odd
-components, both from one real FFT of length P (Makhoul, IEEE Trans.
-ASSP 1980); for odd P the symmetry centre is a panel and a real FFT of
-length 2P is taken. The odd vectors are held with their components of
-eigenvalue -1 negated, so that both parities take the same symbols. The
-preconditioner is T. Chan's optimal circulant of P blocks (SIAM J. Sci.
-Stat. Comput. 1988), generator ((P - delta) T'(delta) + delta T'(P -
-delta)^T) / P. It commutes with the reversal too: its P/2 + 1 real
-symbols (transforms of length P/2 for even P) are factored by Cholesky,
-once each, and for a closed body it is the matrix itself, whose product
-then needs no embedding. Each parity's right-hand sides U+- are reduced
-to an orthonormal basis of their rank (2 and 4 for the README helix),
-and block conjugate gradients (O'Leary, Linear Algebra Appl. 1980) solve
-for both bases at once: every step searches a block of directions P
-with step alpha = (P^T A P)^-1 P^T R, R the residuals, and the entries
-of these Gram matrices between columns of different parity, which
-belong to different matrices, are zero. The first block is an
-orthonormal basis of the preconditioned right-hand sides, and each next
-one of the preconditioned residuals made A-conjugate to P, beta =
--(P^T A P)^-1 (A P)^T Z; both are orthonormalized through their Gram
-matrix, which reveals their rank, so that residuals of which some
-combination has converged narrow the block instead of making P^T A P
-singular (Dubrulle, ETNA 2001; Ji & Li, BIT 2017). It stops when every
-original column's residual, sqrt(|r+_j|^2 + |r-_j|^2), is at most
-_PCG_RTOL of its right-hand side, sqrt(|U+_j|^2 + |U-_j|^2); a parity
-whose part is below half of that in every column stops earlier, and the
-other goes on alone (on the README helix the odd half converges first).
+panel of odd P completed by K and divided by sqrt 2): a component of
+K-eigenvalue kappa is then even about the body's middle when kappa is
+the parity and odd otherwise. A block of such vectors is held one vector
+a row, so that the block iteration updates and multiplies contiguous
+rows. The product applies the circulant of 2P blocks that embeds the
+matrix, generator T'(0), ..., T'(P - 1), 0, T'(P - 1)^T, ..., T'(1)^T.
+The 2P-periodic extension of such a vector is symmetric about the
+middle, so e^{i theta (P-1)/2} times its Fourier transform is real in
+its even components and imaginary in its odd ones, and the P + 1
+Hermitian 3k x 3k symbols C become real symmetric ones, G^H C G with
+G = diag(1, i) on K-eigenvalues (1, -1): the real part of C where the
+two eigenvalues of an entry agree, its imaginary part where they differ.
+Only the 3k(3k + 1)/2 entries on and above the diagonal are transformed.
+For even P the transform is a DCT-II of length P of the N/2 nodes after
+P/2 zero panels, and a DST-II for the odd components, both from one real
+FFT of length P (Makhoul, IEEE Trans. ASSP 1980), which gives the values
+at frequencies f and P - f together, in its real and imaginary parts
+once the DST is turned into the real part; for odd P the symmetry centre
+is a panel and a real FFT of length 2P is taken. The odd vectors are
+held with their components of eigenvalue -1 negated, so that both
+parities take the same symbols. The preconditioner is T. Chan's optimal
+circulant of P blocks (SIAM J. Sci. Stat. Comput. 1988), generator
+((P - delta) T'(delta) + delta T'(P - delta)^T) / P. It commutes with the
+reversal too: its P/2 + 1 real symbols (transforms of length P/2 for
+even P) are factored by Cholesky, once each, and for a closed body it is
+the matrix itself, whose product then needs no embedding. Each parity's
+right-hand sides U+- are reduced to an orthonormal basis of their rank
+(2 and 4 for the README helix), and block conjugate gradients (O'Leary,
+Linear Algebra Appl. 1980) solve for both bases at once: every step
+searches a block of directions P with step alpha = (P^T A P)^-1 P^T R, R
+the residuals, and the entries of these Gram matrices between columns of
+different parity, which belong to different matrices, are zero. The
+first block is an orthonormal basis of the preconditioned right-hand
+sides, and each next one of the preconditioned residuals made
+A-conjugate to P, beta = -(P^T A P)^-1 (A P)^T Z; both are
+orthonormalized through the Cholesky factor of their Gram matrix
+(Cholesky QR) when its every pivot is above the rounding, and otherwise
+through the pivoted factor, which reveals their rank, so that residuals
+of which some combination has converged narrow the block instead of
+making P^T A P singular (Dubrulle, ETNA 2001; Ji & Li, BIT 2017). It
+stops when every original column's residual, sqrt(|r+_j|^2 +
+|r-_j|^2), is at most _PCG_RTOL of its right-hand side, sqrt(|U+_j|^2 +
+|U-_j|^2); a parity whose part is below half of that in every column
+stops earlier, and the other goes on alone (on the README helix the odd
+half converges first, at iteration 13 of 17).
 Its memory grows like N.
 
 So there are three paths, and one selector in resistance_set. A body
@@ -150,9 +159,13 @@ _SYMMETRY_RTOL = 1e-12
 _STRIP_TEMPORARIES = 21
 # N_x, the least node count at which an open panel-periodic body is solved
 # by block-Toeplitz PCG, not on the two dense blocks (closed bodies take PCG
-# at every N). The folded PCG breaks even between 240 and 360 nodes on rods
-# and helices at ell 0.1; 600 stays until the break-even at ell up to 1 is
-# measured
+# at every N). resistance_set with N_x forced to 0, median of 9, order 6:
+# PCG breaks even between 240 and 360 nodes on rods at ell 0.1 to 1 and on
+# helices at ell 0.1 and 0.3, and between 360 and 480 on helices at ell 1
+# (4.0 / 5.0 ms at N = 240 and 7.2 / 5.6 ms at 360 for the helix at ell
+# 0.1, 7.0 / 8.4 ms at 360 and 12.1 / 10.1 ms at 480 at ell 1). Lowering
+# it moves sweep-small's helices and rods of N 360 to 400, so it is a
+# change of its own
 _TOEPLITZ_MIN_NODES = 600
 # PCG stops when every column's relative residual is at most _PCG_RTOL; at
 # _PCG_MAX_ITER iterations, four times the 13 to 25 measured on rods and
@@ -572,7 +585,7 @@ def _halves(U3, panels):
     eigenframe of the reversal."""
     h = len(U3) // 2
     near, far = U3[:h], panels.eps[:, None] * U3[h:][::-1]
-    return [_into_panels(near + sign * far, panels) for sign in (1.0, -1.0)]
+    return [_into_panels(near + far, panels), _into_panels(near - far, panels)]
 
 
 def _unfold(plus, minus, panels):
@@ -617,9 +630,10 @@ class _Fold:
     """Vectors of one parity under the reversal J of a panel-periodic body,
     held on its first N/2 nodes, and their products with the block
     Toeplitz and block circulant matrices of the panel frames that commute
-    with J (module docstring). A vector is held as h = ceil(P/2) panels in
-    the eigenbasis V of K, with the rows of eigenvalue -1 negated when it
-    is odd, so that both parities take the same real symbols."""
+    with J (module docstring). A block of w vectors is held as a (w, h b)
+    array, one vector a row: h = ceil(P/2) panels in the eigenbasis V of
+    K, with the entries of eigenvalue -1 negated when the vector is odd,
+    so that both parities take the same real symbols."""
 
     def __init__(self, panels, n):
         k, P = panels.k, len(panels.W)
@@ -638,22 +652,36 @@ class _Fold:
         self.V = (F[:, None, :, None] * V3[:, None]).reshape(3 * k, 3 * k)[:, order]
         self.kappa, self.odd = kappa[order], np.count_nonzero(kappa < 0.0)
         self.k, self.P, self.n, self.h = k, P, n, (P + 1) // 2
+        self.upper, self.lower, self.real, self.entry = _held_entries(3 * k, self.odd)
+        self._plans = {}   # (L, side) -> the factors and work arrays of apply
+        self._work = np.empty(0), np.empty((2, 0), complex)
 
     def symbols(self, generator):
         """The real symbols of the block circulant whose first block column
-        is `generator`, in K's eigenbasis: G^H C G for its complex symbols
-        C, G = diag(1 where K's eigenvalue is 1, i where it is -1)."""
-        n, b, _ = generator.shape
-        C = np.fft.rfft(generator.reshape(n, -1), axis=0).reshape(-1, b, b)
-        M, o = np.empty(C.shape), self.odd
-        M[:, :o, :o], M[:, o:, o:] = C.real[:, :o, :o], C.real[:, o:, o:]
-        M[:, :o, o:] = C.imag[:, :o, o:]
-        np.negative(C.imag[:, o:, :o], out=M[:, o:, :o])
-        return M
+        has the held entries `generator` (entries, blocks), in K's
+        eigenbasis, as apply reads them: G^H C G for its complex symbols C
+        at frequencies g = 0 to L, G = diag(1 where K's eigenvalue is 1, i
+        where it is -1), the real part of C where the two eigenvalues of an
+        entry agree and its imaginary part where they do not. For even P
+        these are the pairs (M_f, kappa M_{L-f} kappa), f = 0 to L/2, since
+        one real FFT gives the values at f and L - f together, in its real
+        and imaginary parts."""
+        C, r, b = np.fft.rfft(generator, axis=-1), self.real, 3 * self.k
+        if self.P % 2:
+            parts = ((C, 1.0),)
+        else:
+            F = (C.shape[1] - 1) // 2
+            parts = (C[:, :F + 1], 1.0), (C[:, C.shape[1] - 1 - F:][:, ::-1], -1.0)
+        held = np.empty((len(parts), parts[0][0].shape[1], len(C)))
+        for m, (c, flip) in zip(held, parts):
+            m[:, :r] = c[:r].real.T
+            np.multiply(c[r:].imag.T, flip, out=m[:, r:])
+        M = held.take(self.entry, axis=-1).reshape(held.shape[:2] + (b, b))
+        return M[0] if self.P % 2 else M
 
     def to_rep(self, x, parity):
         """The (N/2, 3, w) array x of the first N/2 nodes in the panel
-        frames, of this parity, as held (h b, w)."""
+        frames, of this parity, as held (w, h b)."""
         h, k, w = self.h, self.k, x.shape[-1]
         x = np.concatenate([x, np.zeros((h * k - len(x), 3, w))])   # odd P: middle panel
         y = self.V.T @ x.reshape(h, 3 * k, w)
@@ -661,90 +689,143 @@ class _Fold:
             y[-1] *= math.sqrt(2.0) * (self.kappa == parity)[:, None]
         if parity < 0:
             y *= self.kappa[:, None]
-        return y.reshape(-1, w)
+        return y.transpose(2, 0, 1).reshape(w, -1)
 
     def from_rep(self, y, parity):
         """The inverse of to_rep."""
-        w = y.shape[-1]
-        y = y.reshape(self.h, 3 * self.k, w) * (self.kappa[:, None] if parity < 0 else 1.0)
+        w = len(y)
+        y = y.reshape(w, self.h, 3 * self.k).transpose(1, 2, 0) * (
+            self.kappa[:, None] if parity < 0 else 1.0)
         if self.P % 2:
             y[-1] *= math.sqrt(2.0)
         return (self.V @ y).reshape(-1, 3, w)[:self.n]
 
     def apply(self, symbols, x, side, embedded):
-        """The first N/2 nodes of C v, v the whole vector of which the held
-        (h b, w) array x gives the first N/2 nodes, column j of parity
+        """The first N/2 nodes of C v, v the whole vector of which row j of
+        the held (w, h b) array x gives the first N/2 nodes, of parity
         side[j], and C the block Toeplitz matrix (embedded=True, symbols of
         its circulant embedding of 2P blocks) or the block circulant of P
-        blocks with these symbols."""
-        P, h, w = self.P, self.h, x.shape[-1]
-        sign = self.kappa[:, None] * side   # +1 where v is even about the middle
+        blocks, with symbols as `symbols` makes them."""
+        P, h, w = self.P, self.h, len(x)
+        x = x.reshape(w, h, -1)
         if P % 2 == 0:
-            y = self._dct(symbols, x.reshape(h, -1), sign, P if embedded else h)
+            y = self._dct(symbols, x, side, P if embedded else h)
         else:
-            y = self._dft(symbols, x.reshape(h, -1, w), sign, 2 * P if embedded else P)
-        return y.reshape(-1, w)
+            y = self._dft(symbols, x, side, 2 * P if embedded else P)
+        return y.reshape(w, -1)
 
-    def _dct(self, symbols, x, sign, L):
+    def _plan(self, L, side):
+        """The factors of apply at length L for rows of these parities
+        (_factors) and its work arrays: the window (L, w, b) and two
+        spectra (L/2 + 1, w, b), views of arrays made for the longest
+        length and grown with w. One apply runs at a time, and none returns
+        a view of them."""
+        key = (L, side.tobytes())
+        if key not in self._plans:
+            even = side[:, None] * self.kappa > 0.0
+            n, longest = even.size, self.P * (1 + self.P % 2)   # 2P for odd P
+            if self._work[0].size < longest * n:
+                self._work = np.empty(longest * n), np.empty((2, (longest // 2 + 1) * n), complex)
+            window, spectra = self._work
+            self._plans[key] = (*_factors(self.P, L, even.shape, even.tobytes()),
+                                window[:L * n].reshape((L,) + even.shape),
+                                *(s[:(L // 2 + 1) * n].reshape((-1,) + even.shape)
+                                  for s in spectra))
+        return self._plans[key]
+
+    def _dct(self, symbols, x, side, L):
         """apply for even P, through a DCT-II/DST-II of length L (Makhoul)
         of the window of L panels that ends with x after zeros: the whole
         vector, periodic with 2L panels, is half-sample symmetric (sign 1)
-        or antisymmetric (sign -1) about the window's start."""
-        dst, tw, fwd, inv, nyquist = _dct_plan(L, self.h, sign.shape, (sign > 0.0).tobytes())
-        sign = sign.ravel()             # x is (h, b w), panels by entries
-        r = np.zeros((L, x.shape[1]))
-        r[dst] = x                      # Makhoul's order: even panels, then odd reversed
-        r[(L + 1) // 2:] *= sign        # (-1)^m turns the DST into a DCT
-        t = np.fft.rfft(r, axis=0)
+        or antisymmetric (sign -1) about the window's start. Makhoul's
+        order puts the window's even panels first and its odd panels after
+        them, reversed and times (-1)^m, which turns the DST into a DCT;
+        the window after zeros is held shifted to the buffer's start, so
+        that its first panels are those of x of the parity of h. The
+        transform at f <= L/2 then holds the values at f in its real part
+        and, up to signs in the symbols, those at L - f in its imaginary
+        part."""
+        sign, tw, twc, r, t, y = self._plan(L, side)
+        h, (m, w, b) = self.h, sign.shape
+        a, c = h - m, h % 2 if L > h else 0
+        r[:a] = x[:, c::2].transpose(1, 0, 2)
+        np.multiply(x[:, 1 - c::2][:, ::-1].transpose(1, 0, 2), sign, out=r[a:h])
+        r[h:] = 0.0
+        np.fft.rfft(r, axis=0, out=t)
         t *= tw
-        v = symbols @ t.view(float).ravel().take(fwd)
-        t = v.ravel().take(inv).view(complex)[..., 0]
-        if L % 2 == 0:   # t_{L/2} = (1 - i) v_{L/2} for an even entry
-            t[-1] = nyquist * v[L // 2].ravel()
-        t *= tw.conj()   # the inverse of Makhoul's steps
-        r = np.fft.irfft(t, n=L, axis=0)
-        r[(L + 1) // 2:] *= sign
-        return r[dst]
+        np.matmul(t.real, symbols[0], out=y.real)
+        np.matmul(t.imag, symbols[1], out=y.imag)
+        y *= twc
+        np.fft.irfft(y, n=L, axis=0, out=r)
+        r[a:h] *= sign
+        out = np.empty((w, h, b))
+        out[:, c::2] = r[:a].transpose(1, 0, 2)
+        out[:, 1 - c::2] = r[a:h][::-1].transpose(1, 0, 2)
+        return out
 
-    def _dft(self, symbols, x, sign, L):
+    def _dft(self, symbols, x, side, L):
         """apply for odd P, through real FFTs of length L of the whole
         vector: e^{i pi f (P-1) / L} times its transform is real for even
         entries and imaginary for odd ones."""
+        sign, fwd, inv, z, t, u = self._plan(L, side)
         P, h = self.P, self.h
-        z = np.empty((P,) + x.shape[1:])
-        z[:h] = x
-        z[h:] = (sign * x[:P - h])[::-1]
+        z[:h] = x.transpose(1, 0, 2)
+        np.multiply(x[:, P - h - 1::-1].transpose(1, 0, 2), sign, out=z[h:P])
         z[h - 1] *= math.sqrt(2.0)
-        phase = np.exp(1j * np.pi * (P - 1) / L * np.arange(L // 2 + 1))[:, None, None]
-        u = symbols @ (np.fft.rfft(z, n=L, axis=0) * (phase * (1.0 - 1.0j))).real
-        y = np.fft.irfft(u * np.where(sign > 0.0, 1.0, 1.0j) * phase.conj(), n=L,
-                         axis=0)[:h]
-        y[-1] /= math.sqrt(2.0)
+        z[P:] = 0.0
+        np.fft.rfft(z, axis=0, out=t)
+        t *= fwd
+        np.matmul(t.real, symbols, out=u.real)
+        np.multiply(u.real, inv, out=t)
+        y = np.fft.irfft(t, n=L, axis=0, out=z)[:h].transpose(1, 0, 2).copy()
+        y[:, -1] /= math.sqrt(2.0)
         return y
 
 
 @functools.lru_cache(maxsize=4)   # both lengths, before and after a parity stops
-def _dct_plan(L, h, shape, even):
-    """Makhoul's order of the window's last h panels, the twiddles
-    e^{-i pi f / 2L}, and the flat indices that read the real values
-    at frequencies 0 to L from t, f <= L/2, and back: an even entry is
-    Re t_f at f and -Im t_f at L - f (its DCT), an odd one Im t_f at f and
-    -Re t_f at L - f (minus its DST); the values above L/2 are held
-    negated."""
-    F, even = L // 2, np.frombuffer(even, dtype=bool).reshape(shape)
-    order = np.r_[np.arange(0, L, 2), np.arange(L - 1 - L % 2, 0, -2)]
-    dst = np.argsort(order)[L - h:]
-    tw = np.exp(-0.5j * np.pi * np.arange(F + 1) / L)[:, None]
-    b, w = even.shape
-    entry = np.arange(b * w).reshape(b, w)
-    g = np.arange(L + 1)[:, None, None]
-    f = np.where(g <= F, g, L - g)
-    fwd = 2 * (f * b * w + entry) + ((g > F) ^ ~even)
-    f = np.arange(F + 1)[:, None, None, None]
-    own = (np.arange(2) == 0) == even[..., None]   # Re of even, Im of odd
-    inv = np.where(own | (L - f <= F), f, L - f) * b * w + entry[..., None]
-    return (dst, tw, fwd, inv.reshape(F + 1, b * w, 2),
-            np.where(even, 1.0 - 1.0j, -1.0 + 1.0j).ravel())
+def _factors(P, L, shape, even):
+    """The read-only factors of _Fold.apply at length L for P panels and
+    rows whose entries are even about the middle where the boolean array
+    `even` (of this shape, as bytes) is set: sign (1 there, -1 elsewhere)
+    on the panels it multiplies, and the complex factors of the
+    transforms. Kept for the next body of the same P: made afresh, they
+    cost their own time and the page faults of new memory."""
+    sign = np.where(np.frombuffer(even, dtype=bool).reshape(shape), 1.0, -1.0)
+    f, h = np.arange(L // 2 + 1)[:, None, None], (P + 1) // 2
+    if P % 2:
+        phase = np.exp(1j * np.pi * (P - 1) / L * f)
+        factors = (np.broadcast_to(sign, (P - h,) + shape).copy(),
+                   np.broadcast_to(phase * (1.0 - 1.0j), f.shape[:1] + shape).copy(),
+                   np.where(sign > 0.0, 1.0, 1.0j) * phase.conj())
+    else:
+        # Makhoul's twiddles e^{-i pi f / 2L}, times -i for an odd entry (its
+        # DST into the real part) and, for the window of x after h zero
+        # panels, by the shift of the window to the buffer's start
+        shift = (h + 1) // 2 if L > h else 0
+        tw = np.exp(-1j * np.pi * f * (0.5 + 2 * shift) / L) * np.where(sign > 0.0, 1.0, -1.0j)
+        factors = (np.broadcast_to(sign, (h - h // 2 if L > h else h // 2,) + shape).copy(),
+                   tw, tw.conj())
+    for a in factors:
+        a.flags.writeable = False
+    return factors
+
+
+@functools.lru_cache(maxsize=None)   # a few pairs (3k, odd) per run
+def _held_entries(b, odd):
+    """The entries (e, e'), e <= e', of a b x b block that the symmetric
+    real symbols of _Fold hold, those whose symbol is a real part first
+    (both K-eigenvalues -1, e' < odd, or both 1, e >= odd): their flat
+    positions in a block and in its transpose, the count of real parts, and
+    the held entry of each flat position, as read-only arrays."""
+    e, f = np.triu_indices(b)
+    imaginary = (e < odd) & (f >= odd)
+    order = np.argsort(imaginary, kind="stable")
+    upper, lower = (e * b + f)[order], (f * b + e)[order]
+    entry = np.empty(b * b, dtype=np.intp)
+    entry[upper] = entry[lower] = np.arange(len(e))
+    for a in (upper, lower, entry):
+        a.flags.writeable = False
+    return upper, lower, len(e) - int(np.count_nonzero(imaginary)), entry
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -756,20 +837,27 @@ def _operators(T, panels, closed):
     needs the embedding of 2P blocks (an open body)."""
     P, b = len(T), 3 * panels.k
     fold = _Fold(panels, P * panels.k // 2)
-    T = fold.V.T @ T.reshape(P, b, b) @ fold.V   # T'(delta) in K's eigenbasis
-    back = T[:0:-1].transpose(0, 2, 1)                      # T'(P - delta)^T, delta >= 1
-    delta = np.arange(P)[:, None, None] / P
-    chan = (1.0 - delta) * T                                # Chan's generator
-    chan[1:] += delta[1:] * back
-    chan = fold.symbols(chan)
+    R = (fold.V.T @ T.reshape(P, b, b) @ fold.V).reshape(P, -1)   # T'(delta) in K's eigenbasis
+    # the held entries of the generator of the circulant of 2P blocks that
+    # embeds the matrix, T'(0), ..., T'(P - 1), 0, T'(P - 1)^T, ..., T'(1)^T
+    G = np.empty((len(fold.upper), 2 * P))
+    G[:, :P] = R[:, fold.upper].T
+    G[:, P] = 0.0
+    G[:, P + 1:] = R[P - 1:0:-1, fold.lower].T
+    del R
     # a closed body's matrix is its own circulant of P blocks, which Chan's
     # preconditioner is; an open one's is embedded in a circulant of 2P
-    embedded, product = not closed, chan
-    if embedded:
-        T = np.concatenate((T, np.zeros((1, b, b)), back))
-        del back
-        product = fold.symbols(T)
-    del T
+    embedded = not closed
+    product = fold.symbols(G) if embedded else None
+    # Chan's generator ((P - delta) T'(delta) + delta T'(P - delta)^T) / P, in place
+    delta = np.arange(P) / P
+    G[:, :P] *= 1.0 - delta
+    G[:, P:] *= delta
+    G[:, :P] += G[:, P:]
+    chan = fold.symbols(G[:, :P])
+    del G
+    if closed:
+        product = chan
     if not (np.isfinite(product).all() and np.isfinite(chan).all()):
         raise SolverError("mobility: block-Toeplitz symbols have non-finite entries")
     try:
@@ -777,13 +865,15 @@ def _operators(T, panels, closed):
     except np.linalg.LinAlgError:
         raise SolverError("mobility: a symbol of the circulant preconditioner "
                           "is not positive definite")
-    # numpy has no batched triangular solve: each factor is inverted once
-    Li = np.stack([lapack.dtrtri(f, lower=1)[0] for f in L])
-    inverse = Li.transpose(0, 2, 1) @ Li
+    # numpy has no batched triangular solve: each factor is inverted once,
+    # in place, as the upper triangle of its transpose
+    for f in L.reshape(-1, b, b):
+        lapack.dtrtri(f.T, overwrite_c=1)
+    inverse = np.matmul(np.swapaxes(L, -1, -2), L, out=None if closed else chan)
     # the block iteration does not see the preconditioner's scale; at unit
     # scale the Gram matrices of _orthonormal neither underflow nor overflow
     # at extreme mu or ell
-    inverse /= np.abs(inverse).max()
+    inverse /= max(inverse.max(), -inverse.min())
     return fold, product, inverse, embedded
 
 
@@ -796,81 +886,97 @@ def _toeplitz_pcg(T, panels, U3, closed):
     iteration cap. U3 (N, 3, 6) holds the six rigid motions."""
     fold, product, inverse, embedded = _operators(T, panels, closed)
     plus, minus = _halves(U3, panels)
-    U = np.concatenate([fold.to_rep(plus, 1.0), fold.to_rep(minus, -1.0)], axis=1)
-    unorm = (U * U).sum(axis=0)
+    U = np.concatenate([fold.to_rep(plus, 1.0), fold.to_rep(minus, -1.0)])
+    unorm = (U * U).sum(axis=1)
     unorm = unorm[:6] + unorm[6:]
     cols = np.flatnonzero(unorm)   # a zero column (a straight body's axial spin) stays zero
-    sides = np.repeat([1.0, -1.0], 6)   # the parities of U's columns
+    sides = np.repeat([1.0, -1.0], 6)   # the parities of U's rows
     B, side = _orthonormal(U, sides, np.tile(np.sqrt(unorm), 2))
-    C = (B.T @ U) * (side[:, None] == sides)   # U = B C, parity by parity
-    # block PCG (module docstring) for the basis columns B, both parities
-    # at once: psi their nodal point forces, r their residuals, p the
-    # orthonormal search block, and the Gram matrices of columns of
+    C = (B @ U.T) * (side[:, None] == sides)   # U = C^T B, parity by parity
+    # block PCG (module docstring) for the basis rows B, both parities at
+    # once: psi their nodal point forces, r their residuals, p the
+    # orthonormal search block, and the Gram matrices of vectors of
     # different parity, which have no meaning, masked out. A parity whose
     # part of every column's residual is below half the tolerance stops,
-    # and the other goes on alone: `live` are the columns still solved
+    # and the other goes on alone: `live` are the rows still solved
     psi, r = np.zeros_like(B), B.copy()
-    rr, w, even = side[:, None] == side, len(side), int(np.count_nonzero(side > 0))
-    live = slice(0, w)
+    w, even = len(side), int(np.count_nonzero(side > 0))
+    live, stops = slice(0, w), [None, None]
     p, pside = _orthonormal(fold.apply(inverse, r, side, False), side)
     for it in range(1, _PCG_MAX_ITER + 1):
         q = fold.apply(product, p, pside, embedded)
-        c = _gram_factor((p.T @ q) * (pside[:, None] == pside))
-        alpha = lapack.dpotrs(c, (p.T @ r[:, live]) * (pside[:, None] == side[live]),
-                              lower=1)[0]
-        psi[:, live] += p @ alpha
-        r[:, live] -= q @ alpha
+        c = _gram_factor((p @ q.T) * (pside[:, None] == pside))
+        alpha = lapack.dpotrs(c, (p @ r[live].T) * (pside[:, None] == side[live]),
+                              lower=1)[0].T
+        psi[live] += alpha @ p
+        r[live] -= alpha @ q
         # each parity's part of the residual of each original column j,
         # |r+ C+_j|^2 and |r- C-_j|^2, over |U+_j|^2 + |U-_j|^2
-        d = ((((r.T @ r) * rr) @ C) * C).sum(axis=0).reshape(2, 6)[:, cols] / unorm[cols]
+        d = ((_gram(r) @ C) * C).sum(axis=0).reshape(2, 6)[:, cols] / unorm[cols]
         residual = np.sqrt(d.sum(axis=0))
         if residual.max() <= _PCG_RTOL:
+            stops = [it if stop is None else stop for stop in stops]
             break
-        for part, rest in zip(d, (slice(even, w), slice(0, even))):
+        for j, (part, rest) in enumerate(zip(d, (slice(even, w), slice(0, even)))):
             if part.max() <= 0.25 * _PCG_RTOL ** 2 and live != rest:
-                live, keep = rest, pside == side[rest.start]
-                p, q, pside, c = p[:, keep], q[:, keep], pside[keep], c[np.ix_(keep, keep)]
-        z = fold.apply(inverse, r[:, live], side[live], False)
-        beta = lapack.dpotrs(c, (q.T @ z) * (pside[:, None] == side[live]), lower=1)[0]
-        p, pside = _orthonormal(z - p @ beta, side[live])
+                live, keep, stops[j] = rest, pside == side[rest.start], it
+                p, q, pside, c = p[keep], q[keep], pside[keep], c[np.ix_(keep, keep)]
+        z = fold.apply(inverse, r[live], side[live], False)
+        beta = lapack.dpotrs(c, (q @ z.T) * (pside[:, None] == side[live]), lower=1)[0]
+        p, pside = _orthonormal(z - beta.T @ p, side[live])
     solver = {"path": "toeplitz-pcg", "iterations": it,
               "residual": float(residual.max()), "fallback": None,
-              "widths": [even, w - even]}
+              "widths": [even, w - even], "parity_iterations": stops}
     if not residual.max() <= _PCG_RTOL:
         solver.update(path="cholesky", fallback=f"block-Toeplitz PCG stopped at its "
                                                 f"cap of {_PCG_MAX_ITER} iterations")
         return None, None, solver
-    psi = psi @ C
-    A6 = 0.5 * (U[:, :6].T @ psi[:, :6] + U[:, 6:].T @ psi[:, 6:])
-    plus, minus = fold.from_rep(psi[:, :6], 1.0), fold.from_rep(psi[:, 6:], -1.0)
+    psi = C.T @ psi
+    A6 = 0.5 * (U[:6] @ psi[:6].T + U[6:] @ psi[6:].T)
+    plus, minus = fold.from_rep(psi[:6], 1.0), fold.from_rep(psi[6:], -1.0)
     return A6, _unfold(plus, minus, panels), solver
 
 
 def _orthonormal(W, side, scale=None):
-    """An orthonormal basis of the span of the columns of W, W D^-1 E U^-1,
-    parity by parity, and the parity of each basis column, the even ones
-    first: column j of W has parity side[j], and the Gram matrix of W is
-    taken with its entries between columns of different parity zeroed. D
-    is `scale`, by default the column norms, and E U^-1 comes from the
-    pivoted Cholesky factor of that Gram matrix scaled by D on both sides,
-    E^T D^-1 W^T W D^-1 E = U^T U (dpstrf). Directions whose pivot is
-    within the rounding of that Gram matrix are left out, so that
-    dependent columns give a narrower basis (rank-revealing), while
-    columns that are merely small stay; with `scale`, columns small beside
-    it go too. The factor keeps exact zeros: columns of disjoint support,
-    such as the in- and out-of-plane motions of a planar body, or of
-    different parity, are not mixed. W itself when W^T W is not finite."""
-    S = (W.T @ W) * (side[:, None] == side)
+    """An orthonormal basis of the span of the rows of W, U^-T E^T D^-1 W,
+    parity by parity, and the parity of each basis row, the even ones
+    first: row j of W has parity side[j], the even rows first, and the Gram
+    matrix W W^T is taken with its entries between rows of different
+    parity zeroed. D is `scale`, by default the row norms, and U comes from
+    the Cholesky factor of that Gram matrix scaled by D on both sides,
+    E^T D^-1 W W^T D^-1 E = U^T U: the plain factor (E = I, Cholesky QR)
+    when its every pivot is above the rounding of that Gram matrix, and
+    otherwise the pivoted one (dpstrf). There, directions whose pivot is
+    within the rounding are left out, so that dependent rows give a
+    narrower basis (rank-revealing), while rows that are merely small
+    stay; with `scale`, rows small beside it go too. The factor keeps exact
+    zeros: rows of disjoint support, such as the in- and out-of-plane
+    motions of a planar body, or of different parity, are not mixed. W
+    itself when W W^T is not finite."""
+    S = _gram(W)
+    S *= side[:, None] == side
     if not np.isfinite(S).all():
         return W, side
     d = np.sqrt(S.diagonal()) if scale is None else scale.copy()
     d[d == 0.0] = 1.0
-    U, piv, rank, _ = lapack.dpstrf(S / np.outer(d, d), tol=len(W) * np.finfo(float).eps)
+    S /= np.outer(d, d)
+    tol = W.shape[1] * np.finfo(float).eps
+    U, info = lapack.dpotrf(S)
+    if info == 0 and U.diagonal().min() ** 2 > tol:   # every pivot above the rounding
+        return (lapack.dtrtri(U)[0] / d[:, None]).T @ W, side
+    U, piv, rank, _ = lapack.dpstrf(S, tol=tol)
     lead = piv[:rank] - 1
-    T = np.zeros((len(d), rank))
-    T[lead] = np.triu(lapack.dtrtri(U[:rank, :rank])[0]) / d[lead, None]   # U^-1
-    order = np.argsort(-side[lead], kind="stable")   # even columns first
-    return W @ T[:, order], side[lead][order]
+    T = np.zeros((rank, len(d)))
+    T[:, lead] = (np.triu(lapack.dtrtri(U[:rank, :rank])[0]) / d[lead, None]).T   # U^-T
+    order = np.argsort(-side[lead], kind="stable")   # even rows first
+    return T[order] @ W, side[lead][order]
+
+
+def _gram(W):
+    """W W^T, through the general product: OpenBLAS's symmetric rank-k
+    update, which numpy calls for W @ W.T, took 3 times as long for the
+    (6, 2304) blocks of block PCG."""
+    return W @ W.copy().T
 
 
 def _gram_factor(G):
@@ -903,7 +1009,7 @@ class ResistanceSet:
     grand: np.ndarray        # (6,6) symmetrized
     densities: np.ndarray    # (N,3,6) column j: density of unit motion j
     blocks: tuple            # orders of the factored diagonal blocks of G
-    solver: dict             # path, PCG iterations, residual and widths, fallback
+    solver: dict             # path, PCG iterations, residual, widths, parity stops, fallback
     asymmetry: float         # relative asymmetry before symmetrization
     min_separation: float    # smallest distance between two distinct nodes
     ell: float
@@ -959,8 +1065,9 @@ def resistance_set(body, params):
     lists the orders of the factored blocks, none on the PCG path, and
     `solver` records the path ("cholesky" or "toeplitz-pcg"), PCG's
     iterations and largest final relative column residual, the widths of
-    its even and odd blocks (the ranks of U+ and U-), and the reason for a
-    fallback from PCG to the two blocks.
+    its even and odd blocks (the ranks of U+ and U-), the iteration at
+    which each of the two stopped (None for one still running at the cap),
+    and the reason for a fallback from PCG to the two blocks.
 
     `min_separation` is the smallest distance between two distinct nodes,
     found by the assembly; on the panel-periodic paths it covers the pairs
@@ -974,7 +1081,7 @@ def resistance_set(body, params):
         frame = replace(body, nodes=(body.nodes - c) @ Q)
         panels = _panel_frames(frame, eps)
     solver = {"path": "cholesky", "iterations": 0, "residual": None, "fallback": None,
-              "widths": None}
+              "widths": None, "parity_iterations": None}
     if panels is None:
         packed, sep = assemble_system(body, params)
         A6, psi = _solve(packed, U)

@@ -162,11 +162,13 @@ def test_report_says_whether_the_body_is_panel_periodic(tmp_path, body, periodic
     assert solver["fallback"] is None
     if pcg:
         assert solver["iterations"] >= 1 and solver["residual"] <= 1e-14
-        # the ranks of the ring's even and odd right-hand sides
+        # the ranks of the ring's even and odd right-hand sides; the ring's
+        # preconditioner is its matrix, and both halves stop together
         assert solver["widths"] == [3, 3]
+        assert solver["parity_iterations"] == [solver["iterations"]] * 2
     else:
         assert solver["iterations"] == 0 and solver["residual"] is None
-        assert solver["widths"] is None
+        assert solver["widths"] is None and solver["parity_iterations"] is None
 
 
 def test_momentum_gate_names_the_torque_residual(tmp_path, capsys):
@@ -892,6 +894,22 @@ def test_cli_import_leaves_quadpack_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.stdout.split() == ["[]", "True"], proc.stderr
+
+
+def test_toeplitz_solve_leaves_scipy_fft_unloaded():
+    # the folded PCG builds its cosine transforms on numpy.fft: a ring's
+    # block-Toeplitz solve loads neither scipy.fft nor scipy.special, whose
+    # import would cost every run 77-134 ms of set-up
+    deferred = ("scipy.fft", "scipy.special")
+    code = ("import sys, slenderfall.cli; "
+            "from slenderfall import CurveSpec, KernelParams, discretize, resistance_set; "
+            "R = resistance_set(discretize(CurveSpec(kind='ring', radius=1.0), 12, 4), "
+            "KernelParams(ell=0.1)); "
+            f"print(R.solver['path'], [m for m in {deferred!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.stdout.split() == ["toeplitz-pcg", "[]"], proc.stderr
 
 
 @pytest.mark.parametrize("block, key, value, code", [

@@ -230,6 +230,26 @@ def test_segments_built_once_per_spec():
     assert np.array_equal(discretize(fresh, panels=6, order=3).nodes, body.nodes)
 
 
+def test_specs_compare_by_value():
+    # two parses of one polyline config are equal; other vertices or another
+    # `closed` are not, and no comparison raises; built-in shapes compare
+    # field by field as before
+    verts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 5.0]]
+    raw = {"body": {"kind": "polyline", "vertices": verts},
+           "fluid": {"nondimensional": {"ell": 0.1}},
+           "discretization": {"panels": 6, "order": 3}}
+    first, second = (cli.parse_config(raw).spec for _ in range(2))
+    assert first == second and not first != second
+    moved = CurveSpec(kind="polyline", vertices=np.array(verts) + [0.0, 0.0, 1.0])
+    closed = CurveSpec(kind="polyline", vertices=np.array(verts, float), closed=True)
+    assert first != moved and first != closed and closed != moved
+    assert CurveSpec(kind="rod", length=2.0) == CurveSpec(kind="rod", length=2.0)
+    assert CurveSpec(kind="ring", radius=1.0) != CurveSpec(kind="ring", radius=2.0)
+    helix = CurveSpec(kind="helix", radius=1.0, pitch=1.0, turns=2.0)
+    assert helix == CurveSpec(kind="helix", radius=1.0, pitch=1.0, turns=2.0)
+    assert helix != first and first != helix and helix != "helix"
+
+
 def test_segment_distance_known_cases():
     # the float rewrite of the self-intersection distance: crossing,
     # parallel, skew and end-to-end segment pairs

@@ -593,7 +593,7 @@ def test_block_pcg_on_dependent_and_zero_columns(monkeypatch, params):
     U3[..., 1] = U3[..., 0]
     bases.clear()
     A6, psi, solver = pcg(T, panels, U3, closed)
-    assert bases[0][0].shape[1] == 4 and solver["residual"] <= mobility._PCG_RTOL
+    assert bases[0][0].shape[0] == 4 and solver["residual"] <= mobility._PCG_RTOL
     columns = np.zeros_like(psi)
     for j in np.flatnonzero(~zero):
         one = np.zeros_like(U3)
@@ -766,11 +766,22 @@ def test_folded_product_matches_the_dense_blocks(name, params):
     fold, product, _, embedded = folded(frame, panels, params)
     assert embedded == (name != "ring")
     x = np.random.default_rng(3).normal(size=(frame.n_nodes // 2, 3, 4))
-    for parity, G in zip((1.0, -1.0), blocks):
-        ref = (G @ x.reshape(-1, 4)).reshape(x.shape)
+    refs = [(G @ x.reshape(-1, 4)).reshape(x.shape) for G in blocks]
+    for parity, ref in zip((1.0, -1.0), refs):
         got = fold.from_rep(fold.apply(product, fold.to_rep(x, parity),
                                        np.full(4, parity), embedded), parity)
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    # both parities in one block, as block PCG holds them, and one parity
+    # alone in a block of width 1, as after the other parity stopped
+    held = np.concatenate([fold.to_rep(x[..., :2], 1.0), fold.to_rep(x[..., 2:], -1.0)])
+    got = fold.apply(product, held, np.array([1.0, 1.0, -1.0, -1.0]), embedded)
+    for parity, rows, ref in zip((1.0, -1.0), (slice(0, 2), slice(2, 4)),
+                                 (refs[0][..., :2], refs[1][..., 2:])):
+        assert (np.linalg.norm(fold.from_rep(got[rows], parity) - ref)
+                <= 1e-13 * np.linalg.norm(ref))
+    got = fold.apply(product, fold.to_rep(x[..., 3:], -1.0), np.array([-1.0]), embedded)
+    assert (np.linalg.norm(fold.from_rep(got, -1.0) - refs[1][..., 3:])
+            <= 1e-13 * np.linalg.norm(refs[1][..., 3:]))
 
 
 def folded(frame, panels, params):
@@ -785,11 +796,43 @@ def test_folded_preconditioner_inverts_a_ring(params):
     # Chan's folded symbols, at unit scale, undoes the product to roundoff
     fold, product, inverse, embedded = folded(
         *periodic_frame(SYMMETRY_CASES["ring"][0]()), params)
-    x = np.random.default_rng(4).normal(size=(fold.h * 3 * fold.k, 4))
+    x = np.random.default_rng(4).normal(size=(4, fold.h * 3 * fold.k))
     for side in (np.ones(4), -np.ones(4), np.array([1.0, -1.0, 1.0, -1.0])):
         y = fold.apply(inverse, fold.apply(product, x, side, embedded), side, False)
         scale = (x * y).sum() / (x * x).sum()
         assert np.linalg.norm(y - scale * x) <= 1e-13 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("name", ["README-helix", "odd-P-rod"])
+def test_folded_preconditioner_inverts_chans_circulant(name, params):
+    # on an open body, Chan's preconditioner is the block circulant of P
+    # blocks with generator ((P - delta) T'(delta) + delta T'(P - delta)^T)
+    # / P in the panel frames; of even and of odd vectors, held on the first
+    # N/2 nodes, its folded inverse symbols give the dense inverse, up to
+    # the unit scale
+    frame, panels = periodic_frame(SYMMETRY_CASES[name][0]())
+    T, _ = mobility._panel_green(frame.nodes, panels.k, panels.W, params)
+    fold, _, inverse, embedded = mobility._operators(T, panels, frame.closed)
+    assert embedded
+    P, b = len(T), 3 * panels.k
+    T = T.reshape(P, b, b)
+    delta = np.arange(1, P)[:, None, None]
+    chan = np.concatenate([T[:1], ((P - delta) * T[1:] + delta * T[:0:-1].transpose(0, 2, 1)) / P])
+    i = np.arange(P)
+    C = chan[(i[:, None] - i) % P].transpose(0, 2, 1, 3).reshape(P * b, P * b)
+    # a vector of parity s has u_{N-1-p} = s W_{P-1}^T R u_p in the panel frames
+    n, N = frame.n_nodes // 2, frame.n_nodes
+    K3 = panels.W[-1].T * panels.eps
+    near = C.reshape(N, 3, N, 3)[:n, :, :n]
+    far = C.reshape(N, 3, N, 3)[:n, :, ::-1][:, :, :n] @ K3
+    x = np.random.default_rng(5).normal(size=(n, 3, 3))
+    for parity in (1.0, -1.0):
+        ref = np.linalg.solve((near + parity * far).reshape(3 * n, 3 * n),
+                              x.reshape(-1, 3)).reshape(x.shape)
+        got = fold.from_rep(fold.apply(inverse, fold.to_rep(x, parity), np.full(3, parity),
+                                       False), parity)
+        scale = (ref * got).sum() / (ref * ref).sum()
+        assert np.linalg.norm(got - scale * ref) <= 1e-13 * np.linalg.norm(got)
 
 
 @pytest.mark.parametrize("panels, order", [(64, 6), (15, 4), (100, 2)])
