@@ -235,9 +235,10 @@ def _parse_config(raw):
         raise ConfigError(f"cli.parse_config: bad body block: {exc}")
     except OSError as exc:
         raise ConfigError(f"cli.parse_config: cannot read the polyline CSV: {exc}")
-    # a rod, ring or helix is panel-periodic; a polyline is only in special
-    # cases (one edge, or one panel per edge of a regular polygon)
-    require_solvable(nodes, order, spec.kind != "polyline",
+    # a curve that records its symmetry (a rod, ring, helix or one-edge
+    # polyline) makes a panel-periodic body; every other polyline, a closed
+    # regular polygon included, is assembled in strips
+    require_solvable(nodes, order, spec.symmetry is not None,
                      f"cli.parse_config: {nodes} nodes")
 
     return RunConfig(spec=spec, ell=ell, re=re, mu=mu, m=m, m_c=m_c,

@@ -8,7 +8,7 @@ live in the co-moving frame, centered at the (mass-weighted) center of mass.
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -120,6 +120,43 @@ class CurveSpec:
     def is_closed(self):
         return self.kind == "ring" or (self.kind == "polyline" and self.closed)
 
+    @functools.cached_property
+    def symmetry(self):
+        """The curve's reversal and screw (Symmetry) in closed form, the
+        whole curve as one panel, or None. A rod or a one-edge polyline:
+        x -> -x along its line about its middle, no turn. A ring: y -> -y,
+        a turn of 2 pi about z. A helix: the half turn about its radial
+        axis at t = 1/2, at angle pi turns, and a turn of 2 pi turns about
+        z. Every other polyline has none."""
+        if self.kind == "ring":
+            return Symmetry(np.zeros(3), np.eye(3), np.array([1.0, -1.0, 1.0]), 2 * np.pi)
+        if self.kind == "helix":
+            a = np.pi * self.turns
+            Q = np.array([[np.cos(a), -np.sin(a), 0.0], [np.sin(a), np.cos(a), 0.0],
+                          [0.0, 0.0, 1.0]])
+            return Symmetry(np.array([0.0, 0.0, 0.5 * self.pitch * self.turns]), Q,
+                            np.array([1.0, -1.0, -1.0]), 2 * a)
+        if len(self.segments) > 1:
+            return None
+        point, _ = self.segments[0]
+        a, b = point(0.0), point(1.0)
+        Q = np.linalg.qr((b - a)[:, None], mode="complete")[0]   # Q e_1 = +-(b - a) / |b - a|
+        return Symmetry(0.5 * (a + b), Q, np.array([-1.0, 1.0, 1.0]), 0.0)
+
+
+@dataclass(frozen=True)
+class Symmetry:
+    """The reversal and the screw of a discretized curve, in closed form.
+    The reversal x -> c + R (x - c), R = Q diag(eps) Q^T, Q orthogonal and
+    eps signs, maps node p onto node N-1-p; the screw that maps each panel
+    onto the next turns by `angle` about Q's third axis (the panel frames
+    of mobility.resistance_set)."""
+
+    c: np.ndarray            # (3,) a fixed point of the reversal
+    Q: np.ndarray            # (3,3) the eigenframe of R
+    eps: np.ndarray          # (3,) the eigenvalues of R, +-1
+    angle: float             # the screw's turn per panel
+
 
 @dataclass(frozen=True)
 class DiscreteBody:
@@ -133,6 +170,7 @@ class DiscreteBody:
     order: int
     length: float            # total discrete arc length, sum of weights
     closed: bool = False     # the curve is a loop (ring, closed polyline)
+    symmetry: Optional[Symmetry] = None   # the curve's, for these nodes
 
     @property
     def n_nodes(self):
@@ -225,7 +263,8 @@ def discretize(spec, panels, order):
     ``panels`` is the total panel count; for polylines the panels are
     distributed over the edges proportionally to edge length, at least one
     per edge and never straddling a vertex. Nodes are re-centered so that
-    the discrete mass-weighted mean position is zero.
+    the discrete mass-weighted mean position is zero, and the curve's
+    symmetry (CurveSpec.symmetry) is moved with them and given per panel.
     """
     if panels < 1:
         raise GeometryError("geometry.discretize: panels must be >= 1")
@@ -254,14 +293,18 @@ def discretize(spec, panels, order):
         raise GeometryError("geometry.discretize: density profile must be positive")
 
     mass_w = w * rho
+    sym, P = spec.symmetry, int(np.sum(counts))
     with np.errstate(over="ignore", invalid="ignore"):
-        x = x - (mass_w[:, None] * x).sum(axis=0) / mass_w.sum()
+        shift = (mass_w[:, None] * x).sum(axis=0) / mass_w.sum()
+        x = x - shift
+        if sym is not None:
+            sym = replace(sym, c=sym.c - shift, angle=sym.angle / P)
     if not np.all(np.isfinite(x)):
         raise GeometryError("geometry.discretize: node coordinates overflow when "
                             "centered at the center of mass")
     return DiscreteBody(nodes=x, weights=w, arclength=s, density=rho,
-                        panels=int(np.sum(counts)), order=order,
-                        length=float(w.sum()), closed=spec.is_closed)
+                        panels=P, order=order, length=float(w.sum()),
+                        closed=spec.is_closed, symmetry=sym)
 
 
 def mass_properties(body, m_c=0.0):

@@ -31,12 +31,13 @@ motion z = (xi, omega) is Phi z.
 
 The Green tensor is isotropic, G(R d) = R G(d) R^T for every orthogonal R,
 and resistance_set uses that on the bodies geometry.discretize makes of
-rods, rings and helices. Two identities hold for them. First, reversing
-the node order and applying a symmetric orthogonal R, R^2 = I, maps the
-body onto itself: x_{N-1-p} - c = R (x_p - c). The Green matrix then
-commutes with that node map, and in the basis of its even and odd vectors
-it is block diagonal (Allgower, Boehmer, Georg & Miranda, SIAM J. Numer.
-Anal. 1992). For even N, the two diagonal blocks of order 3N/2 are
+rods, rings, helices and one-edge polylines. Two identities hold for
+them. First, reversing the node order and applying a symmetric
+orthogonal R, R^2 = I, maps the body onto itself: x_{N-1-p} - c =
+R (x_p - c). The Green matrix then commutes with that node map, and in
+the basis of its even and odd vectors it is block diagonal (Allgower,
+Boehmer, Georg & Miranda, SIAM J. Numer. Anal. 1992). For even N, the two
+diagonal blocks of order 3N/2 are
 
     G+-(p, q) = G(x_p - x_q) +- G(x_p - x_{N-1-q}) R,    p, q < N/2,
 
@@ -126,20 +127,20 @@ half converges first, at iteration 13 of 17).
 Its memory grows like N.
 
 So there are three paths, and one selector in resistance_set. A body
-whose reversal involution R exists (_reversal_symmetry) and whose
-eigenframe passes the screw fit with R reversing the screw (_panel_frames)
-is panel-periodic. If it is closed, or has at least N_x =
-_TOEPLITZ_MIN_NODES nodes, it is solved by block-Toeplitz PCG, and by the
-two blocks if PCG reaches its iteration cap; otherwise it is solved as two
-blocks, which is faster below N_x. Both read the one T' of the body. Every
-other body, a polyline, an odd-N body or a single panel, is assembled in
-strips and solved as one block.
+whose curve records its reversal and screw in closed form (a rod, ring,
+helix or one-edge polyline, geometry.Symmetry), and whose nodes that
+record fits (_panel_symmetry), is panel-periodic. If it is closed, or has
+at least N_x = _TOEPLITZ_MIN_NODES nodes, it is solved by block-Toeplitz
+PCG, and by the two blocks if PCG reaches its iteration cap; otherwise it
+is solved as two blocks, which is faster below N_x. Both read the one T'
+of the body. Every other body, any other polyline, an odd-N body or a
+single panel, is assembled in strips and solved as one block.
 """
 
 import functools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -448,42 +449,9 @@ def _rigid_motions(body):
     return U.reshape(-1, 6)
 
 
-def _reversal_symmetry(x):
-    """The eigenframe of the involution R with x_{N-1-p} - c = R (x_p - c)
-    for every node, c the node centroid, to _SYMMETRY_RTOL of the body's
-    extent: (c, Q, eps) with R = Q diag(eps) Q^T, Q orthogonal and eps
-    signs, so that the rotated nodes (x_p - c) Q of nodes N-1-p and p differ
-    by the factor eps per axis; None if N is odd or there is no such R.
-
-    With y_p = x_p - c, M = sum_p y_{N-1-p} y_p^T is symmetric (reversing
-    the sum transposes it), and the orthogonal R closest to mapping each
-    y_p onto y_{N-1-p} (Procrustes) is its polar factor Q sign(Lambda) Q^T,
-    from M = Q Lambda Q^T: symmetric, so R^2 = I. A null direction of M (a
-    straight or planar body) holds no node coordinate, and either sign maps
-    the nodes there; the sign of its roundoff eigenvalue picks one, +1 for
-    an exact zero.
-    """
-    n = x.shape[0]
-    if n % 2:
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):   # inf or NaN: no symmetry
-        c = x.mean(axis=0)
-        y = x - c
-        extent = np.abs(y).max()
-    if not 0.0 < extent < np.inf:
-        return None
-    y = y / extent
-    lam, Q = np.linalg.eigh(y[::-1].T @ y)
-    eps = np.where(lam < 0.0, -1.0, 1.0)
-    w = y @ Q
-    if np.linalg.norm(w[::-1] - w * eps, axis=1).max() > _SYMMETRY_RTOL:
-        return None
-    return c, Q, eps
-
-
 class _Panels:
     """The per-panel rotations W (P, 3, 3) of a panel-periodic body with k
-    nodes per panel and the signs eps of its reversal (_panel_frames)."""
+    nodes per panel and the signs eps of its reversal (_panel_symmetry)."""
 
     def __init__(self, W, k, eps):
         self.W, self.k, self.eps = W, k, eps
@@ -496,86 +464,50 @@ def _into_panels(v, panels, back=False):
     return (W if back else W.transpose(0, 2, 1)) @ v
 
 
-def _panel_frames(body, eps):
-    """_Panels of a body of two or more panels that are images of one
-    another under one screw motion S, x_{i+1,a} = S(x_{i,a}) for node
-    a < k of panel i, to _SYMMETRY_RTOL of the body's extent, a screw that
-    R reverses; None for any other body. The body is given in the
-    eigenframe of its reversal involution R = diag(eps).
-
-    S(y) = W_1 y + t is fitted by least squares over the N - k node pairs
-    x_{i,a} -> x_{i+1,a}: W_1 is the rotation whose quaternion is the top
-    eigenvector of Horn's symmetric 4 x 4 matrix of
-    sum (x_{i,a} - mean)(x_{i+1,a} - mean')^T (J. Opt. Soc. Am. A 1987);
-    W_1 = I when that eigenvalue is not simple, as for a straight body,
-    whose rotation about its own line is arbitrary. W_i is the rotation by
-    i phi about the axis n of W_1, and the body is accepted when every node
-    lies within the tolerance of S^i(x_{0,a}) = W_i x_{0,a} +
-    sum_{j<i} W_j t, and when R W_1 R = W_1^T, so that R reverses the
-    screw. For a thin helix the eigenvalue is nearly double, and the
-    eigenvector's angle can be off by up to 3e-8, which misses the nodes;
-    one Gauss-Newton step on the node residual then corrects W_1 to
-    roundoff (a linear least squares problem in the small rotation; t =
-    mean' - W_1 mean is the least squares translation for any W_1) before
-    the nodes are tried again.
-    """
-    k, P = body.order, body.panels
-    x = body.nodes
-    if P < 2 or P * k != x.shape[0]:
+def _panel_symmetry(body):
+    """The eigenframe Q of a panel-periodic body's reversal, its nodes in
+    that frame, (x - c) Q, and its _Panels, from the symmetry its curve
+    records (geometry.Symmetry); None when the body records none or the
+    record does not fit its nodes. It fits when N is even, P >= 2 and
+    P k = N, and when, to _SYMMETRY_RTOL of the body's extent:
+    - the reversal maps the nodes onto themselves in reverse order;
+    - the screw S(y) = W_1 y + t maps panel 0 onto every panel,
+      S^i(x_{0,a}) = W_i x_{0,a} + sum_{j<i} W_j t, with W_1 the turn by
+      the record's angle and t = mean' - W_1 mean the least squares shift
+      over the N - k node pairs x_{i,a} -> x_{i+1,a};
+    - R = diag(eps) reverses the screw, R W_1 R = W_1^T.
+    Nodes moved after discretize, as by dataclasses.replace, do not fit."""
+    sym, n, k, P = body.symmetry, body.n_nodes, body.order, body.panels
+    if sym is None or n % 2 or P < 2 or P * k != n:
         return None
-    with np.errstate(over="ignore", invalid="ignore"):   # inf or NaN: no period
-        y = x - x.mean(axis=0)
-        extent = np.abs(y).max()
+    with np.errstate(over="ignore", invalid="ignore"):   # inf or NaN: no symmetry
+        x = (body.nodes - sym.c) @ sym.Q
+        extent = np.abs(x).max()
     if not 0.0 < extent < np.inf:
         return None
-    y = (y / extent).reshape(P, k, 3)
-    a, b = y[:-1].reshape(-1, 3), y[1:].reshape(-1, 3)
-    a0, b0 = a.mean(axis=0), b.mean(axis=0)
-    (xx, xy, xz), (yx, yy, yz), (zx, zy, zz) = (a - a0).T @ (b - b0)
-    lam, V = np.linalg.eigh(np.array([
-        [xx + yy + zz, yz - zy, zx - xz, xy - yx],
-        [yz - zy, xx - yy - zz, xy + yx, zx + xz],
-        [zx - xz, xy + yx, yy - xx - zz, yz + zy],
-        [xy - yx, zx + xz, yz + zy, zz - xx - yy]]))
-    simple = lam[3] - lam[2] > _SYMMETRY_RTOL * lam[3] and np.any(V[1:, 3])
-    q = V[:, 3] if simple else np.eye(4)[0]   # W_1 = I
-    for refined in (False, True):
-        W = _rotations(q, P)
-        shift = np.cumsum(W[:-1] @ (b0 - W[1] @ a0), axis=0)   # sum_{j<i} W_j t
-        images = y[0] @ W.transpose(0, 2, 1)
-        images[1:] += shift[:, None]
-        if np.abs(images - y).max() <= _SYMMETRY_RTOL:
-            break
-        if refined or not simple:
-            return None
-        # one Gauss-Newton step on the node residual: turn W_1 by the small
-        # rotation w that minimizes sum |u + w x u - (b - b0)|^2, u = W_1 (a -
-        # a0), from its normal equations sum (|u|^2 I - u u^T) w =
-        # sum u x (b - b0 - u), and q by the quaternion (1, w / 2)
-        u = (a - a0) @ W[1].T
-        C, uu = u.T @ (b - b0 - u), u.T @ u
-        w1, w2, w3 = np.linalg.solve(np.eye(3) * np.trace(uu) - uu,
-                                     [C[1, 2] - C[2, 1], C[2, 0] - C[0, 2],
-                                      C[0, 1] - C[1, 0]])
-        q = q + 0.5 * np.array([[0.0, -w1, -w2, -w3], [w1, 0.0, -w3, w2],
-                                [w2, w3, 0.0, -w1], [w3, -w2, w1, 0.0]]) @ q
-    W1 = W[1]
-    if np.abs(eps[:, None] * W1 * eps - W1.T).max() > _SYMMETRY_RTOL:
-        return None   # R does not reverse the screw
-    return _Panels(W, k, eps)
+    y, eps = x / extent, sym.eps
+    if np.linalg.norm(y[::-1] - y * eps, axis=1).max() > _SYMMETRY_RTOL:
+        return None
+    W = _rotations(sym.angle, P)
+    y = y.reshape(P, k, 3)
+    a0, b0 = y[:-1].mean(axis=(0, 1)), y[1:].mean(axis=(0, 1))
+    images = y[0] @ W.transpose(0, 2, 1)
+    images[1:] += np.cumsum(W[:-1] @ (b0 - W[1] @ a0), axis=0)[:, None]
+    if (np.abs(images - y).max() > _SYMMETRY_RTOL
+            or np.abs(eps[:, None] * W[1] * eps - W[1].T).max() > _SYMMETRY_RTOL):
+        return None
+    return sym.Q, x, _Panels(W, k, eps)
 
 
-def _rotations(q, P):
-    """W_i, i < P: the rotation of the quaternion q (any sign and norm),
-    by angle phi about the unit axis n, taken i times: by i phi about n."""
-    q = q if q[0] >= 0.0 else -q   # angle <= pi
-    vec = np.linalg.norm(q[1:])
-    phi, (n1, n2, n3) = 0.0, (0.0, 0.0, 0.0)
-    if vec > 0.0:
-        phi, (n1, n2, n3) = 2.0 * math.atan2(vec, q[0]), q[1:] / vec
-    K = np.array([[0.0, -n3, n2], [n3, 0.0, -n1], [-n2, n1, 0.0]])   # K y = n x y
-    theta = phi * np.arange(P)[:, None, None]
-    return np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
+def _rotations(phi, P):
+    """W_i, i < P: the turn by i phi about the third axis."""
+    theta = phi * np.arange(P)
+    W = np.zeros((P, 3, 3))
+    W[:, 0, 0] = W[:, 1, 1] = np.cos(theta)
+    W[:, 1, 0] = np.sin(theta)
+    W[:, 0, 1] = -W[:, 1, 0]
+    W[:, 2, 2] = 1.0
+    return W
 
 
 def _halves(U3, panels):
@@ -1075,23 +1007,20 @@ def resistance_set(body, params):
     """
     n = body.n_nodes
     U = _rigid_motions(body)
-    sym, panels = _reversal_symmetry(body.nodes), None
-    if sym is not None:
-        c, Q, eps = sym
-        frame = replace(body, nodes=(body.nodes - c) @ Q)
-        panels = _panel_frames(frame, eps)
+    sym = _panel_symmetry(body)
     solver = {"path": "cholesky", "iterations": 0, "residual": None, "fallback": None,
               "widths": None, "parity_iterations": None}
-    if panels is None:
+    if sym is None:
         packed, sep = assemble_system(body, params)
         A6, psi = _solve(packed, U)
         blocks = (3 * n,)
     else:
+        Q, nodes, panels = sym
         U3 = Q.T @ U.reshape(n, 3, 6)
         pcg, A6 = body.closed or n >= _TOEPLITZ_MIN_NODES, None
         if pcg:   # before the kernel, whose arrays it counts
             require_memory(0, "mobility.resistance_set", _toeplitz_doubles(n, panels.k))
-        T, sep = _panel_green(frame.nodes, panels.k, panels.W, params)
+        T, sep = _panel_green(nodes, panels.k, panels.W, params)
         if pcg:
             A6, psi, solver = _toeplitz_pcg(T, panels, U3, body.closed)
             blocks = ()
@@ -1107,7 +1036,7 @@ def resistance_set(body, params):
     if not np.isfinite(A6).all():
         raise SolverError("mobility.resistance_set: the grand matrix is not finite; "
                           "the solve overflowed")
-    if panels is not None:
+    if sym is not None:
         psi = Q @ psi
     densities = psi.reshape(n, 3, 6) / body.weights[:, None, None]
 

@@ -660,8 +660,8 @@ def test_unsolvable_discretization_refused_at_parse():
 def test_parse_time_memory_guard_is_a_lower_bound(monkeypatch, body, panels):
     # the guard counts only the cheapest path for the N nodes discretize
     # will make: the block-Toeplitz arrays for a ring, the packed matrix of
-    # order 3N/2 for a polyline. RAM for exactly that passes, one byte less
-    # does not
+    # order 3N/2 for a polyline of several edges. RAM for exactly that
+    # passes, one byte less does not
     from slenderfall import geometry, mobility
     cfg = base_config(body=body, discretization={"panels": panels, "order": 4})
     n = geometry.discretize(cli.parse_config(cfg).spec, panels, 4).n_nodes
@@ -705,6 +705,28 @@ def test_rod_too_large_for_a_dense_block_solves(tmp_path, monkeypatch):
     assert cli.main(["steady", "--config", str(write_config(tmp_path, cfg)),
                      "--out", str(out)]) == 0
     resistance = json.loads((out / "report.json").read_text())["resistance"]
+    assert resistance["blocks"] == [] and resistance["solver"]["path"] == "toeplitz-pcg"
+
+
+def test_one_edge_polyline_is_guarded_as_a_rod(tmp_path, monkeypatch):
+    # a one-edge polyline records the rod's symmetry along its edge, so the
+    # parse-time guard counts block-Toeplitz PCG for it: with RAM between
+    # that need and one packed block of order 3N/2 it is solved by PCG,
+    # where a polyline of two edges is refused (exit 2)
+    from slenderfall import mobility
+    cfg, n = open_rod_above_n_x()
+    m = 3 * n // 2
+    ram = {"SC_PAGE_SIZE": 1,
+           "SC_PHYS_PAGES": (8 * mobility._toeplitz_doubles(n, 4) + 4 * m * (m + 1)) // 2}
+    monkeypatch.setattr(mobility.os, "sysconf", ram.__getitem__)
+    codes = []
+    for vertices in ([[0, 0, 0], [2.4, 0, 3.2]], [[0, 0, 0], [2.4, 0, 3.2], [2.4, 1.0, 3.2]]):
+        cfg["body"] = {"kind": "polyline", "vertices": vertices}
+        out = tmp_path / str(len(vertices))
+        codes.append(cli.main(["steady", "--config", str(write_config(tmp_path, cfg)),
+                               "--out", str(out)]))
+    assert codes == [0, 2]
+    resistance = json.loads((tmp_path / "2" / "report.json").read_text())["resistance"]
     assert resistance["blocks"] == [] and resistance["solver"]["path"] == "toeplitz-pcg"
 
 

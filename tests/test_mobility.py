@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
@@ -338,7 +338,7 @@ def mirror_body(n, seed=0, close=None, gap=1e-3):
 
 @pytest.mark.parametrize("close", [(3, 20), (5, 29)], ids=["same-half", "across-halves"])
 def test_symmetric_min_separation_across_strips(monkeypatch, params, close):
-    # a reversal-symmetric body that is not panel-periodic takes the
+    # a reversal-symmetric body whose curve records no symmetry takes the
     # one-block strip path. N = 48 in strips of 8 rows: nodes 3 and 20 sit
     # in different strips, and node 29, the mirror of node 18, in a
     # different strip from node 5
@@ -351,7 +351,6 @@ def test_symmetric_min_separation_across_strips(monkeypatch, params, close):
     R = resistance_set(body, params)
     assert R.blocks == (3 * n,) and R.min_separation == ref
     body = mirror_body(n, close=close, gap=0.0)
-    assert mobility._reversal_symmetry(body.nodes) is not None
     with pytest.raises(AssemblyError):
         resistance_set(body, params)
 
@@ -480,14 +479,22 @@ SYMMETRY_CASES = {
     # none: a closed body is solved by block-Toeplitz PCG at every N
     "ring": (lambda: discretize(CurveSpec(kind="ring", radius=1.0), 16, 4), 0),
     "README-helix": (lambda: discretize(README_HELIX, 32, 6), 2),
-    "moved-helix": (lambda: _moved(discretize(README_HELIX, 16, 4),
-                                   _rotated_and_translated), 2),
     "linear-density-rod": (lambda: discretize(CurveSpec(
         kind="rod", length=2.0, density=lambda s: 1.0 + s), 16, 4), 2),
     # odd P, even k: node N/2 = 30 falls inside panel 7
     "odd-P-rod": (lambda: discretize(CurveSpec(kind="rod", length=2.0), 15, 4), 2),
-    # one block, assembled in strips: reversal-symmetric but not
-    # panel-periodic (the V), odd N, or neither symmetry
+    # a one-edge polyline records the rod's symmetry along its edge
+    "one-edge-polyline": (lambda: discretize(CurveSpec(
+        kind="polyline", vertices=np.array([[0.2, -0.5, 1.0], [1.4, 0.3, -0.6]])), 16, 4), 2),
+    # four nodes, P = k = 2
+    "4-node-ring": (lambda: discretize(CurveSpec(kind="ring", radius=1.0), 2, 2), 0),
+    "4-node-helix": (lambda: discretize(CurveSpec(kind="helix", radius=1.0, pitch=0.7,
+                                                  turns=1.5), 2, 2), 2),
+    # one block, assembled in strips: reversal-symmetric but recording no
+    # symmetry (the V), nodes moved off their record, odd N, or neither
+    # symmetry
+    "moved-helix": (lambda: _moved(discretize(README_HELIX, 16, 4),
+                                   _rotated_and_translated), 1),
     "V-polyline": (lambda: discretize(CurveSpec(
         kind="polyline", vertices=np.array([[-1.0, 1.5, 0], [0, 0, 0], [1, 1.5, 0]])),
         16, 4), 1),
@@ -669,14 +676,16 @@ def test_one_kernel_pass_per_panel_periodic_body(monkeypatch, name, path, params
     assert np.linalg.norm(R.grand - grand) <= 1e-13 * np.linalg.norm(grand)
 
 
-def test_screw_fit_only_on_reversal_symmetric_bodies(monkeypatch, params):
-    # a polyline without reversal symmetry goes to the strip path without
-    # the screw fit; the README helix makes the one fit that selects its path
+def test_symmetry_checked_only_on_recorded_bodies(monkeypatch, params):
+    # a polyline of several edges records no symmetry and goes to the strip
+    # path without any symmetry work; the README helix checks its record's
+    # screw once, which selects its path
     calls = []
-    fit = mobility._panel_frames
-    monkeypatch.setattr(mobility, "_panel_frames",
-                        lambda *args: calls.append(args) or fit(*args))
+    rotations = mobility._rotations
+    monkeypatch.setattr(mobility, "_rotations",
+                        lambda *args: calls.append(args) or rotations(*args))
     body = SYMMETRY_CASES["random-polyline"][0]()
+    assert body.symmetry is None
     assert resistance_set(body, params).blocks == (3 * body.n_nodes,)
     assert calls == []
     body = SYMMETRY_CASES["README-helix"][0]()
@@ -695,11 +704,10 @@ BUILT_IN_SPECS = st.one_of(
 @settings(max_examples=25, deadline=None)
 @given(spec=BUILT_IN_SPECS, panels=st.integers(2, 40), order=st.sampled_from([2, 4, 6, 8]))
 def test_built_in_bodies_take_the_two_block_path(params, spec, panels, order):
-    # every rod, ring and helix of even N >= 8 passes both fits; one that
-    # failed would fall to the one-block factor, four times the work. Open
-    # bodies below N_x (all of these) take the two blocks, rings PCG. The
-    # 4-node ring and helix (P = k = 2) fail Horn's simplicity test
-    assume(panels * order >= 8)
+    # the closed-form record of every rod, ring and helix of even N fits its
+    # nodes; one that did not would fall to the one-block factor, four
+    # times the work. Open bodies below N_x (all of these) take the two
+    # blocks, rings PCG
     body = discretize(spec, panels, order)
     R = resistance_set(body, params)
     assert R.blocks == (() if spec.kind == "ring" else (3 * body.n_nodes // 2,) * 2)
@@ -707,23 +715,20 @@ def test_built_in_bodies_take_the_two_block_path(params, spec, panels, order):
 
 @pytest.mark.parametrize("radius", [0.003, 0.001])
 def test_thin_helices_take_the_panel_periodic_path(radius):
-    # Horn's top eigenvalue is nearly double for a thin helix, and its
-    # screw angle alone missed the node images by up to 5e-11 of the
-    # extent; the Gauss-Newton step after it brings them within 1e-12
+    # a thin helix's screw angle is ill conditioned from its nodes; its
+    # closed-form record fits them within 1e-12 of the extent at every
+    # panel count (measured 3.6e-15)
     for panels in range(2, 41):
         body = discretize(CurveSpec(kind="helix", radius=radius, pitch=1.0, turns=4.0),
                           panels, 6)
-        c, Q, eps = mobility._reversal_symmetry(body.nodes)
-        frame = replace(body, nodes=(body.nodes - c) @ Q)
-        assert mobility._panel_frames(frame, eps) is not None, panels
+        assert mobility._panel_symmetry(body) is not None, panels
 
 
 def periodic_frame(body):
     """A panel-periodic body in the eigenframe of its reversal, and its
     panels."""
-    c, Q, eps = mobility._reversal_symmetry(body.nodes)
-    frame = replace(body, nodes=(body.nodes - c) @ Q)
-    return frame, mobility._panel_frames(frame, eps)
+    _, nodes, panels = mobility._panel_symmetry(body)
+    return replace(body, nodes=nodes, symmetry=None), panels
 
 
 def periodic_blocks(body, params):
