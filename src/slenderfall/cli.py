@@ -355,6 +355,15 @@ def convergence_study(cfg):
     return rows
 
 
+def _write(path, write, *args):
+    """write(path, *args); an OSError, such as path being a directory,
+    becomes a ConfigError that names the file."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise ConfigError(f"cli.run: cannot write {path}: {exc}") from None
+
+
 def _write_csv(path, rows, columns):
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
@@ -371,6 +380,8 @@ def run(cfg, mode, out_dir="."):
     """
     if mode not in MODES:
         raise ConfigError(f"cli.run: unknown mode {mode!r}")
+    if mode == "fall" and cfg.dynamics is None:
+        raise ConfigError("cli.run: fall mode needs a 'dynamics' block")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -384,9 +395,9 @@ def run(cfg, mode, out_dir="."):
     if mode == "kernel-check":
         rows = kernel_check_rows(cfg)
         report["kernel_check"] = rows
-        _write_csv(out / "kernel_check.csv", rows,
-                   ["r_over_ell", "r", "A_closed", "A_oracle", "rel_err_A",
-                    "B_closed", "B_oracle", "rel_err_B"])
+        _write(out / "kernel_check.csv", _write_csv, rows,
+               ["r_over_ell", "r", "A_closed", "A_oracle", "rel_err_A",
+                "B_closed", "B_oracle", "rel_err_B"])
         worst = max(max(r["rel_err_A"], r["rel_err_B"]) for r in rows)
         report["kernel_check_max_rel_err"] = worst
         if worst > KERNEL_CHECK_RTOL:
@@ -394,9 +405,9 @@ def run(cfg, mode, out_dir="."):
     elif mode == "convergence":
         rows = convergence_study(cfg)
         report["convergence"] = rows
-        _write_csv(out / "convergence.csv", rows,
-                   ["panels", "nodes", "ktt_00", "ktt_11", "ktt_22", "ktr_norm",
-                    "lambda", "grand_diff", "diff_ratio"])
+        _write(out / "convergence.csv", _write_csv, rows,
+               ["panels", "nodes", "ktt_00", "ktt_11", "ktt_22", "ktr_norm",
+                "lambda", "grand_diff", "diff_ratio"])
     else:
         body, mp, params = _prepare(cfg)
         R = resistance_set(body, params)
@@ -412,8 +423,6 @@ def run(cfg, mode, out_dir="."):
             report["steady_states"] = _steady_state_dicts(states, cfg, R,
                                                           body.weights)
         if mode == "fall":
-            if cfg.dynamics is None:
-                raise ConfigError("cli.run: fall mode needs a 'dynamics' block")
             dt, dt_max = cfg.dynamics.dt, max_stable_dt(R, mp)
             if dt > dt_max:
                 raise ConfigError(
@@ -422,7 +431,7 @@ def run(cfg, mode, out_dir="."):
                     f"(2.785 / its fastest decay rate)")
             s0 = FallState.from_rest(cfg.g_direction)
             traj = integrate(s0, R, mp, cfg.dynamics, steady_states=states)
-            traj.to_csv(out / "trajectory.csv")
+            _write(out / "trajectory.csv", traj.to_csv)
             report["dynamics"] = {
                 "trajectory_csv": "trajectory.csv",
                 "n_samples": len(traj),
@@ -437,8 +446,8 @@ def run(cfg, mode, out_dir="."):
             }
 
     report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    with open(out / "report.json", "w") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write(out / "report.json", Path.write_text,
+           json.dumps(report, indent=2, sort_keys=True) + "\n")
     return status
 
 

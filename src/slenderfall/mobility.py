@@ -138,16 +138,48 @@ single panel, is assembled in strips and solved as one block.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import AssemblyError, ConfigError, ConvergenceError, SolverError
 from .geometry import _STRIP_PAIRS, pair_strips
 from .kernel import kernel_scalars
+
+
+def _load_flapack():
+    """SciPy's compiled LAPACK wrappers, scipy.linalg._flapack, without the
+    scipy.linalg package. The routines used here (dpftrf, dtfsm, dtrtri,
+    dpotrs, dpotrf, dpstrf, dsyev) are the objects scipy.linalg.lapack
+    re-exports. The extension loads in a few ms; the package's __init__
+    costs about 0.2 s more (SciPy 1.17 on a 2-vCPU x86-64 host), mostly
+    array_api_compat cloning numpy, which imports numpy.f2py,
+    numpy.testing, numpy.ma and numpy.random. The
+    module is registered under its own name, so a later import of
+    scipy.linalg shares it, and one already loaded is reused."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy   # SciPy's own loader set-up, such as a wheel's DLL paths
+
+    path = os.path.join(scipy.__path__[0], "linalg")
+    spec = importlib.machinery.FileFinder(
+        path, (importlib.machinery.ExtensionFileLoader,
+               importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no {name} extension in {path}", name=name, path=path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+lapack = _load_flapack()
 
 _ZERO_DATA_TOL = 1e-12
 # largest distance of a node from its image under the reversal or the
@@ -526,8 +558,14 @@ def _unfold(plus, minus, panels):
     (psi+_p + psi-_p) / 2 at node p and eps (psi+_p - psi-_p) / 2 at
     N-1-p."""
     plus, minus = (_into_panels(p, panels, back=True) for p in (plus, minus))
-    return 0.5 * np.concatenate([plus + minus,
-                                 (panels.eps[:, None] * (plus - minus))[::-1]])
+    h = len(plus)
+    psi = np.empty((2 * h, *plus.shape[1:]))
+    np.add(plus, minus, out=psi[:h])
+    far = psi[h:][::-1]
+    np.subtract(plus, minus, out=far)
+    far *= panels.eps[:, None]
+    psi *= 0.5
+    return psi
 
 
 def _two_blocks(T, panels, U3):

@@ -222,9 +222,17 @@ def test_fall_mode_writes_trajectory(tmp_path):
     assert data[0, 0] == 0.0 and np.all(data[0, 1:7] == 0.0)
 
 
-def test_fall_mode_requires_dynamics_block(tmp_path):
+def test_fall_mode_requires_dynamics_block(tmp_path, monkeypatch, capsys):
+    # refused before any work: no solve, no output directory
+    def solved(*args, **kwargs):
+        raise AssertionError("resistance_set called for a fall run without dynamics")
+
+    monkeypatch.setattr(cli, "resistance_set", solved)
     path = write_config(tmp_path, base_config())
-    assert cli.main(["fall", "--config", str(path), "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert cli.main(["fall", "--config", str(path), "--out", str(out)]) == 2
+    assert "'dynamics' block" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_kernel_check_mode(tmp_path):
@@ -583,6 +591,27 @@ def test_unusable_out_dir_exits_2(tmp_path, capsys, sub):
     assert blocker.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize("mode, name", [
+    ("steady", "report.json"),
+    ("fall", "trajectory.csv"),
+    ("fall", "report.json"),
+    ("kernel-check", "kernel_check.csv"),
+    ("convergence", "convergence.csv"),
+])
+def test_unwritable_output_file_exits_2(tmp_path, capsys, mode, name):
+    # an output file that is a directory is a config error naming the file
+    cfg = base_config(discretization={"panels": 4, "order": 4},
+                      dynamics={"dt": 0.01, "t_end": 0.05})
+    if mode == "kernel-check":
+        cfg["fluid"] = {"nondimensional": {"ell": 1.0}}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert cli.main([mode, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"cannot write {out / name}" in err
+
+
 MALFORMED = {
     # (block, key or None for the whole block, value), exit code
     "body-list": (("body", None, []), 2),
@@ -904,18 +933,35 @@ def test_oracle_error_estimate_over_its_bound_exits_3(tmp_path, monkeypatch, cap
 
 
 def test_cli_import_leaves_quadpack_unloaded():
-    # the oracle imports scipy.integrate when it runs; scipy.linalg stays
-    # loaded with the module, which measured faster on small bodies. Work
-    # moved into import time would hide in setup_s, too noisy to show it:
-    # scipy.special (which scipy.fft would load) and mpmath stay out too
-    deferred = ("scipy.fft", "scipy.integrate", "scipy.special", "mpmath")
+    # the oracle imports scipy.integrate when it runs. The import loads
+    # SciPy's LAPACK extension alone: the scipy.linalg package would add
+    # about 0.2 s of set-up to every run, mostly numpy.f2py and
+    # numpy.testing through scipy._lib._array_api; scipy.special (which
+    # scipy.fft would load) and mpmath stay out too
+    deferred = ("scipy.linalg", "scipy._lib._array_api", "numpy.f2py", "numpy.testing",
+                "scipy.fft", "scipy.integrate", "scipy.special", "mpmath")
     code = (f"import sys, slenderfall.cli; "
             f"print([m for m in {deferred!r} if m in sys.modules], "
-            f"'scipy.linalg' in sys.modules)")
+            f"'scipy.linalg._flapack' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.stdout.split() == ["[]", "True"], proc.stderr
+
+
+@pytest.mark.parametrize("first, second", [("slenderfall.mobility", "scipy.linalg"),
+                                           ("scipy.linalg", "slenderfall.mobility")])
+def test_lapack_extension_shared_with_scipy_linalg(first, second):
+    # in either import order there is one _flapack module, and
+    # scipy.linalg.lapack re-exports the routines slenderfall calls
+    code = (f"import sys, {first}, {second}; "
+            "from slenderfall import mobility; import scipy.linalg; "
+            "print(mobility.lapack is sys.modules['scipy.linalg._flapack'], "
+            "scipy.linalg.lapack.dpftrf is mobility.lapack.dpftrf)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.stdout.split() == ["True", "True"], proc.stderr
 
 
 def test_toeplitz_solve_leaves_scipy_fft_unloaded():
