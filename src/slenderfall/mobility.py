@@ -17,16 +17,16 @@ pair and the pairwise temporaries stay one strip in size at any N. That
 pass is the only one over the node pairs: its squared distances also give
 the smallest node separation (ResistanceSet.min_separation). The
 hyperviscous symbol is positive, so G is positive definite and is factored
-once, in place, by the RFP Cholesky dpftrf, G = L L^T. The quadrature
-weights cancel from the resistance: with U the 3N x 6 matrix of the six
-unit rigid motions, the grand resistance matrix is A6 = U^T G^-1 U = Y^T Y
-with Y = L^-1 U (the RFP triangular solve dtfsm), and
+once, in place, by the RFP Cholesky dpftrf, G = L L^T; the RFP solve
+dpftrs then gives G^-1 B for right-hand sides B of any number of columns.
+The quadrature weights cancel from the resistance: with U the 3N x 6 matrix
+of the six unit rigid motions and psi = G^-1 U their nodal point forces,
+the grand resistance matrix is A6 = U^T psi, and
 
     f = -(K_tt xi + K_tr omega),   t = -(K_rt xi + K_rr omega),
 
-torque and rotation referenced to the center of mass. One more triangular
-solve on the same factor gives the six basis force densities
-Phi = W^-1 L^-T Y = W^-1 G^-1 U, so the line force density of any rigid
+torque and rotation referenced to the center of mass. The six basis force
+densities are Phi = W^-1 psi, so the line force density of any rigid
 motion z = (xi, omega) is Phi z.
 
 The Green tensor is isotropic, G(R d) = R G(d) R^T for every orthogonal R,
@@ -134,7 +134,11 @@ at least N_x = _TOEPLITZ_MIN_NODES nodes, it is solved by block-Toeplitz
 PCG, and by the two blocks if PCG reaches its iteration cap; otherwise it
 is solved as two blocks, which is faster below N_x. Both read the one T'
 of the body. Every other body, any other polyline, an odd-N body or a
-single panel, is assembled in strips and solved as one block.
+single panel, is assembled in strips and solved as one block. All three
+solve G X = B for right-hand sides of any number of columns, held (rows,
+3, m): the one block for the whole body, the two blocks and PCG for the
+two halves of the reversal, and resistance_set forms A6 once from what
+they return.
 """
 
 import functools
@@ -154,7 +158,7 @@ from .kernel import kernel_scalars
 
 def _load_flapack():
     """SciPy's compiled LAPACK wrappers, scipy.linalg._flapack, without the
-    scipy.linalg package. The routines used here (dpftrf, dtfsm, dtrtri,
+    scipy.linalg package. The routines used here (dpftrf, dpftrs, dtrtri,
     dpotrs, dpotrf, dpstrf, dsyev) are the objects scipy.linalg.lapack
     re-exports. The extension loads in a few ms; the package's __init__
     costs about 0.2 s more (SciPy 1.17 on a 2-vCPU x86-64 host), mostly
@@ -210,7 +214,8 @@ _PCG_MAX_ITER = 100
 # by the block-Toeplitz solve at its peak, T' included: upper bounds, with
 # the peaks measured on rods, rings and helices of N = 4 to 3072 at 0.22 to
 # 0.94 of them (the peak is the symbols' set-up, 41 to 72 doubles a pair at
-# N >= 600 for k >= 3, and up to 98 at k = 2)
+# N >= 600 for k >= 3, and up to 98 at k = 2). The vectors counted per node
+# are those of the six columns, the rigid motions, that resistance_set solves
 _TOEPLITZ_PER_PAIR = 72
 _TOEPLITZ_PER_NODE = 96
 _TOEPLITZ_FIXED = 8192
@@ -448,7 +453,7 @@ def _factorize(packed):
 
     `packed` is the RFP array of `assemble_system` (any shape with that
     memory order); it is overwritten by L in the same RFP layout, which
-    dtfsm and dpftrs read. A NaN pivot stops dpftrf and is left on the
+    dpftrs reads. A NaN pivot stops dpftrf and is left on the
     diagonal, so the diagonal is checked first: an overflowed matrix is
     reported as such, not as indefinite.
     """
@@ -464,8 +469,8 @@ def _factorize(packed):
 
 
 def _rigid_motions(body):
-    """U, the 3N x 6 nodal velocities of the six unit rigid motions, in one
-    pass: the translations e_j, then the rotations e_j x x_q as signed
+    """U, the (N, 3, 6) nodal velocities of the six unit rigid motions, in
+    one pass: the translations e_j, then the rotations e_j x x_q as signed
     copies of node coordinates, e_j x x = x_{j+1} e_{j+2} - x_{j+2} e_{j+1}
     (indices mod 3). A rotation whose data vanish to _ZERO_DATA_TOL of
     1 + length, the axial spin of a straight body, is an exact zero
@@ -478,7 +483,7 @@ def _rigid_motions(body):
     for c in (3, 4, 5):
         if np.linalg.norm(U[:, :, c]) < _ZERO_DATA_TOL * (1 + body.length):
             U[:, :, c] = 0.0
-    return U.reshape(-1, 6)
+    return U
 
 
 class _Panels:
@@ -490,7 +495,7 @@ class _Panels:
 
 
 def _into_panels(v, panels, back=False):
-    """The per-node (rows, 3, 6) array v in the panel frames, W_i^T v_p for
+    """The per-node (rows, 3, m) array v in the panel frames, W_i^T v_p for
     node p of panel i, or with back=True out of them, W_i v_p."""
     W = panels.W[np.arange(v.shape[0]) // panels.k]
     return (W if back else W.transpose(0, 2, 1)) @ v
@@ -542,21 +547,20 @@ def _rotations(phi, P):
     return W
 
 
-def _halves(U3, panels):
-    """U+- = U_p +- eps U_{N-1-p}, p < N/2, in the panel frames: the
+def _halves(B, panels):
+    """B+- = B_p +- eps B_{N-1-p}, p < N/2, in the panel frames: the
     right-hand sides of the even and odd halves of a panel-periodic body
-    (resistance_set); U3 (N, 3, 6) holds the rigid motions in the
-    eigenframe of the reversal."""
-    h = len(U3) // 2
-    near, far = U3[:h], panels.eps[:, None] * U3[h:][::-1]
+    for the (N, 3, m) right-hand sides B in the eigenframe of the
+    reversal."""
+    h = len(B) // 2
+    near, far = B[:h], panels.eps[:, None] * B[h:][::-1]
     return [_into_panels(near + far, panels), _into_panels(near - far, panels)]
 
 
 def _unfold(plus, minus, panels):
-    """The nodal point forces of all N nodes in the eigenframe of the
-    reversal from psi+- of the first N/2 in the panel frames:
-    (psi+_p + psi-_p) / 2 at node p and eps (psi+_p - psi-_p) / 2 at
-    N-1-p."""
+    """The inverse of _halves: X of all N nodes in the eigenframe of the
+    reversal from X+- of the first N/2 in the panel frames,
+    (X+_p + X-_p) / 2 at node p and eps (X+_p - X-_p) / 2 at N-1-p."""
     plus, minus = (_into_panels(p, panels, back=True) for p in (plus, minus))
     h = len(plus)
     psi = np.empty((2 * h, *plus.shape[1:]))
@@ -568,32 +572,27 @@ def _unfold(plus, minus, panels):
     return psi
 
 
-def _two_blocks(T, panels, U3):
-    """A6 and the nodal point forces in the eigenframe of the reversal of a
-    panel-periodic body with generator T' (_panel_green), from its two
-    dense blocks G+- (resistance_set). The memory guard counts what the
-    fill holds: one packed block at a time, T', Z and Y, and the buffers
-    (np.getbufsize() values each) of the ufunc that writes rows
-    transposed, for its inputs, output and mask."""
-    h, w = len(U3) // 2, 3 * panels.k
+def _two_blocks(T, panels, halves):
+    """X+- = (D^T G+- D)^-1 B+- for the two halves B+- (_halves) of a
+    panel-periodic body with generator T' (_panel_green), on its two dense
+    blocks. The memory guard counts what the fill holds: one packed block
+    at a time, T', Z and Y, and the buffers (np.getbufsize() values each)
+    of the ufunc that writes rows transposed, for its inputs, output and
+    mask."""
+    h, w = len(halves[0]), 3 * panels.k
     reach = (h - 1) // panels.k   # the largest panel difference of a block
     require_memory(3 * h, "mobility.resistance_set",
                    T.size + 2 * w * w * (2 * reach + 1) + 4 * np.getbufsize())
     Z, Y = _generators(T, reach, panels)
-    A6, parts = np.zeros((6, 6)), []
-    for sign, rhs in zip((1.0, -1.0), _halves(U3, panels)):
-        A, p = _solve(_fill_periodic(Z, Y, h, sign), rhs.reshape(3 * h, 6))
-        A6 += 0.5 * A
-        parts.append(p.reshape(h, 3, 6))
-    return A6, _unfold(*parts, panels)
+    return [_solve(_fill_periodic(Z, Y, h, sign), B) for sign, B in zip((1.0, -1.0), halves)]
 
 
-def _solve(packed, U):
-    """Y^T Y and L^-T Y for Y = L^-1 U, L the Cholesky factor of the packed
-    matrix, which it overwrites."""
-    L = _factorize(packed)
-    Y = lapack.dtfsm(1.0, L, U, transr="N", side="L", uplo="L", trans="N")
-    return Y.T @ Y, lapack.dtfsm(1.0, L, Y, transr="N", side="L", uplo="L", trans="T")
+def _solve(packed, B):
+    """X = G^-1 B for the (rows, 3, m) right-hand sides B, G the packed
+    matrix, which its Cholesky factor overwrites."""
+    rows = B.reshape(-1, B.shape[-1])
+    X, _ = lapack.dpftrs(len(rows), _factorize(packed), rows, transr="N", uplo="L")
+    return X.reshape(B.shape)
 
 
 class _Fold:
@@ -848,19 +847,17 @@ def _operators(T, panels, closed):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _toeplitz_pcg(T, panels, U3, closed):
-    """A6 and the nodal point forces in the eigenframe of the reversal of a
+def _toeplitz_pcg(T, panels, halves, closed):
+    """X+- = (D^T G+- D)^-1 B+- for the two halves B+- (_halves) of a
     panel-periodic body with generator T' (_panel_green), solved by
-    block-Toeplitz PCG (module docstring), with the `solver` record of
-    ResistanceSet; A6 and the forces are None when PCG stops at its
-    iteration cap. U3 (N, 3, 6) holds the six rigid motions."""
+    block-Toeplitz PCG (module docstring), and the `solver` record of
+    ResistanceSet; X+- is None when PCG stops at its iteration cap."""
     fold, product, inverse, embedded = _operators(T, panels, closed)
-    plus, minus = _halves(U3, panels)
-    U = np.concatenate([fold.to_rep(plus, 1.0), fold.to_rep(minus, -1.0)])
-    unorm = (U * U).sum(axis=1)
-    unorm = unorm[:6] + unorm[6:]
+    m = halves[0].shape[-1]
+    U = np.concatenate([fold.to_rep(B, s) for B, s in zip(halves, (1.0, -1.0))])
+    unorm = (U * U).sum(axis=1).reshape(2, m).sum(axis=0)
     cols = np.flatnonzero(unorm)   # a zero column (a straight body's axial spin) stays zero
-    sides = np.repeat([1.0, -1.0], 6)   # the parities of U's rows
+    sides = np.repeat([1.0, -1.0], m)   # the parities of U's rows
     B, side = _orthonormal(U, sides, np.tile(np.sqrt(unorm), 2))
     C = (B @ U.T) * (side[:, None] == sides)   # U = C^T B, parity by parity
     # block PCG (module docstring) for the basis rows B, both parities at
@@ -882,7 +879,7 @@ def _toeplitz_pcg(T, panels, U3, closed):
         r[live] -= alpha @ q
         # each parity's part of the residual of each original column j,
         # |r+ C+_j|^2 and |r- C-_j|^2, over |U+_j|^2 + |U-_j|^2
-        d = ((_gram(r) @ C) * C).sum(axis=0).reshape(2, 6)[:, cols] / unorm[cols]
+        d = ((_gram(r) @ C) * C).sum(axis=0).reshape(2, m)[:, cols] / unorm[cols]
         residual = np.sqrt(d.sum(axis=0))
         if residual.max() <= _PCG_RTOL:
             stops = [it if stop is None else stop for stop in stops]
@@ -900,11 +897,9 @@ def _toeplitz_pcg(T, panels, U3, closed):
     if not residual.max() <= _PCG_RTOL:
         solver.update(path="cholesky", fallback=f"block-Toeplitz PCG stopped at its "
                                                 f"cap of {_PCG_MAX_ITER} iterations")
-        return None, None, solver
-    psi = C.T @ psi
-    A6 = 0.5 * (U[:6] @ psi[:6].T + U[6:] @ psi[6:].T)
-    plus, minus = fold.from_rep(psi[:6], 1.0), fold.from_rep(psi[6:], -1.0)
-    return A6, _unfold(plus, minus, panels), solver
+        return None, solver
+    psi = (C.T @ psi).reshape(2, m, -1)
+    return [fold.from_rep(x, s) for x, s in zip(psi, (1.0, -1.0))], solver
 
 
 def _orthonormal(W, side, scale=None):
@@ -963,7 +958,7 @@ def _gram_factor(G):
 def _toeplitz_doubles(n, k):
     """An upper bound on the float64 values _toeplitz_pcg holds at once for
     N nodes, k to a panel: the generator pairs' arrays and the symbols (N k
-    pairs), and the PCG vectors."""
+    pairs), and the PCG vectors of six right-hand sides."""
     return _TOEPLITZ_PER_PAIR * n * k + _TOEPLITZ_PER_NODE * n + _TOEPLITZ_FIXED
 
 
@@ -1009,35 +1004,35 @@ def resistance_set(body, params):
     block or from block-Toeplitz PCG.
 
     U holds the six unit rigid motions (three translations, three rotations
-    about the center of mass) as columns of nodal velocities; with G = L L^T,
-    Y = L^-1 U, A6 = Y^T Y and Phi = W^-1 L^-T Y. Column j of A6 is the force
-    and torque of the nodal point forces G^-1 U_j, the weights having
-    cancelled: sum_q w_q Phi_qj and sum_q w_q x_q x Phi_qj. The axial
-    rotation of a straight body generates no boundary data and gives an
-    exact zero row and column of A6 and an exact zero density. The
-    reciprocity gate below compares A6 with its transpose, both scaled by
-    the largest entry. On the dense paths Y^T Y is symmetric by
-    construction and the gate cannot fail; on the block-Toeplitz path
-    A6 = U^T psi is symmetric only as far as PCG converged, and the gate
-    measures its error. A grand matrix that is not finite, from a solve
-    that overflowed, raises SolverError.
+    about the center of mass) as columns of nodal velocities. The path
+    solves G psi = U for their nodal point forces, Phi = W^-1 psi, and
+    A6 = U^T psi: column j of A6 is the force and torque of psi_j, the
+    weights having cancelled, sum_q w_q Phi_qj and sum_q w_q x_q x Phi_qj.
+    The axial rotation of a straight body generates no boundary data and
+    gives an exact zero row and column of A6 and an exact zero density.
+    A6 is symmetric only as far as psi solves the system: the reciprocity
+    gate below compares it with its transpose, both scaled by the largest
+    entry, and so measures the rounding of a dense solve and the iteration
+    error of PCG. A grand matrix that is not finite, from a solve that
+    overflowed, raises SolverError.
 
     This is the one-block path, G assembled in strips. The selector of the
     module docstring sends a panel-periodic body to the two blocks G+- or
     to block-Toeplitz PCG instead, in the eigenframe of R, where
     R = diag(eps), and in its per-panel frames. With U_p rotated by Q^T and
     turned by W_i^T at each node of panel i, both solve the two halves,
-    U+-_p = U_p +- eps U_{N-1-p} and psi+- = (D^T G+- D)^-1 U+- for p < N/2,
-    A6 = (U+^T psi+ + U-^T psi-) / 2 (Y+^T Y+ + Y-^T Y- on the blocks),
-    and the nodal point forces are (psi+_p + psi-_p) / 2 at node p and
-    eps (psi+_p - psi-_p) / 2 at N-1-p, turned back by W_i and rotated
-    back by Q; an orthogonal change of frame leaves A6 as it is. `blocks`
-    lists the orders of the factored blocks, none on the PCG path, and
-    `solver` records the path ("cholesky" or "toeplitz-pcg"), PCG's
-    iterations and largest final relative column residual, the widths of
-    its even and odd blocks (the ranks of U+ and U-), the iteration at
-    which each of the two stopped (None for one still running at the cap),
-    and the reason for a fallback from PCG to the two blocks.
+    U+-_p = U_p +- eps U_{N-1-p} and psi+- = (D^T G+- D)^-1 U+- for p < N/2;
+    A6 = (U+^T psi+ + U-^T psi-) / 2 is formed from the halves, where the
+    two parities keep their exact zeros apart, and the nodal point forces
+    are (psi+_p + psi-_p) / 2 at node p and eps (psi+_p - psi-_p) / 2 at
+    N-1-p, turned back by W_i and rotated back by Q; an orthogonal change
+    of frame leaves A6 as it is. `blocks` lists the orders of the factored
+    blocks, none on the PCG path, and `solver` records the path
+    ("cholesky" or "toeplitz-pcg"), PCG's iterations and largest final
+    relative column residual, the widths of its even and odd blocks (the
+    ranks of U+ and U-), the iteration at which each of the two stopped
+    (None for one still running at the cap), and the reason for a fallback
+    from PCG to the two blocks.
 
     `min_separation` is the smallest distance between two distinct nodes,
     found by the assembly; on the panel-periodic paths it covers the pairs
@@ -1050,33 +1045,34 @@ def resistance_set(body, params):
               "widths": None, "parity_iterations": None}
     if sym is None:
         packed, sep = assemble_system(body, params)
-        A6, psi = _solve(packed, U)
+        parts, X = [U], [_solve(packed, U)]
         blocks = (3 * n,)
     else:
         Q, nodes, panels = sym
-        U3 = Q.T @ U.reshape(n, 3, 6)
-        pcg, A6 = body.closed or n >= _TOEPLITZ_MIN_NODES, None
+        parts, X = _halves(Q.T @ U, panels), None
+        pcg = body.closed or n >= _TOEPLITZ_MIN_NODES
         if pcg:   # before the kernel, whose arrays it counts
             require_memory(0, "mobility.resistance_set", _toeplitz_doubles(n, panels.k))
         T, sep = _panel_green(nodes, panels.k, panels.W, params)
         if pcg:
-            A6, psi, solver = _toeplitz_pcg(T, panels, U3, body.closed)
+            X, solver = _toeplitz_pcg(T, panels, parts, body.closed)
             blocks = ()
-        if A6 is None:   # an open body below N_x, or PCG at its cap
+        if X is None:   # an open body below N_x, or PCG at its cap
             try:
-                A6, psi = _two_blocks(T, panels, U3)
+                X = _two_blocks(T, panels, parts)
             except ConfigError as exc:   # the memory guard
                 if solver["fallback"] is None:
                     raise
                 raise SolverError(f"mobility: {solver['fallback']}, and the dense "
                                   f"fallback does not fit: {exc}") from exc
             blocks = (3 * n // 2,) * 2
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflowed solve, refused below
+        A6 = sum(B.reshape(-1, 6).T @ x.reshape(-1, 6) for B, x in zip(parts, X)) / len(parts)
     if not np.isfinite(A6).all():
         raise SolverError("mobility.resistance_set: the grand matrix is not finite; "
                           "the solve overflowed")
-    if sym is not None:
-        psi = Q @ psi
-    densities = psi.reshape(n, 3, 6) / body.weights[:, None, None]
+    psi = X[0] if sym is None else Q @ _unfold(*X, panels)
+    densities = psi / body.weights[:, None, None]
 
     scaled = A6 / (np.abs(A6).max() or 1.0)   # |A6|^2 may overflow
     norm = np.linalg.norm(scaled)
@@ -1084,7 +1080,7 @@ def resistance_set(body, params):
     if asym > _ASYMMETRY_TOL:
         raise ConvergenceError(
             f"mobility.resistance_set: grand matrix asymmetry {asym:.3e} exceeds "
-            f"{_ASYMMETRY_TOL:.1e}; discretization too coarse")
+            f"{_ASYMMETRY_TOL:.1e}; the solve of G psi = U is inaccurate")
     A6 = 0.5 * (A6 + A6.T)
     return ResistanceSet(k_tt=A6[:3, :3], k_tr=A6[:3, 3:], k_rt=A6[3:, :3],
                          k_rr=A6[3:, 3:], grand=A6, densities=densities,

@@ -13,7 +13,7 @@ from scipy.linalg import lapack
 
 from slenderfall import (CurveSpec, DiscreteBody, KernelParams, assemble_system,
                          discretize, kernel_scalars, resistance_set)
-from slenderfall.errors import AssemblyError, ConfigError, SolverError
+from slenderfall.errors import AssemblyError, ConfigError, ConvergenceError, SolverError
 from slenderfall import geometry, mobility
 from slenderfall.mobility import _factorize, _rigid_motions
 
@@ -396,7 +396,7 @@ def test_symmetric_assembly_peak_memory(monkeypatch, helix_spec, params):
         tracemalloc.stop()
     assert R.blocks == (3 * n // 2,) * 2
     # one packed block of order 3N/2 at a time, 9 N^2 bytes, plus the
-    # generators and the 3N x 6 right-hand sides: measured 11.8 N^2
+    # generators and the 3N x 6 right-hand sides: measured 11.6 N^2
     assert peak <= 13.5 * n * n
 
 
@@ -439,7 +439,8 @@ def test_rigid_motions_match_cross_products(name):
             "polyline": lambda: discretize(random_polyline_spec(np.random.default_rng(3)),
                                            panels=8, order=4)}[name]()
     U, ref = _rigid_motions(body), rigid_motions(body)
-    assert U.shape == (3 * body.n_nodes, 6)
+    assert U.shape == (body.n_nodes, 3, 6)
+    U = U.reshape(-1, 6)
     ref += 0.0   # np.cross leaves -0.0 where a product of zeros is subtracted
     if name == "rod":
         assert np.abs(ref[:, 3]).max() < 1e-12 and not U[:, 3].any()
@@ -479,6 +480,7 @@ SYMMETRY_CASES = {
     # none: a closed body is solved by block-Toeplitz PCG at every N
     "ring": (lambda: discretize(CurveSpec(kind="ring", radius=1.0), 16, 4), 0),
     "README-helix": (lambda: discretize(README_HELIX, 32, 6), 2),
+    "README-helix-16x4": (lambda: discretize(README_HELIX, 16, 4), 2),
     "linear-density-rod": (lambda: discretize(CurveSpec(
         kind="rod", length=2.0, density=lambda s: 1.0 + s), 16, 4), 2),
     # odd P, even k: node N/2 = 30 falls inside panel 7
@@ -522,6 +524,56 @@ def test_reversal_symmetry_selects_the_path(name, params):
     assert np.linalg.norm(R.grand - grand) <= 1e-13 * np.linalg.norm(grand)
     assert (np.linalg.norm(R.densities - densities)
             <= 1e-13 * np.linalg.norm(densities))
+
+
+@pytest.mark.parametrize("m", [1, 6, 12])
+@pytest.mark.parametrize("name, path", [
+    ("V-polyline", "strip"), ("odd-N-rod", "strip"), ("rod", "two blocks"),
+    ("README-helix-16x4", "two blocks"), ("ring", "PCG"), ("README-helix", "PCG")])
+def test_every_path_solves_any_number_of_columns(name, path, m, params):
+    # each path solves G X = B for m seeded random columns: the strip path
+    # on the whole body, the two blocks and PCG on the halves of the
+    # reversal, unfolded. PCG is called directly, as an open body takes it
+    # with N_x forced to 0
+    body = SYMMETRY_CASES[name][0]()
+    B = np.random.default_rng(m).normal(size=(body.n_nodes, 3, m))
+    if path == "strip":
+        nodes, X = body.nodes, mobility._solve(assemble_system(body, params)[0], B)
+    else:
+        frame, panels = periodic_frame(body)
+        T, _ = mobility._panel_green(frame.nodes, panels.k, panels.W, params)
+        halves = mobility._halves(B, panels)
+        if path == "PCG":
+            X, solver = mobility._toeplitz_pcg(T, panels, halves, frame.closed)
+            assert solver["residual"] <= mobility._PCG_RTOL
+        else:
+            X = mobility._two_blocks(T, panels, halves)
+        assert [x.shape for x in X] == [h.shape for h in halves]
+        nodes, X = frame.nodes, mobility._unfold(*X, panels)
+    ref = np.linalg.solve(dense_green(nodes, params), B.reshape(-1, m)).reshape(B.shape)
+    tol = 1e-10 if path == "PCG" else 1e-13
+    assert X.shape == B.shape
+    assert np.linalg.norm(X - ref) <= tol * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("name", ["V-polyline", "rod"])
+def test_reciprocity_gate_measures_the_dense_paths(monkeypatch, name, params):
+    # A6 = U^T X is symmetric only as far as X solves G X = U: an error of
+    # relative size 1e-5 that is not symmetric in U's columns trips the
+    # gate on the strip path and on the two blocks, as it does on PCG
+    solve = mobility._solve
+    S = np.random.default_rng(2).normal(size=(6, 6))
+
+    def perturbed(packed, B):
+        X = solve(packed, B)
+        E = B @ S
+        return X + 1e-5 * np.linalg.norm(X) / np.linalg.norm(E) * E
+
+    body = SYMMETRY_CASES[name][0]()
+    assert resistance_set(body, params).asymmetry <= 1e-14
+    monkeypatch.setattr(mobility, "_solve", perturbed)
+    with pytest.raises(ConvergenceError, match="asymmetry"):
+        resistance_set(body, params)
 
 
 @pytest.mark.parametrize("name", ["README-helix", "rod", "ring"])
@@ -573,11 +625,12 @@ def test_memory_guard_bounds_the_toeplitz_solve(params, panels, order):
     tracemalloc.start()
     try:
         T, _ = mobility._panel_green(frame.nodes, order, panel_frames.W, params)
-        A6 = mobility._toeplitz_pcg(T, panel_frames, U3, frame.closed)[0]
+        halves = mobility._halves(U3, panel_frames)
+        X = mobility._toeplitz_pcg(T, panel_frames, halves, frame.closed)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert A6 is not None
+    assert X is not None
     assert 0 < peak <= 8 * mobility._toeplitz_doubles(body.n_nodes, order)
 
 
@@ -593,22 +646,26 @@ def test_block_pcg_on_dependent_and_zero_columns(monkeypatch, params):
                         lambda *args: bases.append(orthonormal(*args)) or bases[-1])
     monkeypatch.setattr(mobility, "_TOEPLITZ_MIN_NODES", 0)
     resistance_set(SYMMETRY_CASES["rod"][0](), params)
-    T, panels, U3, closed = calls[0]
-    zero = ~U3.any(axis=(0, 1))
+    T, panels, halves, closed = calls[0]
+    halves = np.array(halves)   # (parity, N/2, 3, 6)
+    zero = ~halves.any(axis=(0, 1, 2))
     assert zero.sum() == 1
-    U3 = U3.copy()
-    U3[..., 1] = U3[..., 0]
+    halves[..., 1] = halves[..., 0]
     bases.clear()
-    A6, psi, solver = pcg(T, panels, U3, closed)
+    psi, solver = pcg(T, panels, halves, closed)
+    psi = np.array(psi)
     assert bases[0][0].shape[0] == 4 and solver["residual"] <= mobility._PCG_RTOL
     columns = np.zeros_like(psi)
     for j in np.flatnonzero(~zero):
-        one = np.zeros_like(U3)
-        one[..., j] = U3[..., j]
-        columns[..., j] = pcg(T, panels, one, closed)[1][..., j]
+        one = np.zeros_like(halves)
+        one[..., j] = halves[..., j]
+        columns[..., j] = np.array(pcg(T, panels, one, closed)[0])[..., j]
     assert np.all(psi[..., zero] == 0.0)
-    grand = U3.reshape(-1, 6).T @ columns.reshape(-1, 6)
-    assert np.linalg.norm(A6 - grand) <= 1e-13 * np.linalg.norm(grand)
+
+    def grand(X):   # as resistance_set forms it from the two halves
+        return sum(B.reshape(-1, 6).T @ x.reshape(-1, 6) for B, x in zip(halves, X)) / 2
+
+    assert np.linalg.norm(grand(psi) - grand(columns)) <= 1e-13 * np.linalg.norm(grand(columns))
     assert np.linalg.norm(psi - columns) <= 1e-10 * np.linalg.norm(columns)
 
 
@@ -861,6 +918,7 @@ def test_memory_guard_bounds_the_periodic_fill(monkeypatch, params, panels, orde
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    mobility._two_blocks(T, panel_frames, np.ones((frame.n_nodes, 3, 6)))
+    mobility._two_blocks(T, panel_frames,
+                         mobility._halves(np.ones((frame.n_nodes, 3, 6)), panel_frames))
     (m, temporaries), = counted
     assert 0 < peak <= 8 * (m * (m + 1) // 2 + temporaries)
