@@ -25,7 +25,7 @@ from .errors import ConfigError, ConvergenceError, GeometryError, SlenderFallErr
 from .freefall import steady_states
 from .geometry import (CurveSpec, discretize, load_polyline_csv, mass_properties,
                        panel_counts, validate_geometry)
-from .kernel import KernelParams, fourier_oracle, kernel_scalars
+from .kernel import KernelParams, fourier_oracle, kernel_scalars, scale_is_finite
 from .mobility import require_solvable, resistance_set
 
 MODES = ("mobility", "steady", "fall", "kernel-check", "convergence")
@@ -175,6 +175,9 @@ def _parse_config(raw):
         raise ConfigError("cli.parse_config: ell must be positive")
     if mu <= 0:
         raise ConfigError("cli.parse_config: mu must be positive")
+    if not scale_is_finite(ell, mu):
+        raise ConfigError(f"cli.parse_config: ell * mu = {ell:.3e} * {mu:.3e} underflows; "
+                          f"1 / (8 pi mu ell) is not finite")
     if re < 0:
         raise ConfigError("cli.parse_config: Re must be >= 0")
 

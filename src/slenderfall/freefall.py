@@ -28,9 +28,6 @@ _DEGENERACY_RTOL = 1e-10
 _CLUSTER_RTOL = 1e-7
 # largest momentum residual of a steady state, relative to its load
 _RESIDUAL_RTOL = 1e-8
-# smallest size of F whose characteristic cubic is solved unscaled: its
-# sixth power, in the discriminant, stays 2^122 above the float range's floor
-_CUBIC_FLOOR = 2.0 ** -150
 
 
 def cross_matrix(v):
@@ -144,18 +141,18 @@ def _apply_sign_convention(g):
     return g
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def real_eigenpairs(op):
-    """All real eigenpairs of a fall operator's 3x3 matrix F via the
-    characteristic cubic.
+    """All real eigenpairs of a fall operator's 3x3 matrix F.
 
-    The depressed cubic is solved in closed form (Cardano / trigonometric
-    branch), each real root is polished by Newton iteration on the
-    characteristic polynomial, and eigenvectors come from the SVD null space
-    of F - lambda I. Repeated roots are clustered and reported once with
-    their multiplicity and an orthonormal eigenspace basis. A polynomial
-    that overflows leaves no finite root and raises SolverError, without a
-    floating-point warning.
+    The eigenvalues are LAPACK's (dgeev through numpy.linalg.eigvals,
+    backward stable) for F / 2^e, 2^e the power of two at max(|F|,
+    op.scale); those with an imaginary part at most the clustering
+    tolerance are real. The scaling is exact, so F 2^k gives lambda 2^k
+    and the same eigenvectors bit for bit, at any size of F. Eigenvectors
+    come from the SVD null space of F - lambda I. Repeated eigenvalues are
+    clustered and reported once with their multiplicity and an orthonormal
+    eigenspace basis. A non-finite F, or an op.scale that overflowed,
+    raises SolverError.
 
     The clustering and null-space tolerances are relative to
     max(|F|, op.scale), the size F would have from the resistance and the
@@ -164,80 +161,22 @@ def real_eigenpairs(op):
     the same clusters at every mu.
     """
     F = np.asarray(op.matrix, dtype=float)
-    scale = op.scale
-    # the discriminant holds sixth powers of F's size, which underflow below
-    # _CUBIC_FLOOR (a unit-size body at mu above about 1e45): there the
-    # cubic is solved for F / 2^e, exactly scaled, and its roots scaled back
-    top = max(float(np.abs(F).max()), scale)
-    e = math.frexp(top)[1] if 0.0 < top < _CUBIC_FLOOR else 0
-    if e:
-        F, scale = np.ldexp(F, -e), math.ldexp(scale, -e)
+    if not (np.all(np.isfinite(F)) and math.isfinite(op.scale)):
+        raise SolverError(f"freefall.real_eigenpairs: the fall operator F or its size "
+                          f"is not finite (max |F_ij| = {np.abs(F).max():.3e}, size "
+                          f"from the resistance and the masses {op.scale:.3e})")
+    e = math.frexp(max(float(np.abs(F).max()), op.scale))[1]
+    F, scale = np.ldexp(F, -e), math.ldexp(op.scale, -e)
     norm_f = float(np.linalg.norm(F))
-    # numpy float: its powers overflow to inf; tiny: F = 0 without a load
-    size = np.float64(max(norm_f, scale, np.finfo(float).tiny))
+    # tiny: F = 0 without a load
+    size = max(norm_f, scale, np.finfo(float).tiny)
     eig_tol = _CLUSTER_RTOL * size
-    c2 = -np.trace(F)
-    c1 = 0.5 * (np.trace(F) ** 2 - np.trace(F @ F))
-    c0 = -np.linalg.det(F)
-    # lambda^3 + c2 lambda^2 + c1 lambda + c0; depressed: y^3 + p y + q
-    p = c1 - c2 ** 2 / 3.0
-    q = 2.0 * c2 ** 3 / 27.0 - c2 * c1 / 3.0 + c0
-    shift = -c2 / 3.0
-
-    disc = -4.0 * p ** 3 - 27.0 * q ** 2
-    if abs(p) <= eig_tol ** 2 and abs(q) <= eig_tol ** 3:
-        roots = [shift, shift, shift]
-    elif disc >= 0.0:
-        # three real roots (possibly repeated): trigonometric form
-        m = 2.0 * np.sqrt(max(-p, 0.0) / 3.0)
-        arg = np.clip(3.0 * q / (p * m) if p * m != 0 else 0.0, -1.0, 1.0)
-        theta = np.arccos(arg) / 3.0
-        roots = [shift + m * np.cos(theta - 2.0 * np.pi * k / 3.0)
-                 for k in range(3)]
-    else:
-        # one real root (Cardano); the complex pair is kept when its
-        # imaginary part is at roundoff scale (near-multiple roots)
-        half_q = -q / 2.0
-        root_disc = np.sqrt(q ** 2 / 4.0 + p ** 3 / 27.0)
-        u = np.cbrt(half_q + root_disc)
-        v = np.cbrt(half_q - root_disc)
-        roots = [shift + u + v]
-        imag_pair = 0.5 * np.sqrt(3.0) * abs(u - v)
-        if imag_pair <= eig_tol:
-            roots += [shift - 0.5 * (u + v)] * 2
-
-    # Newton polish on the original cubic
-    def poly(x):
-        return ((x + c2) * x + c1) * x + c0
-
-    def dpoly(x):
-        return (3.0 * x + 2.0 * c2) * x + c1
-
-    # the derivative at a root is the product of its gaps to the other two:
-    # below (1e-10 size)^2 the root is multiple to well within eig_tol, and
-    # a Newton step would only add roundoff
-    flat = (1e-10 * size) ** 2
-    polished = []
-    for lam in roots:
-        for _ in range(3):
-            d = dpoly(lam)
-            if abs(d) < flat:
-                break
-            step = poly(lam) / d
-            if not np.isfinite(step):
-                break
-            lam -= step
-        polished.append(lam)
-    if not np.all(np.isfinite(polished)):
-        # e.g. |F| ~ 1e280, whose characteristic polynomial overflows
-        raise SolverError(f"freefall.real_eigenpairs: the characteristic polynomial "
-                          f"of F (max |F_ij| = {np.abs(F).max():.3e}) has no "
-                          f"finite roots")
-    polished.sort()
+    eigs = np.linalg.eigvals(F)
+    roots = sorted(eigs.real[np.abs(eigs.imag) <= eig_tol].tolist())
 
     # cluster repeated roots
     clusters = []
-    for lam in polished:
+    for lam in roots:
         if clusters and abs(lam - clusters[-1][0]) <= eig_tol:
             group = clusters[-1][1] + [lam]
             clusters[-1] = (float(np.mean(group)), group)
@@ -274,6 +213,10 @@ def steady_states(resistance, mass_props):
         g = basis[0]
         xi = np.linalg.solve(resistance.k_tt,
                              mass_props.m_e * g - lam * resistance.k_tr @ g)
+        if not np.all(np.isfinite(xi)):
+            # the momentum gate below scales with |xi| and would pass it
+            raise SolverError(f"freefall.steady_states: the steady velocity of "
+                              f"lambda = {lam:.3e} is not finite")
         omega = lam * g
         force, torque = _balance(xi, omega, g, resistance, mass_props)
         mom = max(force, torque)
@@ -290,7 +233,7 @@ def steady_states(resistance, mass_props):
         states.append(SteadyState(
             lam=lam, g=g, xi=xi, omega=omega, multiplicity=mult,
             degenerate=op.degenerate,
-            eigen_residual=float(np.linalg.norm(F @ g - lam * g)),
+            eigen_residual=math.hypot(*(F @ g - lam * g)),   # hypot: no overflow
             momentum_residual=mom, eigenbasis=basis if mult > 1 else None))
     return states
 

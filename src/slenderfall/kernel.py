@@ -21,7 +21,7 @@ A ~ (1 + 2/s^2)/(8 pi mu r) and B ~ (1 - 6/s^2)/(8 pi mu r).
 """
 
 from dataclasses import dataclass, field
-from math import cos, factorial, sin
+from math import cos, factorial, isfinite, sin
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +62,18 @@ class KernelParams:
             raise KernelDomainError("kernel.KernelParams: ell must be positive and finite")
         if self.mu <= 0:
             raise KernelDomainError("kernel.KernelParams: mu must be positive")
+        if not scale_is_finite(self.ell, self.mu):
+            raise KernelDomainError("kernel.KernelParams: ell * mu underflows; "
+                                    "1 / (8 pi mu ell) is not finite")
         object.__setattr__(self, "switch_radius", 0.1 * self.ell)
+
+
+def scale_is_finite(ell, mu):
+    """Whether 1 / (8 pi mu ell), the factor of both kernel scalars, is a
+    finite float; it is not once 8 pi mu ell underflows (to 0 at
+    ell = mu = 1e-300)."""
+    denom = 8.0 * np.pi * mu * ell
+    return denom > 0.0 and isfinite(1.0 / denom)
 
 
 class KernelScalars(NamedTuple):

@@ -393,28 +393,23 @@ def _panel_green(x, k, W, params):
     the screw, so their least distance is the body's: node (0, a) with
     itself is left out, and a zero distance of any other pair is
     refused."""
-    P, diag = len(W), np.arange(k)
-    d = [x[:, a].reshape(P, k, 1) - x[:k, a] for a in range(3)]
+    P = len(W)
+    d = [x[:, a, None] - x[:k, a] for a in range(3)]   # the N x k pairs
     r2 = d[0] * d[0]
     r2 += d[1] * d[1]
     r2 += d[2] * d[2]
-    A, B = kernel_scalars(np.sqrt(r2), params)
-    r2[0, diag, diag] = np.inf   # B(0) = 0, so B / r^2 is 0 there
-    least = _least(r2)
-    B /= r2
-    T, out = np.empty((P, k, 3, k, 3)), np.empty_like(r2)   # G: axes (g, a, row, b, col)
-    for a in range(3):
-        for b in range(a, 3):
-            _component(A, B, d, a, b, out)
-            T[:, :, a, :, b] = T[:, :, b, :, a] = out
-    del A, B, d, r2, out
+    T = np.empty((P, k, 3, k, 3))   # G: axes (g, a, row, b, col)
+    # the diagonal of the (N, k) pairs is panel 0's k self pairs
+    least = _block_rows(T.reshape(-1, 3, k, 3), d, r2, params)
+    del d, r2
     T = W.transpose(0, 2, 1)[:, None] @ T.reshape(P, k, 3, 3 * k)   # W^T G
     return T.reshape(P, k, 3, k, 3), float(np.sqrt(least))
 
 
 def _block_rows(S4, d, r2, params):
-    """Write a strip's block rows into S4, each component once; return the
-    strip's least squared distance between two distinct nodes. Once the
+    """Write a strip's block rows into S4 (or T', _panel_green), each
+    component once; return the strip's least squared distance between two
+    distinct nodes. Once the
     kernel has run, r2 serves as the component buffer; the kernel values
     are dropped on return, before the next strip is formed."""
     A, B = kernel_scalars(np.sqrt(r2), params)

@@ -1,5 +1,6 @@
 """CLI module: nondimensionalization, config parsing, pipeline modes."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -387,12 +388,13 @@ def test_non_numeric_config_value_exits_2(tmp_path, capsys, block, key, value):
 
 
 def test_steady_spin_scales_as_one_over_mu_at_huge_mu(tmp_path, capsys):
-    # F scales as 1/mu; at mu = 1e100 its characteristic cubic underflows
-    # unless solved for F scaled by a power of two
+    # F scales as 1/mu; its eigenvalues are those of F scaled exactly by a
+    # power of two, so lambda mu is mu = 1's at tiny mu as at huge mu
     cfg = base_config(body={"kind": "helix", "radius": 1.0, "pitch": 1.0, "turns": 2.0},
                       discretization={"panels": 8, "order": 4})
+    mus = (1e100, 1e200, 1e-100, 1e-200, 1e-300)
     spins = {}
-    for mu in (1.0, 1e100, 1e200):
+    for mu in (1.0,) + mus:
         cfg["fluid"] = {"nondimensional": {"ell": 0.1, "mu": mu}}
         out = tmp_path / f"mu{mu:g}"
         assert main_printing_warnings(["steady", "--config", str(write_config(tmp_path, cfg)),
@@ -401,7 +403,7 @@ def test_steady_spin_scales_as_one_over_mu_at_huge_mu(tmp_path, capsys):
         states = json.loads((out / "report.json").read_text())["steady_states"]
         spins[mu] = [s["lambda"] * mu for s in states]
     assert len(spins[1.0]) == 1
-    for mu in (1e100, 1e200):
+    for mu in mus:
         assert len(spins[mu]) == 1
         assert spins[mu][0] == pytest.approx(spins[1.0][0], rel=2e-15, abs=0.0)
 
@@ -410,9 +412,10 @@ def test_steady_spin_scales_as_one_over_mu_at_huge_mu(tmp_path, capsys):
     ("fluid", "ell", 1e-300),
     ("masses", "m", 1e300),
 ])
-def test_overflowing_fall_operator_exits_3(tmp_path, capsys, block, key, value):
+def test_helix_at_extreme_scales_runs_clean(tmp_path, capsys, block, key, value):
     # both give the helix a finite F with entries of 1e282 and 1e297, whose
-    # characteristic polynomial overflows
+    # eigenvalues are taken for F scaled to unit size: both modes succeed,
+    # with finite states and no floating-point warnings
     cfg = base_config(body={"kind": "helix", "radius": 1.0, "pitch": 1.0, "turns": 2.0},
                       discretization={"panels": 4, "order": 3},
                       dynamics={"dt": 0.01, "t_end": 0.05})
@@ -420,10 +423,92 @@ def test_overflowing_fall_operator_exits_3(tmp_path, capsys, block, key, value):
     path = write_config(tmp_path, cfg)
     for mode in ("steady", "fall"):
         out = tmp_path / mode
+        assert main_printing_warnings([mode, "--config", str(path), "--out", str(out)]) == 0
+        assert "Warning" not in capsys.readouterr().err
+        states = json.loads((out / "report.json").read_text())["steady_states"]
+        assert states
+        for state in states:
+            assert np.isfinite([state["lambda"], state["eigen_residual"],
+                                state["momentum_residual"]]).all()
+
+
+@pytest.mark.parametrize("fluid, m", [
+    ({"ell": 1e-200}, 1e200),
+    ({"ell": 0.1, "mu": 1e-300}, 1e300),
+], ids=["ell-1e-200-m-1e200", "mu-1e-300-m-1e300"])
+def test_overflowing_fall_operator_exits_3(tmp_path, capsys, fluid, m):
+    # the helix's F itself overflows; it is refused by name in both modes
+    cfg = base_config(body={"kind": "helix", "radius": 1.0, "pitch": 1.0, "turns": 2.0},
+                      fluid={"nondimensional": fluid}, masses={"m": m, "m_c": 0.0},
+                      discretization={"panels": 4, "order": 3},
+                      dynamics={"dt": 0.01, "t_end": 0.05})
+    path = write_config(tmp_path, cfg)
+    for mode in ("steady", "fall"):
+        out = tmp_path / mode
         assert main_printing_warnings([mode, "--config", str(path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "solver error" in err and "Warning" not in err
         assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("panels", [12, 48, 96, 150, 200])
+@pytest.mark.parametrize("block, key, value", [
+    ("fluid", "ell", 1e-300),
+    ("masses", "m", 1e300),
+])
+def test_long_straight_rod_at_extreme_scales_has_one_zero_spin(tmp_path, capsys, panels,
+                                                               block, key, value):
+    # the rod's zero coupling K_tr comes out at roundoff once its nodes are
+    # not exactly antisymmetric, and the tiny ell or huge m scales that to
+    # 1e280 in F; F's eigenvalues still cluster into one zero
+    cfg = base_config(body={"kind": "rod", "length": 2.0},
+                      discretization={"panels": panels, "order": 4})
+    (cfg["fluid"]["nondimensional"] if block == "fluid" else cfg[block])[key] = value
+    out = tmp_path / "out"
+    assert main_printing_warnings(["steady", "--config", str(write_config(tmp_path, cfg)),
+                                   "--out", str(out)]) == 0
+    assert "Warning" not in capsys.readouterr().err
+    (state,) = json.loads((out / "report.json").read_text())["steady_states"]
+    assert state["lambda"] == 0.0 and state["multiplicity"] == 3
+
+
+def test_ring_at_tiny_mu_has_one_zero_spin(tmp_path, capsys):
+    # at mu = 1e-308 the ring's F is the roundoff of its zero coupling over
+    # mu, of size 1e291; its eigenvalues cluster into one zero
+    cfg = base_config(fluid={"nondimensional": {"ell": 0.1, "mu": 1e-308}},
+                      discretization={"panels": 4, "order": 4})
+    out = tmp_path / "out"
+    assert main_printing_warnings(["steady", "--config", str(write_config(tmp_path, cfg)),
+                                   "--out", str(out)]) == 0
+    assert "Warning" not in capsys.readouterr().err
+    (state,) = json.loads((out / "report.json").read_text())["steady_states"]
+    assert state["lambda"] == 0.0 and state["multiplicity"] == 3
+
+
+def test_exit_codes_at_extreme_scales(tmp_path, capsys):
+    # every steady run over (ell, mu, m) in {1e-300, 0.1, 1e300}^3 exits 0,
+    # 2, 3 or 4 without an exception out of main or a floating-point
+    # warning, and writes report.json, free of NaN and Infinity, exactly
+    # when it exits 0
+    def refuse(constant):
+        raise ValueError(f"{constant} in report.json")
+
+    bodies = ({"kind": "rod", "length": 2.0}, {"kind": "ring", "radius": 1.0},
+              {"kind": "helix", "radius": 1.0, "pitch": 1.0, "turns": 2.0})
+    values = (1e-300, 0.1, 1e300)
+    for i, (body, ell, mu, m) in enumerate(itertools.product(bodies, values, values, values)):
+        cfg = base_config(body=body, fluid={"nondimensional": {"ell": ell, "mu": mu}},
+                          masses={"m": m, "m_c": 0.0},
+                          discretization={"panels": 4, "order": 3})
+        out = tmp_path / f"run{i}"
+        code = main_printing_warnings(["steady", "--config",
+                                       str(write_config(tmp_path, cfg)), "--out", str(out)])
+        err = capsys.readouterr().err
+        case = (body["kind"], ell, mu, m, code, err)
+        assert code in (0, 2, 3, 4) and "Warning" not in err, case
+        assert (out / "report.json").exists() == (code == 0), case
+        if code == 0:
+            json.loads((out / "report.json").read_text(), parse_constant=refuse)
 
 
 @pytest.mark.parametrize("block, key, value", [
@@ -497,6 +582,19 @@ def test_out_of_domain_config_value_exits_2(tmp_path, capsys, block, key, value)
     path = write_config(tmp_path, cfg)
     assert cli.main(["steady", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_underflowing_ell_mu_exits_2(tmp_path, capsys):
+    # 8 pi mu ell underflows to 0: the kernel's 1 / (8 pi mu ell) would
+    # raise ZeroDivisionError out of main
+    cfg = base_config(fluid={"nondimensional": {"ell": 1e-300, "mu": 1e-300}})
+    with pytest.raises(ConfigError, match="underflows"):
+        cli.parse_config(cfg)
+    out = tmp_path / "out"
+    assert cli.main(["steady", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_total_mass_steady_run_discretizes_once(tmp_path, monkeypatch):

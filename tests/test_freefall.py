@@ -1,5 +1,6 @@
-"""Freefall module: fall operator, cubic eigen-solver, steady states."""
+"""Freefall module: fall operator, its real eigenpairs, steady states."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from slenderfall import (CurveSpec, FallOperator, KernelParams, MassProperties,
                          discretize, fall_operator, mass_properties,
                          real_eigenpairs, residual, resistance_set,
                          steady_states)
-from slenderfall.errors import DegeneracyError
+from slenderfall.errors import DegeneracyError, SolverError
 from slenderfall.freefall import cross_matrix
 
 from conftest import random_polyline_spec
@@ -95,6 +96,40 @@ def test_eigenpairs_residual_and_sign():
                     1 + np.linalg.norm(F))
                 first = g[np.abs(g) > 1e-8][0]
                 assert first > 0
+
+
+@pytest.mark.parametrize("k", [-1000, -500, -200, -100, -50, 50, 100, 200, 500, 1000])
+def test_eigenpairs_are_exact_under_power_of_two_scaling(k):
+    # F 2^k, with its size 2^k, has the eigenvalues lambda 2^k and the same
+    # eigenvectors: F is scaled to unit size exactly before LAPACK sees it,
+    # so the pairs agree bit for bit at any size of F
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        F = rng.normal(size=(3, 3))
+        pairs = real_eigenpairs(_operator(F))
+        scaled = real_eigenpairs(replace(_operator(np.ldexp(F, k)), scale=math.ldexp(1.0, k)))
+        assert ([(math.ldexp(lam, k), mult) for lam, _, mult in pairs]
+                == [(lam, mult) for lam, _, mult in scaled])
+        for (_, basis, _), (_, scaled_basis, _) in zip(pairs, scaled):
+            assert np.array_equal(basis, scaled_basis)
+
+
+@pytest.mark.parametrize("entry, scale", [(np.inf, 1.0), (np.nan, 1.0), (1.0, np.inf)])
+def test_eigenpairs_refuse_a_non_finite_operator(entry, scale):
+    F = np.eye(3)
+    F[0, 1] = entry
+    with pytest.raises(SolverError, match="not finite"):
+        real_eigenpairs(replace(_operator(F), scale=scale))
+
+
+def test_non_finite_steady_velocity_raises(rod_R, rod_mp):
+    # F = 0 and its size is finite, but m_e / |K_tt| overflows: the momentum
+    # gate scales with |xi| and would pass the state
+    R = replace(rod_R, k_tt=1e-300 * rod_R.k_tt)
+    mp = replace(rod_mp, m_e=1e10)
+    assert math.isfinite(fall_operator(R, mp).scale)
+    with pytest.raises(SolverError, match="steady velocity"):
+        steady_states(R, mp)
 
 
 def test_ring_steady_family(ring_R, ring_mp):

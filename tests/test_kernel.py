@@ -148,6 +148,15 @@ def test_domain_errors():
         KernelParams(ell=np.inf)
 
 
+@pytest.mark.parametrize("ell, mu", [(1e-300, 1e-300), (1e-300, 1e-10)])
+def test_underflowing_ell_mu_is_refused(ell, mu):
+    # 8 pi mu ell underflows: to 0 (1 / 0 would raise ZeroDivisionError in
+    # kernel_scalars), or so far that 1 / (8 pi mu ell) overflows
+    with pytest.raises(KernelDomainError, match="underflows"):
+        KernelParams(ell=ell, mu=mu)
+    assert KernelParams(ell=ell, mu=1e-7).mu == 1e-7
+
+
 def test_array_evaluation_matches_scalar():
     p = KernelParams(ell=0.1)
     rs = np.array([0.0, 0.003, 0.05, 1.0, 30.0])
