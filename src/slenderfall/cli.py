@@ -11,8 +11,9 @@ failure.
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -26,13 +27,17 @@ from .freefall import steady_states
 from .geometry import (CurveSpec, discretize, load_polyline_csv, mass_properties,
                        panel_counts, validate_geometry)
 from .kernel import KernelParams, fourier_oracle, kernel_scalars, scale_is_finite
-from .mobility import require_solvable, resistance_set
+from .mobility import require_memory, require_solvable, resistance_set
 
 MODES = ("mobility", "steady", "fall", "kernel-check", "convergence")
 
 # r/ell abscissas probed by the kernel-check mode
 KERNEL_CHECK_POINTS = (0.0, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 KERNEL_CHECK_RTOL = 1e-8
+# float64 values a fall run holds per trajectory sample, 2 KB: its peak
+# measured 1,052 to 1,560 bytes a sample under tracemalloc (the README
+# helix, 8 x 4 nodes, stride 1, 2,000 and 8,000 samples)
+_SAMPLE_DOUBLES = 256
 
 
 @dataclass
@@ -176,8 +181,9 @@ def _parse_config(raw):
     if mu <= 0:
         raise ConfigError("cli.parse_config: mu must be positive")
     if not scale_is_finite(ell, mu):
-        raise ConfigError(f"cli.parse_config: ell * mu = {ell:.3e} * {mu:.3e} underflows; "
-                          f"1 / (8 pi mu ell) is not finite")
+        raise ConfigError(f"cli.parse_config: 8 pi mu ell at ell = {ell:.3e}, "
+                          f"mu = {mu:.3e} underflows or overflows; it and its "
+                          f"inverse must be finite")
     if re < 0:
         raise ConfigError("cli.parse_config: Re must be >= 0")
 
@@ -270,17 +276,6 @@ def _prepare(cfg, panels=None):
     mp = mass_properties(body, m_c=cfg.m_c)
     params = KernelParams(ell=cfg.ell, mu=cfg.mu)
     return body, mp, params
-
-
-def _diagnostics_dict(diag):
-    return {
-        "min_separation": diag.min_separation,
-        "separation_over_thickness": diag.separation_over_thickness,
-        "straightness": diag.straightness,
-        "closed": diag.closed,
-        "duplicate_nodes": diag.duplicate_nodes,
-        "warnings": list(diag.warnings),
-    }
 
 
 def _steady_state_dicts(states, cfg, R, weights):
@@ -383,8 +378,15 @@ def run(cfg, mode, out_dir="."):
     """
     if mode not in MODES:
         raise ConfigError(f"cli.run: unknown mode {mode!r}")
-    if mode == "fall" and cfg.dynamics is None:
-        raise ConfigError("cli.run: fall mode needs a 'dynamics' block")
+    if mode == "fall":
+        if cfg.dynamics is None:
+            raise ConfigError("cli.run: fall mode needs a 'dynamics' block")
+        # integrate keeps every sample: the initial state, one every stride
+        # steps and the last step
+        dyn = cfg.dynamics
+        samples = math.ceil(dyn.t_end / dyn.dt) // dyn.stride + 2
+        require_memory(0, "cli.run", _SAMPLE_DOUBLES * samples,
+                       what=f"a trajectory of {samples} samples")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -414,8 +416,7 @@ def run(cfg, mode, out_dir="."):
     else:
         body, mp, params = _prepare(cfg)
         R = resistance_set(body, params)
-        report["diagnostics"] = _diagnostics_dict(
-            validate_geometry(body, cfg.ell, R.min_separation))
+        report["diagnostics"] = asdict(validate_geometry(body, cfg.ell, R.min_separation))
         report["resistance"] = R.to_dict()
         report["mass_properties"] = {
             "m": mp.m, "m_c": mp.m_c, "m_e": mp.m_e,

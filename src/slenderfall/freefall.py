@@ -147,8 +147,9 @@ def real_eigenpairs(op):
     The eigenvalues are LAPACK's (dgeev through numpy.linalg.eigvals,
     backward stable) for F / 2^e, 2^e the power of two at max(|F|,
     op.scale); those with an imaginary part at most the clustering
-    tolerance are real. The scaling is exact, so F 2^k gives lambda 2^k
-    and the same eigenvectors bit for bit, at any size of F. Eigenvectors
+    tolerance are real, and a real one within that tolerance of zero is
+    0.0. The scaling is exact, so F 2^k gives lambda 2^k and the same
+    eigenvectors bit for bit, at any size of F. Eigenvectors
     come from the SVD null space of F - lambda I. Repeated eigenvalues are
     clustered and reported once with their multiplicity and an orthonormal
     eigenspace basis. A non-finite F, or an op.scale that overflowed,
@@ -157,8 +158,8 @@ def real_eigenpairs(op):
     The clustering and null-space tolerances are relative to
     max(|F|, op.scale), the size F would have from the resistance and the
     masses, with no absolute floor: a symmetric body, whose F is roundoff of
-    that size, collapses to a single zero of multiplicity 3, and F / mu gives
-    the same clusters at every mu.
+    that size, collapses to a single zero of multiplicity 3, exactly 0.0
+    whatever the roundoff, and F / mu gives the same clusters at every mu.
     """
     F = np.asarray(op.matrix, dtype=float)
     if not (np.all(np.isfinite(F)) and math.isfinite(op.scale)):
@@ -172,7 +173,8 @@ def real_eigenpairs(op):
     size = max(norm_f, scale, np.finfo(float).tiny)
     eig_tol = _CLUSTER_RTOL * size
     eigs = np.linalg.eigvals(F)
-    roots = sorted(eigs.real[np.abs(eigs.imag) <= eig_tol].tolist())
+    roots = eigs.real[np.abs(eigs.imag) <= eig_tol]
+    roots = sorted(np.where(np.abs(roots) <= eig_tol, 0.0, roots).tolist())
 
     # cluster repeated roots
     clusters = []

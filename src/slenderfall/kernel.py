@@ -63,17 +63,20 @@ class KernelParams:
         if self.mu <= 0:
             raise KernelDomainError("kernel.KernelParams: mu must be positive")
         if not scale_is_finite(self.ell, self.mu):
-            raise KernelDomainError("kernel.KernelParams: ell * mu underflows; "
-                                    "1 / (8 pi mu ell) is not finite")
+            raise KernelDomainError("kernel.KernelParams: 8 pi mu ell underflows "
+                                    "or overflows; it and its inverse must be "
+                                    "finite")
         object.__setattr__(self, "switch_radius", 0.1 * self.ell)
 
 
 def scale_is_finite(ell, mu):
-    """Whether 1 / (8 pi mu ell), the factor of both kernel scalars, is a
-    finite float; it is not once 8 pi mu ell underflows (to 0 at
-    ell = mu = 1e-300)."""
-    denom = 8.0 * np.pi * mu * ell
-    return denom > 0.0 and isfinite(1.0 / denom)
+    """Whether 8 pi mu ell and 1 / (8 pi mu ell), the factor of both kernel
+    scalars, are finite positive floats; they are not once 8 pi mu ell
+    underflows (to 0 at ell = mu = 1e-300) or overflows (at mu = 1e308,
+    ell = 0.1). mu ell is formed first, as in kernel_scalars, so that a
+    large mu with a small ell passes."""
+    denom = 8.0 * np.pi * (mu * ell)
+    return 0.0 < denom < np.inf and isfinite(1.0 / denom)
 
 
 class KernelScalars(NamedTuple):
@@ -130,7 +133,7 @@ def kernel_scalars(r, params):
             A[small] = _A_COEF[0]
             B[small] = 0.0
 
-    scale = 1.0 / (8.0 * np.pi * params.mu * params.ell)
+    scale = 1.0 / (8.0 * np.pi * (params.mu * params.ell))
     A *= scale
     B *= scale
     if r_in.ndim == 0:

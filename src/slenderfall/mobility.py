@@ -223,14 +223,14 @@ _TOEPLITZ_FIXED = 8192
 _ASYMMETRY_TOL = 1e-6
 
 
-def require_memory(m, where, temporaries=0):
+def require_memory(m, where, temporaries=0, what="the block-Toeplitz solve"):
     """Raise ConfigError, naming `where`, when a packed m x m Green matrix
     plus `temporaries` doubles exceeds the physical RAM; m = 0 counts the
-    arrays of the block-Toeplitz solve alone."""
+    temporaries alone, the arrays of `what`."""
     need = 8 * (m * (m + 1) // 2 + temporaries)
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > ram:
-        what = f"a packed Green matrix of order {m}" if m else "the block-Toeplitz solve"
+        what = f"a packed Green matrix of order {m}" if m else what
         raise ConfigError(f"{where}: {what} needs about {need / 2**30:.1f} GiB, "
                           f"more than the {ram / 2**30:.1f} GiB of physical memory")
 
@@ -601,17 +601,12 @@ class _Fold:
 
     def __init__(self, panels, n):
         k, P = panels.k, len(panels.W)
-        # K's eigenvectors, (e_a +- e_{k-1-a}) / sqrt 2 (x) those of the 3 x 3
+        # K's eigenvectors, those of the node flip (x) those of the 3 x 3
         # involution: no eigenvector mixes components that K keeps apart,
         # such as the in- and out-of-plane components of a planar body
         mu, V3 = np.linalg.eigh(panels.W[-1].T * panels.eps)
-        F, f = np.zeros((k, k)), np.ones(k)
-        for a in range(k // 2):
-            F[[a, k - 1 - a], 2 * a] = math.sqrt(0.5)
-            F[[a, k - 1 - a], 2 * a + 1] = math.sqrt(0.5), -math.sqrt(0.5)
-            f[2 * a + 1] = -1.0
-        F[k // 2, -1] += k % 2   # the middle node of odd k
-        kappa = (f[:, None] * np.where(mu < 0.0, -1.0, 1.0)).ravel()
+        f, F = np.linalg.eigh(np.eye(k)[::-1])
+        kappa = np.where(np.outer(f, mu) < 0.0, -1.0, 1.0).ravel()
         order = np.argsort(kappa, kind="stable")   # eigenvalue -1 first
         self.V = (F[:, None, :, None] * V3[:, None]).reshape(3 * k, 3 * k)[:, order]
         self.kappa, self.odd = kappa[order], np.count_nonzero(kappa < 0.0)

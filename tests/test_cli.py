@@ -667,6 +667,40 @@ def test_readme_helix_steady_at_large_mu(tmp_path, capsys, mu):
     assert state["multiplicity"] == 1 and abs(state["lambda"] * mu) > 1e-4
 
 
+@pytest.mark.parametrize("ell, mu, code", [(1e-300, 1e307, 0), (0.1, 1e308, 2)])
+def test_readme_helix_where_8_pi_mu_overflows(tmp_path, capsys, ell, mu, code):
+    # 8 pi mu overflows from mu = 7.2e306: the helix still runs where mu ell
+    # is moderate, and is refused as a config error where 8 pi mu ell
+    # overflows
+    cfg = base_config(body={"kind": "helix", "radius": 1.0, "pitch": 1.0, "turns": 2.0},
+                      fluid={"nondimensional": {"ell": ell, "mu": mu}},
+                      discretization={"panels": 8, "order": 4})
+    out = tmp_path / "out"
+    assert main_printing_warnings(["steady", "--config", str(write_config(tmp_path, cfg)),
+                                   "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Warning" not in err and ("overflows" in err) == (code == 2)
+    assert (out / "report.json").exists() == (code == 0)
+
+
+@pytest.mark.parametrize("t_end, code", [(1.0, 2), (0.01, 0)])
+def test_fall_samples_beyond_memory_exit_2(tmp_path, monkeypatch, capsys, t_end, code):
+    # 1 MB of RAM: 10^4 samples of 2 KB are refused before the body is
+    # made, 100 of them run
+    from slenderfall import mobility
+    ram = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2 ** 20}
+    monkeypatch.setattr(mobility.os, "sysconf", ram.__getitem__)
+    cfg = base_config(body={"kind": "helix", "radius": 1.0, "pitch": 1.0, "turns": 2.0},
+                      discretization={"panels": 8, "order": 4},
+                      dynamics={"dt": 1e-4, "t_end": t_end})
+    out = tmp_path / "out"
+    assert cli.main(["fall", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert ("trajectory of 10002 samples" in err) == (code == 2)
+    assert (out / "report.json").exists() == (code == 0)
+
+
 def test_memory_error_exits_3(tmp_path, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError("cannot allocate the dense system")

@@ -143,6 +143,28 @@ def test_ring_steady_family(ring_R, ring_mp):
     assert s.momentum_residual <= 1e-10 * ring_mp.m_e
 
 
+@pytest.mark.parametrize("panels, order", [(9, 6), (15, 4), (16, 4), (17, 6), (25, 4),
+                                            (32, 6)])
+def test_uniform_ring_has_exactly_one_zero_spin(ring_spec, params, panels, order):
+    # a ring's F is roundoff, whose eigenvalues differ with P and k (odd P
+    # gave |lambda| of 5e-37 to 4e-33); its zero cluster is 0.0 all the same
+    body = discretize(ring_spec, panels=panels, order=order)
+    states = steady_states(resistance_set(body, params), mass_properties(body))
+    assert [(s.lam, s.multiplicity) for s in states] == [(0.0, 3)]
+
+
+def test_ring_zero_spin_survives_roundoff_in_the_resistance(ring_R, ring_mp):
+    # the grand matrix scaled entrywise by 1 + 1e-15 E, E seeded and
+    # symmetric: the zero does not hang on the solver's rounding
+    for seed in range(20):
+        E = np.random.default_rng(seed).standard_normal((6, 6))
+        G = ring_R.grand * (1.0 + 1e-15 * (E + E.T) / 2)
+        R = replace(ring_R, grand=G, k_tt=G[:3, :3], k_tr=G[:3, 3:],
+                    k_rt=G[3:, :3], k_rr=G[3:, 3:])
+        states = steady_states(R, ring_mp)
+        assert [(s.lam, s.multiplicity) for s in states] == [(0.0, 3)], seed
+
+
 def test_rod_steady_transverse_isotropy(rod_R, rod_mp):
     states = steady_states(rod_R, rod_mp)
     assert all(abs(s.lam) <= 1e-10 for s in states)

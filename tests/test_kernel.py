@@ -157,6 +157,23 @@ def test_underflowing_ell_mu_is_refused(ell, mu):
     assert KernelParams(ell=ell, mu=1e-7).mu == 1e-7
 
 
+@pytest.mark.parametrize("mu", [1e308, np.inf])
+def test_overflowing_ell_mu_is_refused(mu):
+    # 8 pi mu ell overflows: 1 / (8 pi mu ell), and with it the Green
+    # matrix, would be 0
+    with pytest.raises(KernelDomainError, match="overflows"):
+        KernelParams(ell=0.1, mu=mu)
+
+
+def test_large_mu_at_small_ell_keeps_the_kernel():
+    # 8 pi mu alone overflows at mu = 1e307; mu ell = 1e7 is formed first
+    r = np.array([0.0, 3e-302, 1e-300, 3e-300])
+    large, unit = (kernel_scalars(r, KernelParams(ell=1e-300, mu=mu)) for mu in (1e307, 1.0))
+    assert np.all(large.A > 0.0)
+    for a, b in zip(large, unit):
+        np.testing.assert_allclose(a, b / 1e307, rtol=1e-15, atol=0.0)
+
+
 def test_array_evaluation_matches_scalar():
     p = KernelParams(ell=0.1)
     rs = np.array([0.0, 0.003, 0.05, 1.0, 30.0])
