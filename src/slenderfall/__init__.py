@@ -8,7 +8,7 @@ Stokes operator.
 
 __version__ = "0.1.0"
 
-from .dynamics import DynamicsParams, FallState, Trajectory, detect_steady, integrate, rhs
+from .dynamics import DynamicsParams, FallState, Trajectory, integrate, rhs
 from .freefall import FallOperator, SteadyState, fall_operator, real_eigenpairs, residual, steady_states
 from .geometry import (CurveSpec, DiscreteBody, MassProperties, discretize,
                        load_polyline_csv, mass_properties, validate_geometry)
@@ -23,5 +23,5 @@ __all__ = [
     "ResistanceSet", "assemble_system", "resistance_set",
     "FallOperator", "SteadyState", "fall_operator", "real_eigenpairs",
     "steady_states", "residual",
-    "FallState", "DynamicsParams", "Trajectory", "rhs", "integrate", "detect_steady",
+    "FallState", "DynamicsParams", "Trajectory", "rhs", "integrate",
 ]

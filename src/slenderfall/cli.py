@@ -21,9 +21,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .dynamics import DynamicsParams, FallState, detect_steady, integrate, max_stable_dt
-from .errors import ConfigError, ConvergenceError, GeometryError, SlenderFallError
-from .freefall import steady_states
+from .dynamics import COLUMNS, DynamicsParams, FallState, integrate, max_stable_dt
+from .errors import (ConfigError, ConvergenceError, GeometryError, SlenderFallError,
+                     SolverError)
+from .freefall import residual, steady_states
 from .geometry import (CurveSpec, discretize, load_polyline_csv, mass_properties,
                        panel_counts, validate_geometry)
 from .kernel import KernelParams, fourier_oracle, kernel_scalars, scale_is_finite
@@ -34,10 +35,6 @@ MODES = ("mobility", "steady", "fall", "kernel-check", "convergence")
 # r/ell abscissas probed by the kernel-check mode
 KERNEL_CHECK_POINTS = (0.0, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 KERNEL_CHECK_RTOL = 1e-8
-# float64 values a fall run holds per trajectory sample, 2 KB: its peak
-# measured 1,052 to 1,560 bytes a sample under tracemalloc (the README
-# helix, 8 x 4 nodes, stride 1, 2,000 and 8,000 samples)
-_SAMPLE_DOUBLES = 256
 
 
 @dataclass
@@ -280,15 +277,22 @@ def _prepare(cfg, panels=None):
 
 def _steady_state_dicts(states, cfg, R, weights):
     """State dicts, each with the size of its line force density phi:
-    max_q |phi_q| and sqrt(sum_q w_q |phi_q|^2)."""
+    max_q |phi_q| and sqrt(sum_q w_q |phi_q|^2). A size that is not finite
+    raises SolverError."""
     out = []
     for s in states:
         d = s.to_dict()
-        phi = R.densities @ np.r_[s.xi, s.omega]
-        top = np.abs(phi).max() or 1.0   # scaled: |phi|^2 may overflow
-        phi2 = ((phi / top) ** 2).sum(axis=1)
-        d["force_density"] = {"max": float(top * np.sqrt(phi2.max())),
-                              "l2": float(top * np.sqrt(weights @ phi2))}
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below
+            phi = R.densities @ np.r_[s.xi, s.omega]
+            top = np.abs(phi).max() or 1.0   # scaled: |phi|^2 may overflow
+            phi2 = ((phi / top) ** 2).sum(axis=1)
+            size = {"max": float(top * np.sqrt(phi2.max())),
+                    "l2": float(top * np.sqrt(weights @ phi2))}
+        if not all(map(math.isfinite, size.values())):
+            raise SolverError(f"cli: the force density of the steady state of "
+                              f"lambda = {s.lam:.3e} is not finite (max "
+                              f"{size['max']:.3e}, l2 {size['l2']:.3e})")
+        d["force_density"] = size
         if cfg.dimensional:
             W = cfg.dimensional["speed_scale"]
             dd = cfg.dimensional["length_scale"]
@@ -337,13 +341,17 @@ def convergence_study(cfg):
         row = {
             "panels": body.panels, "nodes": body.n_nodes,
             "ktt_00": R.k_tt[0, 0], "ktt_11": R.k_tt[1, 1], "ktt_22": R.k_tt[2, 2],
-            "ktr_norm": float(np.linalg.norm(R.k_tr)),
+            "ktr_norm": math.hypot(*R.k_tr.ravel()),   # hypot: no overflow
             "lambda": lam,
         }
         if prev is not None:
-            diffs.append(float(np.linalg.norm(R.grand - prev)))
+            # scaled by the largest entry: a sum of squares of the entries
+            # may under- or overflow
+            delta = R.grand - prev
+            top = float(np.abs(delta).max())
+            diffs.append(top * float(np.linalg.norm(delta / top)) if top else 0.0)
             row["grand_diff"] = diffs[-1]
-            row["diff_ratio"] = (diffs[-1] / diffs[-2]) if len(diffs) > 1 else None
+            row["diff_ratio"] = (diffs[-1] / diffs[-2]) if len(diffs) > 1 and diffs[-2] else None
         prev = R.grand
         rows.append(row)
     if len(diffs) >= 2 and diffs[-1] >= diffs[-2]:
@@ -381,11 +389,11 @@ def run(cfg, mode, out_dir="."):
     if mode == "fall":
         if cfg.dynamics is None:
             raise ConfigError("cli.run: fall mode needs a 'dynamics' block")
-        # integrate keeps every sample: the initial state, one every stride
-        # steps and the last step
+        # integrate allocates a row for every sample: the initial state, one
+        # every stride steps and the last step
         dyn = cfg.dynamics
         samples = math.ceil(dyn.t_end / dyn.dt) // dyn.stride + 2
-        require_memory(0, "cli.run", _SAMPLE_DOUBLES * samples,
+        require_memory(0, "cli.run", len(COLUMNS) * samples,
                        what=f"a trajectory of {samples} samples")
     out = Path(out_dir)
     try:
@@ -436,17 +444,23 @@ def run(cfg, mode, out_dir="."):
             s0 = FallState.from_rest(cfg.g_direction)
             traj = integrate(s0, R, mp, cfg.dynamics, steady_states=states)
             _write(out / "trajectory.csv", traj.to_csv)
+            final = traj.final
+            detection = {"converged": traj.halted_steady,
+                         "state_index": traj.state_index if traj.halted_steady else None,
+                         "mismatch": traj.mismatch, "t_final": final.t}
+            if not traj.halted_steady:
+                # non-convergence is a finding, not an error
+                detection["final_balance_residual"] = residual(
+                    final.xi, final.omega, final.G, R, mp)
             report["dynamics"] = {
                 "trajectory_csv": "trajectory.csv",
                 "n_samples": len(traj),
                 "dt_max": dt_max,
-                "steps": round(traj.final.t / dt),   # from rest at t = 0
+                "steps": round(final.t / dt),   # from rest at t = 0
                 "halt": "steady" if traj.halted_steady else "t_end",
                 "halted_steady": traj.halted_steady,
                 "frame_drift": traj.frame_drift,
-                "steady_detection": detect_steady(traj, states,
-                                                  cfg.dynamics.steady_tol,
-                                                  resistance=R, mass_props=mp),
+                "steady_detection": detection,
             }
 
     report["timestamp"] = datetime.now(timezone.utc).isoformat()

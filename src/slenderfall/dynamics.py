@@ -30,6 +30,10 @@ factor, computed by Newton's iteration with the cofactor matrix (no SVD),
 at each sample and at each batch end, not after every step. ``rhs`` is the
 21-float reference derivative.
 
+Each sample is one row of a float64 array allocated before the first step,
+in trajectory.csv's column order (``COLUMNS``): the loop writes t, xi, omega
+and G, and each rebuild writes c and Q.
+
 ``max_stable_dt`` gives the largest step RK4 keeps stable under the linear
 drag, 2.785 / lambda_max with lambda_max the largest decay rate of
 (xi, omega); the command line refuses a larger dt before the first step.
@@ -42,7 +46,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import InstabilityError, MassModelError
-from .freefall import residual
 
 _BLOWUP_NORM = 1e12
 _POLAR_TOL = 1e-8          # largest entry of a polar update at convergence
@@ -50,6 +53,11 @@ _POLAR_MAX_ITER = 8
 _RK4_REAL_STABILITY = 2.785293563405282   # RK4 is stable on [-2.785..., 0]
 _INERTIA_NULL_RTOL = 1e-12   # eigenvalues of J below this share of its largest are null
 _BATCH = 256                 # RK4 steps between rebuilds of Q and c
+
+# the columns of a trajectory sample, as trajectory.csv writes them
+COLUMNS = ("t", "xi1", "xi2", "xi3", "omega1", "omega2", "omega3",
+           "G1", "G2", "G3", "c1", "c2", "c3",
+           "Q11", "Q12", "Q13", "Q21", "Q22", "Q23", "Q31", "Q32", "Q33")
 
 
 @dataclass(frozen=True)
@@ -69,14 +77,6 @@ class FallState:
         g = g / np.linalg.norm(g)
         return FallState(t=0.0, xi=np.zeros(3), omega=np.zeros(3), G=g,
                          Q=np.eye(3), c=np.zeros(3))
-
-    def pack(self):
-        return np.concatenate([self.xi, self.omega, self.G, self.Q.ravel(), self.c])
-
-    @staticmethod
-    def unpack(t, y):
-        return FallState(t=t, xi=y[0:3], omega=y[3:6], G=y[6:9],
-                         Q=y[9:18].reshape(3, 3), c=y[18:21])
 
 
 @dataclass(frozen=True)
@@ -250,37 +250,45 @@ def _polar_factor(q, step):
         f"converge in {_POLAR_MAX_ITER} passes at step {step}", step=step)
 
 
+def _sample_state(row):
+    """The FallState of a sample row, its arrays views of the row."""
+    return FallState(t=float(row[0]), xi=row[1:4], omega=row[4:7], G=row[7:10],
+                     Q=row[13:22].reshape(3, 3), c=row[10:13])
+
+
 @dataclass
 class Trajectory:
-    """Sampled fall states plus metadata from the integration."""
+    """Sampled fall states plus metadata from the integration.
 
-    states: list
+    ``samples`` holds one row a sample, in the order of ``COLUMNS``;
+    iteration and ``final`` give the rows as FallStates. ``state_index`` and
+    ``mismatch`` name the steady state nearest the last sample and its
+    mismatch (None and inf when no steady states were given); the run
+    halted steady when that mismatch is below ``steady_tol``.
+    """
+
+    samples: np.ndarray
     halted_steady: bool = False
-    steady_index: Optional[int] = None
+    state_index: Optional[int] = None
+    mismatch: float = math.inf
     frame_drift: float = 0.0   # largest |Q^T Q - I| before a projection
 
     def __iter__(self):
-        return iter(self.states)
+        return map(_sample_state, self.samples)
 
     def __len__(self):
-        return len(self.states)
+        return len(self.samples)
 
     @property
     def final(self):
-        return self.states[-1]
+        return _sample_state(self.samples[-1])
 
     def to_csv(self, path):
         """Write the trajectory CSV (17 significant digits, header row)."""
-        header = ["t",
-                  "xi1", "xi2", "xi3", "omega1", "omega2", "omega3",
-                  "G1", "G2", "G3", "c1", "c2", "c3",
-                  "Q11", "Q12", "Q13", "Q21", "Q22", "Q23", "Q31", "Q32", "Q33"]
-        row = ",".join(["%.17g"] * len(header)) + "\n"
+        row = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
         with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.writelines(row % (s.t, *s.xi.tolist(), *s.omega.tolist(),
-                                 *s.G.tolist(), *s.c.tolist(), *s.Q.ravel().tolist())
-                          for s in self.states)
+            fh.write(",".join(COLUMNS) + "\n")
+            fh.writelines(row % tuple(r) for r in self.samples.tolist())
 
 
 def _target(steady, resistance, mass_props):
@@ -331,12 +339,11 @@ def _state_mismatch(xi, omega, G, target):
     return best
 
 
-def _steady_index(xi, omega, G, targets, tol):
-    """Index of the first target within tol of (xi, omega, G), or None."""
-    for i, target in enumerate(targets):
-        if _state_mismatch(xi, omega, G, target(G)) < tol:
-            return i
-    return None
+def _nearest_target(xi, omega, G, targets):
+    """(mismatch, index) of the target nearest (xi, omega, G), the first of
+    equals; (inf, None) without targets."""
+    return min(((_state_mismatch(xi, omega, G, target(G)), i)
+                for i, target in enumerate(targets)), default=(math.inf, None))
 
 
 def _rebuild(Q, c, record, h, re):
@@ -377,21 +384,22 @@ def _rebuild(Q, c, record, h, re):
     return Qs, cs
 
 
-def _flush(Q, c, record, samples, base, step, h, re):
+def _flush(Q, c, record, steps, rows, base, step, h, re):
     """Rebuild Q and c over steps base + 1 .. step and project them.
 
-    ``samples`` holds (step, t, (xi, omega, G)) of each sample in that span.
-    Returns the sampled FallStates, the projected Q and the c at ``step``,
-    and the largest |Q^T Q - I| of the rebuilt Q before its projections.
+    ``steps`` are the steps sampled in that span and ``rows`` their sample
+    rows, whose c and Q columns are written here. Returns the projected Q
+    and the c at ``step``, and the largest |Q^T Q - I| of the rebuilt Q
+    before its projections.
     """
     Qs, cs = _rebuild(Q, c, record, h, re)
-    at = [s - base - 1 for s, _, _ in samples] + [step - base - 1]
+    at = [s - base - 1 for s in steps] + [step - base - 1]
     drift = np.linalg.norm(Qs[at].transpose(0, 2, 1) @ Qs[at] - np.eye(3), axis=(1, 2))
-    states = [FallState.unpack(t, np.array([*z, *_polar_factor(Qs[i].ravel().tolist(), s),
-                                            *cs[i].tolist()]))
-              for (s, t, z), i in zip(samples, at)]
+    for row, s, i in zip(rows, steps, at):
+        row[13:] = _polar_factor(Qs[i].ravel().tolist(), s)
+    rows[:, 10:13] = cs[at[:-1]]
     Q = np.array(_polar_factor(Qs[-1].ravel().tolist(), step)).reshape(3, 3)
-    return states, Q, cs[-1], float(drift.max())
+    return Q, cs[-1], float(drift.max())
 
 
 def integrate(state0, resistance, mass_props, params, steady_states=None):
@@ -403,20 +411,26 @@ def integrate(state0, resistance, mass_props, params, steady_states=None):
     replaced by its polar factor at each sample and at the batch end. An
     (xi, omega, G) whose norm is not finite or exceeds _BLOWUP_NORM, or a Q
     that is not near a rotation, raises InstabilityError naming the step. Sampling happens every
-    ``params.stride`` steps. When a list of steady states is supplied,
-    integration halts early once the current (xi, omega, G) is within
-    ``params.steady_tol`` of one of them, at the start or at a sample.
+    ``params.stride`` steps and at the last step, into rows of one array of
+    n_steps // stride + 2 rows allocated up front. At the start and at each
+    sample the steady state nearest the current (xi, omega, G) is found
+    among the supplied ones; integration halts early once its mismatch is
+    below ``params.steady_tol``, and keeps a copy of the rows written.
     """
     t = state0.t
-    n_steps = int(np.ceil((params.t_end - t) / params.dt - 1e-12))
-    out = [state0]
+    row0 = np.concatenate([[t], state0.xi, state0.omega, state0.G, state0.c,
+                           np.ravel(state0.Q)])
     targets = [_target(st, resistance, mass_props) for st in steady_states or ()]
     tol = params.steady_tol
-    y0 = state0.pack()
-    X1, X2, X3, W1, W2, W3, G1, G2, G3 = y0[:9].tolist()
-    steady_index = _steady_index((X1, X2, X3), (W1, W2, W3), (G1, G2, G3), targets, tol)
-    if steady_index is not None:
-        return Trajectory(states=out, halted_steady=True, steady_index=steady_index)
+    X1, X2, X3, W1, W2, W3, G1, G2, G3 = row0[1:10].tolist()
+    mismatch, index = _nearest_target((X1, X2, X3), (W1, W2, W3), (G1, G2, G3), targets)
+    halted = mismatch < tol
+    if halted:
+        return Trajectory(samples=row0[None], halted_steady=True, state_index=index,
+                          mismatch=mismatch)
+    n_steps = max(0, int(np.ceil((params.t_end - t) / params.dt - 1e-12)))
+    samples = np.empty((n_steps // params.stride + 2, len(COLUMNS)))
+    samples[0] = row0
 
     ((a11, a12, a13, a14, a15, a16), (a21, a22, a23, a24, a25, a26),
      (a31, a32, a33, a34, a35, a36), (a41, a42, a43, a44, a45, a46),
@@ -429,9 +443,9 @@ def integrate(state0, resistance, mass_props, params, steady_states=None):
     h2, h6 = h / 2, h / 6
     # (weight of the stage's k in k1 + 2 k2 + 2 k3 + k4, c of the next stage)
     stages = ((1.0, h2), (2.0, h2), (2.0, h), (1.0, None))
-    Q, c = y0[9:18].reshape(3, 3), y0[18:]
-    record, samples = [], []
-    base, drift = 0, 0.0
+    Q, c = samples[0, 13:].reshape(3, 3), samples[0, 10:13]
+    record, steps = [], []
+    k, base, drift = 1, 0, 0.0      # k: the rows written
     flush_at = min(_BATCH, n_steps)
     for step in range(1, n_steps + 1):
         # stage 1 is the state itself; -0.0 + k is k, even for k = -0.0
@@ -491,41 +505,21 @@ def integrate(state0, resistance, mass_props, params, steady_states=None):
         n = math.hypot(G1, G2, G3)
         G1, G2, G3 = G1 / n, G2 / n, G3 / n
         if step % params.stride == 0 or step == n_steps:
-            samples.append((step, t, (X1, X2, X3, W1, W2, W3, G1, G2, G3)))
-            steady_index = _steady_index((X1, X2, X3), (W1, W2, W3), (G1, G2, G3),
-                                         targets, tol)
-        if step == flush_at or steady_index is not None:
-            states, Q, c, batch_drift = _flush(Q, c, record, samples, base, step, h, re)
-            out += states
+            samples[k, :10] = t, X1, X2, X3, W1, W2, W3, G1, G2, G3
+            k += 1
+            steps.append(step)
+            mismatch, index = _nearest_target((X1, X2, X3), (W1, W2, W3),
+                                              (G1, G2, G3), targets)
+            halted = mismatch < tol
+        if step == flush_at or halted:
+            Q, c, batch_drift = _flush(Q, c, record, steps, samples[k - len(steps):k],
+                                       base, step, h, re)
             drift = max(drift, batch_drift)
-            if steady_index is not None:
+            if halted:
                 break
-            record, samples = [], []
+            record, steps = [], []
             base, flush_at = step, min(step + _BATCH, n_steps)
-    return Trajectory(states=out, halted_steady=steady_index is not None,
-                      steady_index=steady_index, frame_drift=drift)
-
-
-def detect_steady(trajectory, steady_states, tol, resistance=None, mass_props=None):
-    """Report whether a trajectory approaches any steady state.
-
-    Non-convergence is a finding, not an error: in that case the report
-    carries the final residual of the instantaneous force/torque balance
-    (when resistance and mass properties are supplied).
-    """
-    final = trajectory.final
-    xi, omega, G = final.xi.tolist(), final.omega.tolist(), final.G.tolist()
-    mismatches = [_state_mismatch(xi, omega, G, _target(st, resistance, mass_props)(G))
-                  for st in steady_states]
-    best = int(np.argmin(mismatches)) if mismatches else None
-    converged = bool(mismatches and mismatches[best] < tol)
-    report = {
-        "converged": converged,
-        "state_index": best if converged else None,
-        "mismatch": float(mismatches[best]) if mismatches else None,
-        "t_final": final.t,
-    }
-    if not converged and resistance is not None and mass_props is not None:
-        report["final_balance_residual"] = residual(
-            final.xi, final.omega, final.G, resistance, mass_props)
-    return report
+    # a run that halts keeps only the rows it wrote
+    return Trajectory(samples=samples[:k].copy() if halted else samples[:k],
+                      halted_steady=halted, state_index=index, mismatch=mismatch,
+                      frame_drift=drift)

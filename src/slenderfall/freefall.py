@@ -126,7 +126,8 @@ def fall_operator(resistance, mass_props):
             "rotation direction", null_direction=null)
     inv_sv = np.where(small, 0.0, 1.0 / np.where(small, 1.0, sv))
     pinv = (vt.T * inv_sv) @ u.T
-    F = pinv @ rhs
+    with np.errstate(over="ignore", invalid="ignore"):   # real_eigenpairs refuses it
+        F = pinv @ rhs
     return FallOperator(matrix=F, schur=schur, degenerate=True,
                         null_direction=null,
                         schur_condition=float(sv[0] / max(sv[~small][-1], np.finfo(float).tiny)),

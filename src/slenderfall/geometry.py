@@ -322,7 +322,7 @@ def mass_properties(body, m_c=0.0):
     wr = w * rho
     sq = (x * x).sum(axis=1)
     J = np.einsum("q,ij->ij", wr * sq, np.eye(3)) - np.einsum("q,qi,qj->ij", wr, x, x)
-    J = 0.5 * (J + J.T)
+    J = 0.5 * J + 0.5 * J.T   # J + J.T may overflow
     return MassProperties(m=m, m_c=float(m_c), m_e=m - float(m_c), r=r, inertia=J)
 
 
@@ -361,7 +361,6 @@ class GeometryDiagnostics:
     separation_over_thickness: float
     straightness: float      # max node distance from best-fit line / length
     closed: bool
-    duplicate_nodes: bool
     warnings: tuple = field(default=())
 
 
@@ -370,8 +369,8 @@ def validate_geometry(body, ell, min_separation):
 
     `min_separation` is the smallest distance between two distinct nodes;
     the assembly of the Green matrix finds it on its one pass over the node
-    pairs (mobility.ResistanceSet.min_separation). The checks made here are
-    O(N).
+    pairs (mobility.ResistanceSet.min_separation), and refuses a zero one.
+    The checks made here are O(N).
     """
     x = body.nodes
     min_sep = float(min_separation)
@@ -384,16 +383,13 @@ def validate_geometry(body, ell, min_separation):
     straightness = float(resid.max() / body.length)
 
     warnings = []
-    duplicate = min_sep == 0.0
-    if duplicate:
-        warnings.append("duplicate nodes: zero inter-node separation")
-    elif min_sep < ell / 10.0:
+    if min_sep < ell / 10.0:
         warnings.append(f"minimum node separation {min_sep:.3e} is below "
                         f"ell/10 = {ell / 10.0:.3e}; quadrature accuracy degrades")
     return GeometryDiagnostics(min_separation=min_sep,
                                separation_over_thickness=min_sep / ell,
                                straightness=straightness, closed=body.closed,
-                               duplicate_nodes=duplicate, warnings=tuple(warnings))
+                               warnings=tuple(warnings))
 
 
 def load_polyline_csv(path, closed=False, density=None):

@@ -538,6 +538,51 @@ def test_straight_rod_at_extreme_scales_runs_clean(tmp_path, capsys, block, key,
             assert 0 < density["l2"] < np.inf and 0 < density["max"] < np.inf
 
 
+@pytest.mark.parametrize("mu", [1e-300, 1e-200, 1e300])
+def test_convergence_at_extreme_mu(tmp_path, capsys, mu):
+    # the squares of the grand matrix differences underflow (mu = 1e-300,
+    # 1e-200) or overflow (1e300); scaled by their largest entry, the
+    # differences scale as mu and their ratios do not move
+    def study(mu, name):
+        cfg = base_config(body={"kind": "rod", "length": 2.0},
+                          fluid={"nondimensional": {"ell": 0.1, "mu": mu}},
+                          discretization={"panels": 6, "order": 4})
+        out = tmp_path / name
+        assert main_printing_warnings(["convergence", "--config",
+                                       str(write_config(tmp_path, cfg)),
+                                       "--out", str(out)]) == 0
+        return json.loads((out / "report.json").read_text())["convergence"]
+
+    rows, ref = study(mu, "extreme"), study(1.0, "unit")
+    assert "Warning" not in capsys.readouterr().err
+    for row, want in zip(rows[1:], ref[1:]):
+        assert row["grand_diff"] / mu == pytest.approx(want["grand_diff"], rel=1e-12)
+        assert row["ktr_norm"] / mu == pytest.approx(want["ktr_norm"], rel=1e-9, abs=1e-12)
+    assert rows[1]["diff_ratio"] is None
+    for row, want in zip(rows[2:], ref[2:]):
+        assert row["diff_ratio"] == pytest.approx(want["diff_ratio"], rel=1e-12)
+
+
+@pytest.mark.parametrize("mu, stage", [
+    (1.0, "force density"),
+    (1e-300, "fall operator"),
+])
+def test_overflowing_steady_rod_exits_3(tmp_path, capsys, mu, stage):
+    # m_c = 1e308 on the rod: at mu = 1 its force density overflows, at
+    # mu = 1e-300 already its fall operator F; either is refused by name,
+    # without a floating-point warning
+    cfg = base_config(body={"kind": "rod", "length": 2.0},
+                      fluid={"nondimensional": {"ell": 0.1, "mu": mu}},
+                      masses={"m": 1.0, "m_c": 1e308},
+                      discretization={"panels": 6, "order": 4})
+    out = tmp_path / "out"
+    assert main_printing_warnings(["steady", "--config", str(write_config(tmp_path, cfg)),
+                                   "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "solver error" in err and stage in err and "Warning" not in err
+    assert not (out / "report.json").exists()
+
+
 def test_tiny_mu_fall_run_exits_3(tmp_path, capsys):
     # mu = 1e-308 overflows the Green matrix; the ring is solved by
     # block-Toeplitz PCG, whose finiteness check of the symbols stops it
@@ -685,8 +730,8 @@ def test_readme_helix_where_8_pi_mu_overflows(tmp_path, capsys, ell, mu, code):
 
 @pytest.mark.parametrize("t_end, code", [(1.0, 2), (0.01, 0)])
 def test_fall_samples_beyond_memory_exit_2(tmp_path, monkeypatch, capsys, t_end, code):
-    # 1 MB of RAM: 10^4 samples of 2 KB are refused before the body is
-    # made, 100 of them run
+    # 1 MB of RAM: 10^4 samples of 22 doubles (176 bytes) are refused
+    # before the body is made, 100 of them run
     from slenderfall import mobility
     ram = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2 ** 20}
     monkeypatch.setattr(mobility.os, "sysconf", ram.__getitem__)
@@ -1135,3 +1180,37 @@ def test_straight_rod_fall_at_extreme_scales_runs_clean(tmp_path, capsys, block,
     assert "Warning" not in err
     assert ("config error" in err and "dt_max" in err) == (code == 2)
     assert (out / "report.json").exists() == (code == 0)
+
+
+def test_every_solving_mode_at_extreme_scales(tmp_path):
+    # rod, ring, helix and a polyline in steady, fall and convergence (no
+    # polyline) over m in {1e-300, 1, 1e308}, m_c in {0, 1e308} and mu in
+    # {1e-300, 1, 1e300}: with warnings as errors, every run exits 0, 2, 3
+    # or 4 without an exception out of main, and writes report.json, free of
+    # NaN and Infinity, exactly when it exits 0
+    bodies = ({"kind": "rod", "length": 2.0}, {"kind": "ring", "radius": 1.0},
+              {"kind": "helix", "radius": 1.0, "pitch": 1.0, "turns": 2.0},
+              {"kind": "polyline", "vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0]]})
+    runs = [(mode, body) for mode in ("steady", "fall", "convergence") for body in bodies
+            if not (mode == "convergence" and body["kind"] == "polyline")]
+    for i, ((mode, body), m, m_c, mu) in enumerate(itertools.product(
+            runs, (1e-300, 1.0, 1e308), (0.0, 1e308), (1e-300, 1.0, 1e300))):
+        cfg = base_config(body=body, fluid={"nondimensional": {"ell": 0.1, "mu": mu}},
+                          masses={"m": m, "m_c": m_c},
+                          discretization={"panels": 6, "order": 4},
+                          dynamics={"dt": 1e-3, "t_end": 0.01})
+        out = tmp_path / f"run{i}"
+        case = (mode, body["kind"], m, m_c, mu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = cli.main([mode, "--config", str(write_config(tmp_path, cfg)),
+                                 "--out", str(out)])
+            except Exception as exc:
+                pytest.fail(f"{case}: {exc!r}")
+        assert code in (0, 2, 3, 4), case
+        assert (out / "report.json").exists() == (code == 0), case
+        if code == 0:
+            json.loads((out / "report.json").read_text(),
+                       parse_constant=lambda c: pytest.fail(f"{case}: {c} in report.json"))
+    assert i + 1 == 198

@@ -1,14 +1,15 @@
 """Dynamics module: quasi-steady ODE, RK4 integration, steady detection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from slenderfall import (CurveSpec, DynamicsParams, FallState, KernelParams,
-                         MassProperties, detect_steady, discretize, integrate,
-                         mass_properties, resistance_set, rhs, steady_states)
+                         MassProperties, discretize, integrate, mass_properties,
+                         residual, resistance_set, rhs, steady_states)
 from slenderfall.dynamics import (_BATCH, _polar_factor, _state_mismatch,
                                   _target, max_stable_dt)
 from slenderfall.errors import InstabilityError, MassModelError
@@ -17,6 +18,16 @@ from slenderfall.errors import InstabilityError, MassModelError
 def state_from_steady(s):
     return FallState(t=0.0, xi=s.xi, omega=s.omega, G=s.g,
                      Q=np.eye(3), c=np.zeros(3))
+
+
+def pack(s):
+    # the 21 floats of rhs: xi, omega, G, Q row by row, c
+    return np.concatenate([s.xi, s.omega, s.G, s.Q.ravel(), s.c])
+
+
+def unpack(t, y):
+    return FallState(t=t, xi=y[0:3], omega=y[3:6], G=y[6:9],
+                     Q=y[9:18].reshape(3, 3), c=y[18:21])
 
 
 def test_steady_states_are_fixed_points(ring_R, ring_mp, helix_R, helix_mp):
@@ -61,8 +72,9 @@ def test_re_zero_freezes_frame(helix_R, helix_mp):
     # 300 steps: Q and c are rebuilt at a batch end and at the last step
     params = DynamicsParams(re=0.0, dt=0.01, t_end=3.0, stride=10)
     traj = integrate(FallState.from_rest([0, 1.0, 0]), helix_R, helix_mp, params)
+    G0 = next(iter(traj)).G
     for s in traj:
-        assert np.array_equal(s.G, traj.states[0].G)
+        assert np.array_equal(s.G, G0)
         assert np.array_equal(s.Q, np.eye(3))
         assert np.array_equal(s.c, np.zeros(3))
 
@@ -98,8 +110,9 @@ def test_detect_steady_at_start(ring_R, ring_mp):
     s0 = state_from_steady(states[0])
     params = DynamicsParams(re=0.0, dt=0.01, t_end=1.0, steady_tol=1e-6)
     traj = integrate(s0, ring_R, ring_mp, params, steady_states=states)
-    assert traj.halted_steady and traj.steady_index == 0
-    assert traj.final.t == 0.0
+    assert traj.halted_steady and traj.state_index == 0
+    assert traj.mismatch < 1e-6
+    assert traj.final.t == 0.0 and len(traj) == 1
 
 
 def test_ring_converges_to_steady(ring_R, ring_mp):
@@ -108,11 +121,17 @@ def test_ring_converges_to_steady(ring_R, ring_mp):
                             stride=50)
     traj = integrate(FallState.from_rest([0, 0, 1.0]), ring_R, ring_mp,
                      params, steady_states=states)
-    assert traj.halted_steady
-    report = detect_steady(traj, states, tol=1e-6,
-                           resistance=ring_R, mass_props=ring_mp)
-    assert report["converged"] and report["state_index"] == 0
-    assert report["mismatch"] <= 1e-6
+    assert traj.halted_steady and traj.state_index == 0
+    assert traj.mismatch <= 1e-6
+
+
+def test_halted_run_keeps_only_the_rows_written(ring_R, ring_mp):
+    # rows for 160,000 steps are allocated; the run halts near step 1,000
+    params = DynamicsParams(re=0.0, dt=0.005, t_end=800.0, steady_tol=1e-6, stride=50)
+    traj = integrate(FallState.from_rest([0, 0, 1.0]), ring_R, ring_mp, params,
+                     steady_states=steady_states(ring_R, ring_mp))
+    assert traj.halted_steady and len(traj) < 100
+    assert traj.samples.flags.owndata and traj.samples.nbytes == 176 * len(traj)
 
 
 def test_helix_low_re_run_recorded(helix_R, helix_mp):
@@ -122,26 +141,27 @@ def test_helix_low_re_run_recorded(helix_R, helix_mp):
                      params, steady_states=states)
     for s in traj:
         assert abs(np.linalg.norm(s.G) - 1.0) <= 1e-8
-    report = detect_steady(traj, states, tol=1e-6,
-                           resistance=helix_R, mass_props=helix_mp)
-    # convergence is a finding, not a requirement; the report is complete
-    assert "converged" in report and "t_final" in report
-    if not report["converged"]:
-        assert np.isfinite(report["final_balance_residual"])
+    # convergence is a finding, not a requirement; the record is complete
+    assert traj.state_index in range(len(states)) and np.isfinite(traj.mismatch)
+    assert traj.halted_steady == (traj.mismatch < 1e-6)
+    if not traj.halted_steady:
+        final = traj.final
+        assert np.isfinite(residual(final.xi, final.omega, final.G, helix_R, helix_mp))
 
 
 def test_final_balance_residual_is_the_load_imbalance(helix_R, helix_mp):
     # at Re = 0, m dxi/dt = m_e G + f and J domega/dt = t - m_c r x G, so a
     # run stopped short of steady reports max(m |dxi/dt|, |J domega/dt|)
     params = DynamicsParams(re=0.0, dt=0.01, t_end=0.05)
-    traj = integrate(FallState.from_rest([0, 0, 1.0]), helix_R, helix_mp, params)
-    report = detect_steady(traj, steady_states(helix_R, helix_mp), tol=1e-6,
-                           resistance=helix_R, mass_props=helix_mp)
-    assert not report["converged"]
-    d = rhs(traj.final, helix_R, helix_mp, re=0.0)
+    traj = integrate(FallState.from_rest([0, 0, 1.0]), helix_R, helix_mp, params,
+                     steady_states=steady_states(helix_R, helix_mp))
+    assert not traj.halted_steady and traj.mismatch >= 1e-6
+    final = traj.final
+    d = rhs(final, helix_R, helix_mp, re=0.0)
     expected = max(helix_mp.m * np.linalg.norm(d[:3]),
                    np.linalg.norm(helix_mp.inertia @ d[3:6]))
-    assert report["final_balance_residual"] == pytest.approx(expected, rel=1e-10)
+    got = residual(final.xi, final.omega, final.G, helix_R, helix_mp)
+    assert got == pytest.approx(expected, rel=1e-10)
 
 
 def test_blow_up_detected(ring_R, ring_mp):
@@ -154,7 +174,7 @@ def test_blow_up_detected(ring_R, ring_mp):
     # the step before it still ends within the blow-up bound
     last = integrate(s0, ring_R, ring_mp, DynamicsParams(re=0.0, dt=10.0,
                                                          t_end=10.0 * (step - 1))).final
-    assert np.linalg.norm(last.pack()[:9]) <= 1e12
+    assert np.linalg.norm(pack(last)[:9]) <= 1e12
 
 
 @pytest.mark.parametrize("stride, step", [(10, 10), (10 ** 6, _BATCH)])
@@ -282,7 +302,7 @@ def test_step_halving_fourth_order_full_state(helix_R, helix_mp):
 
     def endpoint(dt):
         params = DynamicsParams(re=0.5, dt=dt, t_end=1.0, stride=10 ** 6)
-        return integrate(s0, helix_R, helix_mp, params).final.pack()
+        return pack(integrate(s0, helix_R, helix_mp, params).final)
 
     y1, y2, y3 = endpoint(0.04), endpoint(0.02), endpoint(0.01)
     assert np.linalg.norm(y3[9:18] - np.eye(3).ravel()) > 1e-3   # Q moved
@@ -345,7 +365,7 @@ def test_energy_identity_fourth_order():
         traj = integrate(s0, R, mp, DynamicsParams(re=re, dt=dt, t_end=2.0))
         P = np.array([power(s) for s in traj])
         work = dt / 3 * (P[0] + P[-1] + 4 * P[1:-1:2].sum() + 2 * P[2:-1:2].sum())
-        for s in traj.states[::10]:
+        for s in list(traj)[::10]:
             d = rhs(s, R, mp, re)
             de = mp.m * s.xi @ d[:3] + s.omega @ mp.inertia @ d[3:6]
             assert abs(de - power(s)) <= 1e-12 * max(abs(power(s)), mp.m_e)
@@ -361,18 +381,18 @@ def _rk4_21(s0, R, mp, params):
     # its polar factor after every step, sampled as integrate samples
     h = params.dt
     n_steps = int(np.ceil((params.t_end - s0.t) / h - 1e-12))
-    y, t, out = s0.pack(), s0.t, [s0]
+    y, t, out = pack(s0), s0.t, [s0]
     for step in range(1, n_steps + 1):
-        k1 = rhs(FallState.unpack(t, y), R, mp, params.re)
-        k2 = rhs(FallState.unpack(t, y + h / 2 * k1), R, mp, params.re)
-        k3 = rhs(FallState.unpack(t, y + h / 2 * k2), R, mp, params.re)
-        k4 = rhs(FallState.unpack(t, y + h * k3), R, mp, params.re)
+        k1 = rhs(unpack(t, y), R, mp, params.re)
+        k2 = rhs(unpack(t, y + h / 2 * k1), R, mp, params.re)
+        k3 = rhs(unpack(t, y + h / 2 * k2), R, mp, params.re)
+        k4 = rhs(unpack(t, y + h * k3), R, mp, params.re)
         y = y + h / 6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
         y[6:9] = y[6:9] / math.hypot(*y[6:9])
         y[9:18] = _polar_factor(y[9:18].tolist(), step)
         if step % params.stride == 0 or step == n_steps:
-            out.append(FallState.unpack(t, y.copy()))
+            out.append(unpack(t, y.copy()))
     return out
 
 
@@ -422,7 +442,7 @@ def test_signed_zeros_match_21_float_rk4(helix_R, helix_mp):
     ref = _rk4_21(s0, helix_R, helix_mp, params)
     assert len(traj) == len(ref) == 11
     for got, want in zip(traj, ref):
-        assert got.pack()[:9].tobytes() == want.pack()[:9].tobytes()
+        assert pack(got)[:9].tobytes() == pack(want)[:9].tobytes()
     assert np.signbit(traj.final.G[1])
 
 
@@ -518,7 +538,7 @@ def _fstring_csv(traj, path):
               "Q11", "Q12", "Q13", "Q21", "Q22", "Q23", "Q31", "Q32", "Q33"]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for s in traj.states:
+        for s in traj:
             row = np.concatenate([[s.t], s.xi, s.omega, s.G, s.c, s.Q.ravel()])
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
@@ -551,3 +571,36 @@ def test_rk4_stability_bound_is_sharp(helix_R, helix_mp):
     with pytest.raises(InstabilityError):
         integrate(s0, helix_R, helix_mp,
                   DynamicsParams(dt=1.02 * dt_max, t_end=1000 * dt_max))
+
+
+def test_samples_are_held_as_rows_of_one_array(params):
+    # 8,000 samples of the README helix (8 x 4 nodes) at stride 1: each is
+    # one row of 22 float64 values, 176 bytes, allocated before the first step
+    spec = CurveSpec(kind="helix", radius=1.0, pitch=1.0, turns=2.0)
+    body = discretize(spec, panels=8, order=4)
+    R, mp = resistance_set(body, params), mass_properties(body)
+    run = DynamicsParams(re=0.05, dt=1e-3, t_end=8.0)
+    s0 = FallState.from_rest([0.3, 0.2, 1.0])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = integrate(s0, R, mp, run, steady_states=steady_states(R, mp))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 8001 and not traj.halted_steady
+    assert held <= 200 * len(traj)
+
+
+def test_no_step_returns_the_initial_sample(ring_R, ring_mp):
+    # a start at or past t_end takes no step; the record is the start alone
+    s0 = FallState(t=2.0, xi=np.array([0.0, 0.0, 0.1]), omega=np.zeros(3),
+                   G=np.array([0.0, 0.0, 1.0]), Q=np.eye(3), c=np.zeros(3))
+    for t_end in (1.0, 2.0):
+        traj = integrate(s0, ring_R, ring_mp, DynamicsParams(dt=0.01, t_end=t_end),
+                         steady_states=steady_states(ring_R, ring_mp))
+        assert len(traj) == 1 and not traj.halted_steady
+        assert traj.state_index == 0 and traj.mismatch > 1e-6
+        final = traj.final
+        assert final.t == 2.0 and np.array_equal(final.xi, s0.xi)
+        assert np.array_equal(final.Q, np.eye(3)) and traj.frame_drift == 0.0

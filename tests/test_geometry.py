@@ -1,13 +1,14 @@
 """Geometry module: discretization, mass properties, diagnostics."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slenderfall import (CurveSpec, DiscreteBody, cli, discretize, load_polyline_csv,
+from slenderfall import (CurveSpec, cli, discretize, load_polyline_csv,
                          mass_properties, validate_geometry)
 from slenderfall.errors import GeometryError
 
@@ -61,6 +62,15 @@ def test_ring_inertia(ring_spec, ring_body, ring_mp):
     assert np.allclose(ring_mp.inertia, expected, rtol=1e-8)
 
 
+def test_ring_inertia_at_the_largest_mass(ring_body, ring_mp):
+    # m = 1e308 on a unit ring: J33 = m a^2 = 1e308, so J + J^T overflows
+    m = 1e308
+    heavy = mass_properties(replace(ring_body, density=np.full_like(
+        ring_body.weights, m / ring_body.length)))
+    assert np.isfinite(heavy.inertia).all()
+    assert np.abs(heavy.inertia - ring_mp.inertia * (m / ring_mp.m)).max() <= 1e-12 * m
+
+
 def test_rod_inertia_null_axis(rod_mp):
     evals, evecs = np.linalg.eigh(rod_mp.inertia)
     assert evals[0] <= 1e-10 * evals[-1]
@@ -87,7 +97,6 @@ def test_validate_rod_straight(rod_body, params):
     diag = diagnose(rod_body, params.ell)
     assert diag.straightness < 1e-12
     assert not diag.closed
-    assert not diag.duplicate_nodes
 
 
 def test_validate_ring(ring_body, params):
@@ -106,16 +115,6 @@ def test_validate_open_c_polyline_not_closed():
 def test_validate_coarse_ring_closed():
     body = discretize(CurveSpec(kind="ring", radius=1.0), panels=1, order=2)
     assert diagnose(body, 0.1).closed
-
-
-def test_validate_duplicate_nodes():
-    body = DiscreteBody(nodes=np.zeros((2, 3)), weights=np.ones(2),
-                        arclength=np.array([0.0, 1.0]), density=np.ones(2),
-                        panels=1, order=2, length=2.0)
-    diag = diagnose(body, 0.1)
-    assert diag.duplicate_nodes
-    assert diag.min_separation == 0.0
-    assert diag.separation_over_thickness == 0.0
 
 
 def test_validate_close_nodes_warns(rod_spec):
