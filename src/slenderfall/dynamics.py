@@ -284,11 +284,12 @@ class Trajectory:
         return _sample_state(self.samples[-1])
 
     def to_csv(self, path):
-        """Write the trajectory CSV (17 significant digits, header row)."""
+        """Write the trajectory CSV (17 significant digits, header row), a
+        row at a time, so that writing takes no memory per sample."""
         row = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
         with open(path, "w") as fh:
             fh.write(",".join(COLUMNS) + "\n")
-            fh.writelines(row % tuple(r) for r in self.samples.tolist())
+            fh.writelines(row % tuple(r) for r in map(np.ndarray.tolist, self.samples))
 
 
 def _target(steady, resistance, mass_props):

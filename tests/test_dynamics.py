@@ -573,23 +573,29 @@ def test_rk4_stability_bound_is_sharp(helix_R, helix_mp):
                   DynamicsParams(dt=1.02 * dt_max, t_end=1000 * dt_max))
 
 
-def test_samples_are_held_as_rows_of_one_array(params):
-    # 8,000 samples of the README helix (8 x 4 nodes) at stride 1: each is
-    # one row of 22 float64 values, 176 bytes, allocated before the first step
+def test_samples_are_held_as_rows_of_one_array(params, tmp_path):
+    # 2,000 samples of the README helix (8 x 4 nodes) at stride 1: each is
+    # one row of 22 float64 values, 176 bytes, allocated before the first
+    # step, and writing them as CSV takes no memory per sample
     spec = CurveSpec(kind="helix", radius=1.0, pitch=1.0, turns=2.0)
     body = discretize(spec, panels=8, order=4)
     R, mp = resistance_set(body, params), mass_properties(body)
-    run = DynamicsParams(re=0.05, dt=1e-3, t_end=8.0)
+    run = DynamicsParams(re=0.05, dt=1e-3, t_end=2.0)
     s0 = FallState.from_rest([0.3, 0.2, 1.0])
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         traj = integrate(s0, R, mp, run, steady_states=steady_states(R, mp))
         held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        traj.to_csv(tmp_path / "trajectory.csv")
+        writing = tracemalloc.get_traced_memory()[1] - before - held
     finally:
         tracemalloc.stop()
-    assert len(traj) == 8001 and not traj.halted_steady
+    assert len(traj) == 2001 and not traj.halted_steady
+    assert traj.samples.dtype == np.float64 and traj.samples.nbytes == 176 * len(traj)
     assert held <= 200 * len(traj)
+    assert writing <= 64 * 1024      # a row, its text and the file buffer
 
 
 def test_no_step_returns_the_initial_sample(ring_R, ring_mp):
